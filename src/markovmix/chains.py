@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
     NoConvergenceError,
+    NonFiniteError,
     NotErgodicError,
     NotSquareError,
     OutOfRangeError,
@@ -61,6 +62,15 @@ def _exact_simplex(vec):
     return vec
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    """Reject NaN and infinite entries, which every tolerance comparison lets pass."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = idx[0] if len(idx) == 1 else idx
+        raise NonFiniteError(f"entry {where} = {float(arr[idx])!r} is non-finite")
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """A validated row-stochastic n x n matrix (one-step kernel of a chain).
@@ -76,6 +86,7 @@ class StochasticMatrix:
         e = np.array(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 2:
             raise NotSquareError(f"expected a square matrix with n >= 2, got shape {e.shape}")
+        _require_finite(e)
         if np.any(e < 0.0):
             raise NegativeEntryError("entries must be nonnegative")
         sums = e.sum(axis=1)
@@ -100,6 +111,7 @@ class Distribution:
         m = np.array(self.mass, dtype=float)
         if m.ndim != 1 or m.shape[0] < 1:
             raise DimensionMismatchError(f"expected a 1-d vector, got shape {m.shape}")
+        _require_finite(m)
         if np.any(m < 0.0):
             raise NegativeEntryError("mass must be nonnegative")
         s = m.sum()
@@ -165,13 +177,14 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
     """Validate a raw square matrix and renormalize rows to exact sum 1.
 
     Entries in [-tolerance, 0) are clamped to 0. Raises
-    :class:`NotSquareError`, :class:`NegativeEntryError` or
-    :class:`RowSumError` when the input is not within tolerance of a
-    row-stochastic matrix.
+    :class:`NotSquareError`, :class:`NonFiniteError`,
+    :class:`NegativeEntryError` or :class:`RowSumError` when the input is
+    not within tolerance of a row-stochastic matrix.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise NotSquareError(f"expected a square matrix with n >= 2, got shape {arr.shape}")
+    _require_finite(arr)
     if np.any(arr < -tolerance):
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise NegativeEntryError(f"entry ({i}, {j}) = {arr[i, j]!r} is below -{tolerance!r}")
@@ -191,6 +204,7 @@ def validate_distribution(raw, tolerance: float = DISTRIBUTION_TOLERANCE) -> Dis
     vec = np.array(raw, dtype=float)
     if vec.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {vec.shape}")
+    _require_finite(vec)
     if np.any(vec < -tolerance):
         raise NegativeEntryError("vector has an entry below the tolerance")
     if abs(vec.sum() - 1.0) > tolerance:

@@ -19,13 +19,7 @@ from .adiabatic import (
 )
 from .chainfile import load_pair, pair_to_dict
 from .chains import ChainPair, interpolate, stationary, structure
-from .errors import (
-    CapExceededError,
-    ChainError,
-    HorizonCapError,
-    IterationCapError,
-    NoConvergenceError,
-)
+from .errors import CapExceededError, ChainError, NoConvergenceError
 from .generators import FAMILIES, GeneratorParams, generate
 from .mixing import mixing_time, sup_mixing_time
 from .verify import verify_all
@@ -36,7 +30,7 @@ EXIT_BOUND_FAILED = 2
 EXIT_CAP = 3
 EXIT_USAGE = 64
 
-_CAP_ERRORS = (CapExceededError, HorizonCapError, IterationCapError, NoConvergenceError)
+_CAP_ERRORS = (CapExceededError, NoConvergenceError)
 
 
 class _Parser(argparse.ArgumentParser):

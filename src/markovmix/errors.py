@@ -9,6 +9,10 @@ class NotSquareError(ChainError):
     """Raw matrix is not square or has fewer than two states."""
 
 
+class NonFiniteError(ChainError):
+    """An entry is NaN or infinite."""
+
+
 class NegativeEntryError(ChainError):
     """An entry is more negative than the validation tolerance allows."""
 
@@ -45,14 +49,6 @@ class EpsTooLargeError(ChainError):
     """Epsilon is at or above the 1/sqrt(n) validity threshold."""
 
 
-class IterationCapError(ChainError):
-    """Mixing-time search exceeded its iteration cap."""
-
-
-class HorizonCapError(ChainError):
-    """Certified adiabatic horizon exceeds the configured cap."""
-
-
 class CapExceededError(ChainError):
     """A scan hit its cap before finishing.
 
@@ -63,6 +59,14 @@ class CapExceededError(ChainError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
+
+
+class IterationCapError(CapExceededError):
+    """Mixing-time search exceeded its iteration cap."""
+
+
+class HorizonCapError(CapExceededError):
+    """Certified adiabatic horizon exceeds the configured cap."""
 
 
 class BadParamsError(ChainError):

@@ -1,10 +1,16 @@
 """Corridors, adiabatic and stable adiabatic times, and the bound checkers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import markovmix.adiabatic as adiabatic
 from markovmix import (
     CapExceededError,
+    ChainError,
     ChainPair,
     HorizonCapError,
     NonPositiveEpsError,
@@ -14,6 +20,7 @@ from markovmix import (
     corridor,
     mixing_time,
     prop3_check,
+    random_dense,
     stable_adiabatic_time,
     sup_mixing_time,
     theorem2_check,
@@ -22,7 +29,7 @@ from markovmix import (
     two_state,
     validate_stochastic,
 )
-from markovmix.adiabatic import ceil_int
+from markovmix.adiabatic import _adiabatic_gaps, ceil_int
 
 from oracles import (
     adiabatic_distance_oracle,
@@ -188,6 +195,95 @@ class TestAdiabaticTime:
                 res = adiabatic_time(pair, eps)
                 m1 = mixing_time(pair.p1, eps / 2).tmix
                 assert res.t_ad <= ceil_int(2.0 * m1 * m1 / eps), (name, eps)
+
+
+def _loop_gaps(pair, H):
+    return np.array([adiabatic_distance(pair, T) for T in range(1, H + 1)])
+
+
+dense_pairs = st.builds(
+    lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestBatchedAdiabaticGaps:
+    """The all-horizons kernel against the single-horizon loop and the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=dense_pairs, H=st.integers(1, 60))
+    def test_equals_loop_and_oracle(self, pair, H):
+        gaps = _adiabatic_gaps(pair, np.arange(1, H + 1))
+        np.testing.assert_array_equal(gaps, _loop_gaps(pair, H))
+        P0, P1 = np.array(pair.p0.entries), np.array(pair.p1.entries)
+        oracle = [adiabatic_distance_oracle(P0, P1, T) for T in range(1, H + 1)]
+        np.testing.assert_allclose(gaps, oracle, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(pair=dense_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]))
+    def test_exact_scan_matches_loop(self, pair, eps):
+        res = adiabatic_time(pair, eps)
+        H = res.certified_horizon
+        loop = _loop_gaps(pair, H)
+        assert [T for T, _ in res.per_T_gaps] == list(range(1, H + 1))
+        np.testing.assert_array_equal([g for _, g in res.per_T_gaps], loop)
+        fails = [T for T in range(1, H + 1) if not loop[T - 1] <= eps + 1e-12]
+        assert res.t_ad == (fails[-1] + 1 if fails else 1)
+
+    def test_several_chunks_same_array(self, suite_pairs, monkeypatch):
+        for name in ("complete5-to-bd5", "dense6-to-dense6", "lazy-to-asym"):
+            pair = suite_pairs[name]
+            Ts = np.arange(1, 81)
+            whole = _adiabatic_gaps(pair, Ts)
+            n = pair.n
+            # one horizon per chunk, then seven per chunk
+            for budget in (1, 7 * 8 * (3 * n * n + 4)):
+                monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", budget)
+                np.testing.assert_array_equal(_adiabatic_gaps(pair, Ts), whole, err_msg=name)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(whole, _loop_gaps(pair, 80), err_msg=name)
+
+    def test_nan_gap_counts_as_failure(self, lazy, monkeypatch):
+        pair = ChainPair(lazy, lazy)
+        real = _adiabatic_gaps
+
+        def with_nan_at(T_bad):
+            def fake(pair, Ts):
+                gaps = real(pair, Ts)
+                gaps[T_bad - 1] = np.nan
+                return gaps
+
+            return fake
+
+        monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(10))
+        res = adiabatic_time(pair, 0.05)
+        assert res.t_ad == 11
+        T, gap = res.per_T_gaps[9]
+        assert T == 10 and type(T) is int and type(gap) is float and np.isnan(gap)
+
+        monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(1000))
+        with pytest.raises(ChainError, match="numerical breakdown"):
+            adiabatic_time(pair, 0.05)
+
+    def test_memory_bounded_as_horizon_grows(self, suite_pairs, monkeypatch):
+        pair = suite_pairs["dense6-to-dense6"]
+        budget = 32 * 1024
+        monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", budget)
+        peaks = []
+        for H in (100, 400):
+            Ts = np.arange(1, H + 1)
+            tracemalloc.start()
+            try:
+                _adiabatic_gaps(pair, Ts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # beyond the chunked stacks: 8 output bytes per horizon and numpy's
+        # fixed-size iteration buffers for the broadcast kernel weights
+        assert max(peaks) <= budget + 64 * 1024, peaks
+        assert peaks[1] - peaks[0] <= 8 * 1024, peaks
 
 
 class TestStableAdiabaticTime:

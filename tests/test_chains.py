@@ -9,10 +9,12 @@ from markovmix import (
     Distribution,
     NegativeEntryError,
     NoConvergenceError,
+    NonFiniteError,
     NotErgodicError,
     NotSquareError,
     OutOfRangeError,
     RowSumError,
+    StochasticMatrix,
     evolve,
     interpolate,
     stationary,
@@ -45,6 +47,13 @@ class TestValidateStochastic:
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError):
             validate_stochastic([[1.001, -0.001], [0.5, 0.5]], tolerance=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match=r"entry \(0, 0\) = .* is non-finite"):
+            validate_stochastic([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            StochasticMatrix(np.array([[0.5, 0.5], [0.5, bad]]))
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
@@ -250,6 +259,13 @@ class TestDistributionValidation:
     def test_sum_off_rejected(self):
         with pytest.raises(RowSumError):
             validate_distribution([0.6, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="entry 0 = .* is non-finite"):
+            validate_distribution([bad, 1.0])
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            Distribution([1.0, bad])
 
     def test_tiny_negative_clamped(self):
         d = validate_distribution([1.0 + 5e-13, -5e-13], tolerance=1e-12)

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from markovmix import load_pair
+import markovmix.cli as cli
+from markovmix import (
+    CapExceededError,
+    HorizonCapError,
+    IterationCapError,
+    NoConvergenceError,
+    load_pair,
+)
 from markovmix.cli import (
     EXIT_BOUND_FAILED,
     EXIT_CAP,
@@ -176,6 +183,18 @@ class TestExitCodes:
         assert main(["validate", "--chain", str(bad)]) == EXIT_VALIDATION
         assert "row 0" in capsys.readouterr().err
 
+    def test_non_finite_file_is_validation_failure(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        # json.dumps writes the bare token NaN, which json.loads reads back
+        bad.write_text(
+            json.dumps(
+                {"name": "nan", "n": 2, "P0": [[float("nan"), 0.5], [0.5, 0.5]], "P1": [[0.5, 0.5], [0.5, 0.5]]}
+            )
+        )
+        assert "NaN" in bad.read_text()
+        assert main(["validate", "--chain", str(bad)]) == EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+
     def test_not_ergodic_is_validation_failure(self, tmp_path):
         bad = tmp_path / "cycle.json"
         bad.write_text(
@@ -192,6 +211,16 @@ class TestExitCodes:
         assert code == EXIT_CAP
         assert "cap" in capsys.readouterr().err
 
+    def test_cap_errors_form_one_family(self, pair_file, capsys):
+        assert issubclass(HorizonCapError, CapExceededError)
+        assert issubclass(IterationCapError, CapExceededError)
+        assert cli._CAP_ERRORS == (CapExceededError, NoConvergenceError)
+        adiabatic = ["adiabatic", "--chain", str(pair_file), "--epsilon", "0.05"]
+        assert main([*adiabatic, "--cap", "1"]) == EXIT_CAP
+        mixing = ["mixing", "--chain", str(pair_file), "--epsilon", "0.0001"]
+        assert main([*mixing, "--cap", "1"]) == EXIT_CAP
+        assert capsys.readouterr().err.count("cap exceeded") == 2
+
     def test_corridor_over_cap(self, pair_file):
         code = main(
             ["corridor", "--chain", str(pair_file), "--steps", "50", "--cap", "10"]
@@ -207,8 +236,6 @@ class TestExitCodes:
         assert excinfo.value.code == EXIT_USAGE
 
     def test_bound_failure_exit(self, pair_file, monkeypatch, capsys):
-        import markovmix.cli as cli
-
         failing = BoundReport(
             chain_name="synthetic",
             eps_list=(0.1,),
