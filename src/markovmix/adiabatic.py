@@ -50,11 +50,6 @@ def ceil_int(x: float, rel: float = 1e-12) -> int:
     return int(math.ceil(x))
 
 
-def _interp_raw(pair: ChainPair, t: float) -> np.ndarray:
-    # inputs are validated, so the combination is row stochastic
-    return (1.0 - t) * pair.p0.entries + t * pair.p1.entries
-
-
 def _interp_stack(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
     t = ts[:, None, None]
     return (1.0 - t) * pair.p0.entries + t * pair.p1.entries
@@ -135,37 +130,16 @@ class Corridor:
         return k + 1, float(self.gaps[k])
 
 
-def corridor(pair: ChainPair, T: int, stationary_cache: dict | None = None) -> Corridor:
+def corridor(pair: ChainPair, T: int) -> Corridor:
     """Compute the full corridor at horizon T.
 
-    O(T) matrix-vector products plus T stationary solves (batched). When a
-    ``stationary_cache`` dict is supplied, targets are reused across calls
-    keyed by the exact interpolation parameter k / T; a scan over many T
-    revisits the same fractions.
+    O(T) matrix-vector products plus T stationary solves (batched).
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     n = pair.n
-    ts = np.arange(1, T + 1) / T
-    Ps = _interp_stack(pair, ts)
-
-    if stationary_cache is None:
-        targets = _stationary_stack(Ps)
-    else:
-        fractions = ts.tolist()
-        targets = np.empty((T, n))
-        missing = []
-        for i, t in enumerate(fractions):
-            hit = stationary_cache.get(t)
-            if hit is None:
-                missing.append(i)
-            else:
-                targets[i] = hit
-        if missing:
-            fresh = _stationary_stack(Ps[missing])
-            for j, i in enumerate(missing):
-                targets[i] = fresh[j]
-                stationary_cache[fractions[i]] = fresh[j]
+    Ps = _interp_stack(pair, np.arange(1, T + 1) / T)
+    targets = _stationary_stack(Ps)
 
     mu = np.array(pair.pi0.mass)
     mus = np.empty((T, n))
@@ -187,9 +161,11 @@ def adiabatic_distance(pair: ChainPair, T: int) -> float:
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
-    M = np.array(pair.p0.entries)
+    p0, p1 = pair.p0.entries, pair.p1.entries
+    M = np.array(p0)
     for k in range(1, T + 1):
-        M = M @ _interp_raw(pair, k / T)
+        t = k / T
+        M = M @ ((1.0 - t) * p0 + t * p1)
     pi1 = pair.pi1.mass
     return float((0.5 * np.abs(M - pi1).sum(axis=1)).max())
 
@@ -236,93 +212,55 @@ def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
 class AdiabaticResult:
     """Least T* from which the adiabatic condition holds up to the horizon.
 
-    In exact mode the condition was evaluated for every T in
-    [1, certified_horizon] and ``t_ad`` is the least T* with no failure at
-    or beyond it; the certified horizon itself comes from the mixing-time
-    bound 2 t_mix(P1, eps/2)^2 / eps, beyond which the condition is
-    guaranteed. Fast mode only verifies a fixed window after the first
-    passing T and is flagged ``heuristic``.
+    The condition was evaluated for every T in [1, certified_horizon] and
+    ``t_ad`` is the least T* with no failure at or beyond it; the certified
+    horizon itself comes from the mixing-time bound 2 t_mix(P1, eps/2)^2 /
+    eps, beyond which the condition is guaranteed.
     """
 
     t_ad: int
     eps: float
     certified_horizon: int
     per_T_gaps: tuple[tuple[int, float], ...]
-    heuristic: bool
+
+
+def _certified_horizon(pair: ChainPair, eps: float) -> tuple[int, int]:
+    """(t_mix(P1, eps/2), ceil(2 t_mix^2 / eps)), the PROP1 horizon."""
+    m1 = mixing_time(pair.p1, eps / 2.0).tmix
+    return m1, ceil_int(2.0 * m1 * m1 / eps)
 
 
 def adiabatic_time(
-    pair: ChainPair,
-    eps: float,
-    mode: str = "exact",
-    window: int = 50,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
+    pair: ChainPair, eps: float, horizon_cap: int = DEFAULT_HORIZON_CAP
 ) -> AdiabaticResult:
     """Adiabatic time of the pair at eps.
 
-    ``mode="exact"`` scans every horizon up to the certified one, yielding a
-    complete certificate; ``mode="fast"`` returns after the first passing T
-    whose following ``window`` horizons also pass.
+    Scans every horizon up to the certified one, yielding a complete
+    certificate.
     """
     if eps <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
-    if mode not in ("exact", "fast"):
-        raise OutOfRangeError(f"mode must be 'exact' or 'fast', got {mode!r}")
-    m1 = mixing_time(pair.p1, eps / 2.0).tmix
-    horizon = ceil_int(2.0 * m1 * m1 / eps)
+    _, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
             f"certified horizon {horizon} exceeds cap {horizon_cap}; "
             "raise the cap or relax eps"
         )
 
-    if mode == "exact":
-        gaps = _adiabatic_gaps(pair, np.arange(1, horizon + 1))
-        # written as a negation so that a NaN gap counts as a failure
-        fails = np.flatnonzero(~(gaps <= eps + PASS_SLACK))
-        last_fail = int(fails[-1]) + 1 if fails.size else 0
-        if last_fail >= horizon:
-            raise ChainError(
-                f"condition still failing at the certified horizon {horizon}; "
-                "numerical breakdown"
-            )
-        return AdiabaticResult(
-            t_ad=last_fail + 1,
-            eps=eps,
-            certified_horizon=horizon,
-            per_T_gaps=tuple(zip(range(1, horizon + 1), gaps.tolist())),
-            heuristic=False,
+    gaps = _adiabatic_gaps(pair, np.arange(1, horizon + 1))
+    # written as a negation so that a NaN gap counts as a failure
+    fails = np.flatnonzero(~(gaps <= eps + PASS_SLACK))
+    last_fail = int(fails[-1]) + 1 if fails.size else 0
+    if last_fail >= horizon:
+        raise ChainError(
+            f"condition still failing at the certified horizon {horizon}; "
+            "numerical breakdown"
         )
-
-    per: list[tuple[int, float]] = []
-
-    def passes(T: int) -> bool:
-        gap = adiabatic_distance(pair, T)
-        per.append((T, gap))
-        return gap <= eps + PASS_SLACK
-
-    T = 1
-    while T <= horizon:
-        if passes(T):
-            end = min(T + window, horizon)
-            bad = 0
-            for W in range(T + 1, end + 1):
-                if not passes(W):
-                    bad = W
-            if bad == 0:
-                return AdiabaticResult(
-                    t_ad=T,
-                    eps=eps,
-                    certified_horizon=end,
-                    per_T_gaps=tuple(per),
-                    heuristic=True,
-                )
-            T = bad + 1
-        else:
-            T += 1
-    raise ChainError(
-        f"no passing window found below the certified horizon {horizon}; "
-        "numerical breakdown"
+    return AdiabaticResult(
+        t_ad=last_fail + 1,
+        eps=eps,
+        certified_horizon=horizon,
+        per_T_gaps=tuple(zip(range(1, horizon + 1), gaps.tolist())),
     )
 
 
@@ -354,10 +292,9 @@ def stable_adiabatic_time(
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
     if cap < 1:
         raise OutOfRangeError(f"cap must be >= 1, got {cap}")
-    cache: dict = {}
     trace: list[tuple[int, float]] = []
     for T in range(1, cap + 1):
-        cor = corridor(pair, T, stationary_cache=cache)
+        cor = corridor(pair, T)
         k, gap = cor.worst
         trace.append((T, gap))
         if gap < eps:

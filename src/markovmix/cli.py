@@ -121,8 +121,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("adiabatic", help="adiabatic time with a certified horizon")
     _add_chain_arg(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--mode", choices=["exact", "fast"], default="exact")
-    p.add_argument("--window", type=int, default=50)
     p.add_argument("--cap", type=int, default=DEFAULT_HORIZON_CAP)
     _add_out_arg(p)
 
@@ -233,16 +231,12 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "adiabatic":
-        res = adiabatic_time(
-            pair, args.epsilon, mode=args.mode, window=args.window, horizon_cap=args.cap
-        )
+        res = adiabatic_time(pair, args.epsilon, horizon_cap=args.cap)
         payload = {
             "chain": name,
             "eps": res.eps,
             "t_ad": res.t_ad,
             "certified_horizon": res.certified_horizon,
-            "mode": args.mode,
-            "heuristic": res.heuristic,
             "horizons_checked": len(res.per_T_gaps),
         }
         _emit_json(payload, args.out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, StochasticMatrix, interpolate, stationary, structure
+from .chains import ChainPair, StochasticMatrix, interpolate, stationary
 from .errors import (
     ChainError,
     IterationCapError,
@@ -63,10 +63,7 @@ def mixing_time(P: StochasticMatrix, eps: float, cap: int = 10**6) -> MixingResu
     """
     if eps <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
-    rep = structure(P)
-    if not (rep.irreducible and rep.aperiodic):
-        raise NotErgodicError(f"kernel is not ergodic: {rep}")
-    pi = stationary(P).mass
+    pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
     M = np.array(P.entries)
     prev = np.inf
     for T in range(1, cap + 1):

@@ -17,6 +17,7 @@ import numpy as np
 from .adiabatic import (
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
+    _certified_horizon,
     _interp_stack,
     _stationary_stack,
     adiabatic_time,
@@ -59,6 +60,11 @@ class BoundEntry:
     theoretical: float | None
     passed: bool | None
     detail: str
+
+
+def _skipped(eps: float, bound_id: str, detail: str) -> BoundEntry:
+    """A skipped entry: no values and no verdict, only the reason."""
+    return BoundEntry(eps, bound_id, None, None, None, detail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +161,21 @@ def verify_all(
     kernels = [("P0", pair.p0), ("P1", pair.p1)] + [
         (f"s={s:.1f}", interpolate(pair, float(s))) for s in np.linspace(0.0, 1.0, 11)
     ]
+    # PROP3 does not depend on eps: (T, worst row, all passed) per horizon.
+    prop3 = []
+    for T in PROP3_HORIZONS:
+        rows = prop3_check(pair, T)
+        worst = max(rows, key=lambda r: r.lhs - r.rhs)
+        prop3.append((T, worst, all(r.passed for r in rows)))
 
     for eps in eps_values:
         sup = sup_mixing_time(pair, eps / 2.0, grid_points, refine_depth)
         resolutions.append(sup.grid_resolution)
 
-        # PROP1: adiabatic time against its mixing-time bound (exact mode).
-        m1 = mixing_time(pair.p1, eps / 2.0).tmix
-        prop1_bound = ceil_int(2.0 * m1 * m1 / eps)
+        # PROP1: adiabatic time against its mixing-time bound.
+        m1, prop1_bound = _certified_horizon(pair, eps)
         try:
-            res = adiabatic_time(pair, eps, mode="exact", horizon_cap=horizon_cap)
+            res = adiabatic_time(pair, eps, horizon_cap=horizon_cap)
             entries.append(
                 BoundEntry(
                     eps=eps,
@@ -177,16 +188,8 @@ def verify_all(
             )
         except HorizonCapError:
             caps_hit.append(f"PROP1:eps={eps!r}:horizon={prop1_bound}")
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="PROP1",
-                    empirical=None,
-                    theoretical=None,
-                    passed=None,
-                    detail=f"SKIPPED: horizon {prop1_bound} exceeds cap {horizon_cap}",
-                )
-            )
+            detail = f"SKIPPED: horizon {prop1_bound} exceeds cap {horizon_cap}"
+            entries.append(_skipped(eps, "PROP1", detail))
 
         # PROP2: spectral lower bound on the mixing time, per kernel.
         for label, kernel in kernels:
@@ -208,16 +211,14 @@ def verify_all(
             )
 
         # PROP3: per-step corridor drift bound at fixed horizons.
-        for T in PROP3_HORIZONS:
-            rows = prop3_check(pair, T)
-            worst = max(rows, key=lambda r: r.lhs - r.rhs)
+        for T, worst, passed in prop3:
             entries.append(
                 BoundEntry(
                     eps=eps,
                     bound_id="PROP3",
                     empirical=worst.lhs,
                     theoretical=worst.rhs,
-                    passed=all(r.passed for r in rows),
+                    passed=passed,
                     detail=f"T={T} worst_k={worst.k}",
                 )
             )
@@ -251,16 +252,7 @@ def verify_all(
                 )
             )
         except EpsTooLargeError:
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="COR1",
-                    empirical=None,
-                    theoretical=None,
-                    passed=None,
-                    detail=f"SKIPPED: eps >= 1/sqrt({n})",
-                )
-            )
+            entries.append(_skipped(eps, "COR1", f"SKIPPED: eps >= 1/sqrt({n})"))
 
         # THM2: tail-corridor guarantee at the derived horizon, per delta.
         for delta in THM2_DELTAS:
@@ -282,16 +274,11 @@ def verify_all(
                 T_needed = ceil_int(2.0 * sup.sup_tmix**2 / (eps * delta))
                 caps_hit.append(f"THM2:eps={eps!r}:delta={delta}:T={T_needed}")
                 entries.append(
-                    BoundEntry(
-                        eps=eps,
-                        bound_id="THM2",
-                        empirical=None,
-                        theoretical=None,
-                        passed=None,
-                        detail=(
-                            f"SKIPPED: delta={delta} needs T={T_needed}, "
-                            f"above corridor cap {corridor_cap}"
-                        ),
+                    _skipped(
+                        eps,
+                        "THM2",
+                        f"SKIPPED: delta={delta} needs T={T_needed}, "
+                        f"above corridor cap {corridor_cap}",
                     )
                 )
 
@@ -300,41 +287,20 @@ def verify_all(
         horizon = theorem3_horizon(n, eps, sup.sup_tmix)
         if horizon > horizon_cap:
             caps_hit.append(f"THM3:eps={eps!r}:horizon={horizon}")
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="THM3",
-                    empirical=None,
-                    theoretical=None,
-                    passed=None,
-                    detail=f"SKIPPED: horizon {horizon} exceeds cap {horizon_cap}",
-                )
-            )
+            detail = f"SKIPPED: horizon {horizon} exceeds cap {horizon_cap}"
+            entries.append(_skipped(eps, "THM3", detail))
         else:
             derived = math.sqrt(eps / horizon) - 1.0 / horizon
             if eps >= 1.0 / math.sqrt(n):
-                entries.append(
-                    BoundEntry(
-                        eps=eps,
-                        bound_id="THM3",
-                        empirical=None,
-                        theoretical=None,
-                        passed=None,
-                        detail=f"PRECONDITION_UNMET: eps >= 1/sqrt({n})",
-                    )
-                )
+                detail = f"PRECONDITION_UNMET: eps >= 1/sqrt({n})"
+                entries.append(_skipped(eps, "THM3", detail))
             elif derived > cor1_delta(n, eps, sup.sup_tmix):
                 entries.append(
-                    BoundEntry(
-                        eps=eps,
-                        bound_id="THM3",
-                        empirical=None,
-                        theoretical=None,
-                        passed=None,
-                        detail=(
-                            f"PRECONDITION_UNMET: derived radius {derived!r} exceeds "
-                            f"continuity radius at T={horizon}"
-                        ),
+                    _skipped(
+                        eps,
+                        "THM3",
+                        f"PRECONDITION_UNMET: derived radius {derived!r} exceeds "
+                        f"continuity radius at T={horizon}",
                     )
                 )
             else:

@@ -118,12 +118,12 @@ def test_criterion_5_adiabatic_bound(pairs):
         for name in ("lazy-to-asym", "asym-to-lazy", "lazy-to-uniform2"):
             pair = pairs[name]
             for eps in (0.2, 0.1):
-                res = adiabatic_time(pair, eps, mode="exact")
+                res = adiabatic_time(pair, eps)
                 m1 = mixing_time(pair.p1, eps / 2.0).tmix
                 assert res.t_ad <= ceil_int(2.0 * m1 * m1 / eps), (name, eps)
 
         lazy = two_state(0.25, 0.25)
-        res = adiabatic_time(ChainPair(lazy, lazy), 0.05, mode="exact")
+        res = adiabatic_time(ChainPair(lazy, lazy), 0.05)
         assert res.t_ad == 3
         assert res.certified_horizon == 1000
 

@@ -89,15 +89,6 @@ class TestCorridor:
             np.testing.assert_allclose(cor.mus, mus, atol=1e-9, err_msg=name)
             np.testing.assert_allclose(cor.gaps, gaps, atol=1e-9, err_msg=name)
 
-    def test_cache_reuse_is_transparent(self, lazy_asym_pair):
-        cache = {}
-        gaps = [corridor(lazy_asym_pair, T, stationary_cache=cache).gaps for T in (2, 4, 8)]
-        fresh = [corridor(lazy_asym_pair, T).gaps for T in (2, 4, 8)]
-        for a, b in zip(gaps, fresh):
-            np.testing.assert_array_equal(a, b)
-        # 2/4, 4/8 style fractions recur, so the cache stays below the total
-        assert len(cache) < 2 + 4 + 8
-
     def test_step_bounds(self, lazy_asym_pair):
         cor = corridor(lazy_asym_pair, 3)
         with pytest.raises(OutOfRangeError):
@@ -160,7 +151,6 @@ class TestAdiabaticTime:
         res = adiabatic_time(ChainPair(lazy, lazy), 0.05)
         assert res.t_ad == 3
         assert res.certified_horizon == 1000  # ceil(2 * 5^2 / 0.05)
-        assert res.heuristic is False
         gaps = dict(res.per_T_gaps)
         assert gaps[2] > 0.05
         assert all(gaps[T] <= 0.05 + 1e-12 for T in range(3, 1001))
@@ -170,21 +160,11 @@ class TestAdiabaticTime:
         res = adiabatic_time(ChainPair(P, P), 0.1)
         assert res.t_ad == 1
 
-    def test_fast_mode_agrees_and_flags(self, lazy):
-        pair = ChainPair(lazy, lazy)
-        exact = adiabatic_time(pair, 0.05, mode="exact")
-        fast = adiabatic_time(pair, 0.05, mode="fast", window=20)
-        assert fast.t_ad == exact.t_ad
-        assert fast.heuristic is True
-        assert fast.certified_horizon == exact.t_ad + 20
-
     def test_horizon_cap(self, lazy):
         with pytest.raises(HorizonCapError):
             adiabatic_time(ChainPair(lazy, lazy), 0.05, horizon_cap=999)
 
-    def test_bad_mode_and_eps(self, lazy_asym_pair):
-        with pytest.raises(OutOfRangeError):
-            adiabatic_time(lazy_asym_pair, 0.1, mode="approximate")
+    def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
             adiabatic_time(lazy_asym_pair, 0.0)
 
@@ -327,6 +307,47 @@ class TestStableAdiabaticTime:
         trace = excinfo.value.trace
         assert [T for T, _ in trace] == [1, 2, 3]
         assert all(gap >= 1e-9 for _, gap in trace)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pair=dense_pairs, eps=st.sampled_from([0.1, 0.05]))
+    def test_matches_oracle_scan(self, pair, eps):
+        P0, P1 = np.array(pair.p0.entries), np.array(pair.p1.entries)
+
+        def oracle_max_gap(T):
+            return corridor_oracle(P0, P1, T)[2].max()
+
+        cap = 40
+        try:
+            res = stable_adiabatic_time(pair, eps, cap=cap)
+        except CapExceededError:
+            res = None
+        t_sad = cap + 1 if res is None else res.t_sad
+        for T in range(1, t_sad):
+            assert oracle_max_gap(T) >= eps - 1e-9, T
+        if res is not None:
+            assert oracle_max_gap(t_sad) < eps + 1e-9
+            assert res.worst_gap == pytest.approx(oracle_max_gap(t_sad), abs=1e-9)
+
+    def test_memory_flat_as_t_sad_grows(self, suite_pairs):
+        # the scan holds one corridor at a time and its (T, gap) trace, so
+        # beyond the last corridor's own peak it keeps almost nothing
+        pair = suite_pairs["complete5-to-bd5"]
+        pair.pi0, pair.pi1  # solve the cached endpoints outside the trace
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        excess = []
+        for eps, want in ((0.05, 50), (0.02, 191)):
+            res, scan_peak = peak(lambda: stable_adiabatic_time(pair, eps))
+            assert res.t_sad == want
+            _, last_peak = peak(lambda: corridor(pair, res.t_sad))
+            excess.append(scan_peak - last_peak)
+        assert max(excess) <= 64 * 1024, excess
 
 
 class TestProp3Check:

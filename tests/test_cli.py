@@ -122,8 +122,10 @@ class TestSubcommands:
             capsys, ["adiabatic", "--chain", str(pair_file), "--epsilon", "0.1"]
         )
         assert code == EXIT_OK
-        assert payload["heuristic"] is False
         assert payload["t_ad"] >= 1
+        assert sorted(payload) == [
+            "certified_horizon", "chain", "eps", "horizons_checked", "t_ad"
+        ]
 
     def test_stable(self, capsys, pair_file):
         code, payload = run_json(
@@ -234,6 +236,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["no-such-command"])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_adiabatic_has_no_mode_flag(self, pair_file):
+        for flags in (["--mode", "fast"], ["--window", "20"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["adiabatic", "--chain", str(pair_file), "--epsilon", "0.1", *flags])
+            assert excinfo.value.code == EXIT_USAGE
 
     def test_bound_failure_exit(self, pair_file, monkeypatch, capsys):
         failing = BoundReport(
