@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, Distribution, _stationary_power
+from .chains import ChainPair, Distribution, _interp_stack, _stationary_stack
 from .errors import (
     CapExceededError,
-    ChainError,
     HorizonCapError,
     NonPositiveEpsError,
+    NumericalBreakdownError,
     OutOfRangeError,
 )
 from .mixing import PASS_SLACK, SupMixingResult, mixing_time, sup_mixing_time
@@ -48,41 +48,6 @@ def ceil_int(x: float, rel: float = 1e-12) -> int:
     if abs(x - r) <= rel * max(1.0, abs(x)):
         return int(r)
     return int(math.ceil(x))
-
-
-def _interp_stack(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
-    t = ts[:, None, None]
-    return (1.0 - t) * pair.p0.entries + t * pair.p1.entries
-
-
-def _stationary_stack(Ps: np.ndarray, residual_tol: float = 1e-12) -> np.ndarray:
-    """Stationary distributions of a (T, n, n) stack of ergodic kernels.
-
-    Batched dense solves with a per-row residual check; rows whose residual
-    or sign pattern is off fall back to power iteration individually.
-    """
-    T, n, _ = Ps.shape
-    A = -np.transpose(Ps, (0, 2, 1)).copy()
-    idx = np.arange(n)
-    A[:, idx, idx] += 1.0
-    A[:, -1, :] = 1.0
-    b = np.zeros((T, n))
-    b[:, -1] = 1.0
-    try:
-        pis = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        pis = np.full((T, n), np.nan)
-    residual = np.abs(np.einsum("ti,tij->tj", pis, Ps) - pis).sum(axis=1)
-    bad = (
-        ~np.isfinite(pis).all(axis=1)
-        | (pis < -1e-12).any(axis=1)
-        | (residual > residual_tol)
-    )
-    for i in np.flatnonzero(bad):
-        pis[i] = _stationary_power(Ps[i])
-    np.clip(pis, 0.0, None, out=pis)
-    pis /= pis.sum(axis=1, keepdims=True)
-    return pis
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +78,6 @@ class Corridor:
             Distribution(self.targets[k - 1]),
             float(self.gaps[k - 1]),
         )
-
-    def iter_steps(self):
-        """Yield (k, mu_k, target, gap) lazily for k = 1..T."""
-        for k in range(1, self.T + 1):
-            yield (k, *self.step(k))
 
     @property
     def max_gap(self) -> float:
@@ -215,11 +175,13 @@ class AdiabaticResult:
     The condition was evaluated for every T in [1, certified_horizon] and
     ``t_ad`` is the least T* with no failure at or beyond it; the certified
     horizon itself comes from the mixing-time bound 2 t_mix(P1, eps/2)^2 /
-    eps, beyond which the condition is guaranteed.
+    eps, beyond which the condition is guaranteed; ``tmix_half`` is that
+    t_mix(P1, eps/2).
     """
 
     t_ad: int
     eps: float
+    tmix_half: int
     certified_horizon: int
     per_T_gaps: tuple[tuple[int, float], ...]
 
@@ -240,7 +202,7 @@ def adiabatic_time(
     """
     if eps <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
-    _, horizon = _certified_horizon(pair, eps)
+    tmix_half, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
             f"certified horizon {horizon} exceeds cap {horizon_cap}; "
@@ -252,13 +214,14 @@ def adiabatic_time(
     fails = np.flatnonzero(~(gaps <= eps + PASS_SLACK))
     last_fail = int(fails[-1]) + 1 if fails.size else 0
     if last_fail >= horizon:
-        raise ChainError(
+        raise NumericalBreakdownError(
             f"condition still failing at the certified horizon {horizon}; "
             "numerical breakdown"
         )
     return AdiabaticResult(
         t_ad=last_fail + 1,
         eps=eps,
+        tmix_half=tmix_half,
         certified_horizon=horizon,
         per_T_gaps=tuple(zip(range(1, horizon + 1), gaps.tolist())),
     )
@@ -354,8 +317,6 @@ def theorem2_check(
     eps: float,
     delta: float,
     corridor_cap: int = DEFAULT_CORRIDOR_CAP,
-    grid_points: int = 101,
-    refine_depth: int = 4,
     sup_result: SupMixingResult | None = None,
 ) -> CorridorTailReport:
     """Verify the tail-corridor guarantee at T = ceil(2 m^2 / (eps delta)).
@@ -369,7 +330,7 @@ def theorem2_check(
     if not 0.0 < delta <= 1.0:
         raise OutOfRangeError(f"delta = {delta!r} is outside (0, 1]")
     if sup_result is None:
-        sup_result = sup_mixing_time(pair, eps / 2.0, grid_points, refine_depth)
+        sup_result = sup_mixing_time(pair, eps / 2.0)
     m = sup_result.sup_tmix
     T = ceil_int(2.0 * m * m / (eps * delta))
     if T > corridor_cap:

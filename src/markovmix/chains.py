@@ -14,7 +14,6 @@ so everything here is safe to call concurrently.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -243,40 +242,22 @@ def structure(P: StochasticMatrix) -> StructureReport:
     back = _bfs_levels(adj.T, 0)
     if np.any(back < 0):
         return StructureReport(False, None, False)
-    g = 0
     us, vs = np.nonzero(adj)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        g = gcd(g, fwd[u] + 1 - fwd[v])
-    period = int(g)
+    period = int(np.gcd.reduce(fwd[us] + 1 - fwd[vs]))
     return StructureReport(True, period, period == 1)
+
+
+def _interp_stack(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
+    """The (len(ts), n, n) stack of raw kernels (1 - t) P0 + t P1."""
+    t = ts[:, None, None]
+    return (1.0 - t) * pair.p0.entries + t * pair.p1.entries
 
 
 def interpolate(pair: ChainPair, t: float) -> StochasticMatrix:
     """The convex combination (1 - t) P0 + t P1, revalidated."""
     if not 0.0 <= t <= 1.0:
         raise OutOfRangeError(f"t = {t!r} is outside [0, 1]")
-    raw = (1.0 - t) * pair.p0.entries + t * pair.p1.entries
-    return validate_stochastic(raw)
-
-
-def _stationary_direct(P: np.ndarray):
-    """Solve (I - P^T) pi = 0 with the last equation replaced by sum(pi) = 1.
-
-    The discarded equation is redundant: columns of I - P^T sum to zero.
-    Returns None when the solve fails or produces a clearly invalid vector.
-    """
-    n = P.shape[0]
-    A = np.eye(n) - P.T
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(pi)) or np.any(pi < -1e-12):
-        return None
-    return _exact_simplex(np.clip(pi, 0.0, None))
+    return validate_stochastic(_interp_stack(pair, np.array([t]))[0])
 
 
 def _stationary_power(P: np.ndarray, tol: float = 1e-14, cap: int = 10**6) -> np.ndarray:
@@ -292,24 +273,50 @@ def _stationary_power(P: np.ndarray, tol: float = 1e-14, cap: int = 10**6) -> np
     raise NoConvergenceError(f"power iteration did not reach tol {tol!r} in {cap} steps")
 
 
-def stationary(
-    P: StochasticMatrix,
-    residual_tol: float = STATIONARY_RESIDUAL_TOL,
-    power_cap: int = 10**6,
-) -> Distribution:
+def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
+    """Stationary distributions of a (T, n, n) stack of ergodic kernels.
+
+    Solves (I - P^T) pi = 0 with the last equation replaced by sum(pi) = 1
+    (the discarded equation is redundant: columns of I - P^T sum to zero),
+    batched over the stack, with a per-row check; rows whose residual
+    ``l1(pi P - pi)`` exceeds ``STATIONARY_RESIDUAL_TOL`` or whose sign
+    pattern is off fall back to power iteration individually.
+    """
+    T, n, _ = Ps.shape
+    A = -np.transpose(Ps, (0, 2, 1)).copy()
+    idx = np.arange(n)
+    A[:, idx, idx] += 1.0
+    A[:, -1, :] = 1.0
+    b = np.zeros((T, n))
+    b[:, -1] = 1.0
+    try:
+        pis = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pis = np.full((T, n), np.nan)
+    residual = np.abs(np.einsum("ti,tij->tj", pis, Ps) - pis).sum(axis=1)
+    bad = (
+        ~np.isfinite(pis).all(axis=1)
+        | (pis < -1e-12).any(axis=1)
+        | (residual > STATIONARY_RESIDUAL_TOL)
+    )
+    for i in np.flatnonzero(bad):
+        pis[i] = _stationary_power(Ps[i])
+    np.clip(pis, 0.0, None, out=pis)
+    pis /= pis.sum(axis=1, keepdims=True)
+    return pis
+
+
+def stationary(P: StochasticMatrix) -> Distribution:
     """Stationary distribution of an ergodic kernel.
 
-    Uses a direct dense solve of (I - P^T) augmented with the normalization
-    constraint and falls back to power iteration when the solve is
-    ill-conditioned. The result satisfies ``l1(pi P - pi) <= residual_tol``.
+    Raises :class:`NotErgodicError` for a kernel that is not irreducible
+    and aperiodic, then solves it as a stack of one (see
+    :func:`_stationary_stack`).
     """
     rep = structure(P)
     if not (rep.irreducible and rep.aperiodic):
         raise NotErgodicError(f"kernel is not ergodic: {rep}")
-    pi = _stationary_direct(P.entries)
-    if pi is None or np.abs(pi @ P.entries - pi).sum() > residual_tol:
-        pi = _stationary_power(P.entries, tol=min(residual_tol, 1e-14), cap=power_cap)
-    return Distribution(pi)
+    return Distribution(_stationary_stack(P.entries[None])[0])
 
 
 def _tv(a: np.ndarray, b: np.ndarray) -> float:

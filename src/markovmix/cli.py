@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 bound-check failure (so CI
-can gate on `verify`), 3 cap exceeded, 64 usage error.
+can gate on `verify`), 3 cap exceeded, 4 numerical breakdown, 64 usage error.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .adiabatic import (
 )
 from .chainfile import load_pair, pair_to_dict
 from .chains import ChainPair, interpolate, stationary, structure
-from .errors import CapExceededError, ChainError, NoConvergenceError
+from .errors import CapExceededError, ChainError, NoConvergenceError, NumericalBreakdownError
 from .generators import FAMILIES, GeneratorParams, generate
 from .mixing import mixing_time, sup_mixing_time
 from .verify import verify_all
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BOUND_FAILED = 2
 EXIT_CAP = 3
+EXIT_BREAKDOWN = 4
 EXIT_USAGE = 64
 
 _CAP_ERRORS = (CapExceededError, NoConvergenceError)
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
     except _CAP_ERRORS as exc:
         print(f"markovmix: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except NumericalBreakdownError as exc:
+        print(f"markovmix: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
     except ChainError as exc:
         print(f"markovmix: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -37,6 +37,10 @@ class NoConvergenceError(ChainError):
     """Iterative stationary solver exceeded its iteration cap."""
 
 
+class NumericalBreakdownError(ChainError):
+    """Floating point results broke a property that holds in exact arithmetic."""
+
+
 class RankDefectError(ChainError):
     """I - P has a number of numerically-zero singular values other than one."""
 

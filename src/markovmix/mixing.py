@@ -11,16 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, StochasticMatrix, interpolate, stationary
+from .chains import ChainPair, StochasticMatrix, _interp_stack, _stationary_stack, stationary
 from .errors import (
-    ChainError,
     IterationCapError,
     NonPositiveEpsError,
-    NotErgodicError,
+    NumericalBreakdownError,
     OutOfRangeError,
 )
 
 PASS_SLACK = 1e-12
+DEFAULT_MIXING_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -54,40 +54,41 @@ class SupMixingResult:
     per_s_samples: tuple[tuple[float, int], ...]
 
 
-def mixing_time(P: StochasticMatrix, eps: float, cap: int = 10**6) -> MixingResult:
-    """Least T >= 1 with max Dirac-start TV gap at most eps.
+def _mixing_scan(P: np.ndarray, pi: np.ndarray, eps: float, cap: int) -> MixingResult:
+    """Least T in 1..cap with max Dirac-start TV gap to ``pi`` at most eps.
 
     Powers the kernel by repeated multiplication, checking every T; the
     max gap is nonincreasing in T (contraction toward stationarity), which
     is asserted along the way, so the first passing T is the infimum.
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
-    pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
-    M = np.array(P.entries)
+    M = np.array(P)
     prev = np.inf
     for T in range(1, cap + 1):
         gaps = 0.5 * np.abs(M - pi).sum(axis=1)
         worst = int(np.argmax(gaps))
         gap = float(gaps[worst])
         if gap > prev + PASS_SLACK:
-            raise ChainError(
+            raise NumericalBreakdownError(
                 f"max TV gap increased from {prev!r} to {gap!r} at T={T}; "
                 "numerical breakdown"
             )
         if gap <= eps + PASS_SLACK:
             return MixingResult(tmix=T, eps=eps, worst_state=worst, final_gap=gap)
         prev = gap
-        M = M @ P.entries
+        M = M @ P
     raise IterationCapError(f"no T <= {cap} reached eps = {eps!r}")
 
 
+def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) -> MixingResult:
+    """Least T >= 1 with max Dirac-start TV gap at most eps, by a scan up to cap."""
+    if eps <= 0.0:
+        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
+    return _mixing_scan(P.entries, pi, eps, cap)
+
+
 def sup_mixing_time(
-    pair: ChainPair,
-    eps: float,
-    grid_points: int = 101,
-    refine_depth: int = 4,
-    cap: int = 10**6,
+    pair: ChainPair, eps: float, grid_points: int = 101, refine_depth: int = 4
 ) -> SupMixingResult:
     """Max mixing time over a uniform s-grid, refined around every jump.
 
@@ -99,12 +100,13 @@ def sup_mixing_time(
         raise OutOfRangeError(f"grid_points must be >= 2, got {grid_points}")
     if refine_depth < 0:
         raise OutOfRangeError(f"refine_depth must be >= 0, got {refine_depth}")
+    if eps <= 0.0:
+        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
 
     def eval_at(s: float) -> int:
-        try:
-            return mixing_time(interpolate(pair, s), eps, cap=cap).tmix
-        except NotErgodicError as exc:
-            raise NotErgodicError(f"interpolant at s = {s!r} is not ergodic") from exc
+        # the interpolants of an ergodic pair are ergodic (see ChainPair)
+        Ps = _interp_stack(pair, np.array([s]))
+        return _mixing_scan(Ps[0], _stationary_stack(Ps)[0], eps, DEFAULT_MIXING_CAP).tmix
 
     base = np.linspace(0.0, 1.0, grid_points)
     samples: dict[float, int] = {float(s): eval_at(float(s)) for s in base}

@@ -30,19 +30,17 @@ class SpectralSummary:
     rank_defect: int
 
 
-def spectral_summary(
-    P: StochasticMatrix, zero_threshold_factor: float = ZERO_THRESHOLD_FACTOR
-) -> SpectralSummary:
+def spectral_summary(P: StochasticMatrix) -> SpectralSummary:
     """Dense SVD of I - P with a relative zero cutoff.
 
     A singular value counts as zero iff it is at most
-    ``zero_threshold_factor * n * max_singular_value``. Raises
+    ``ZERO_THRESHOLD_FACTOR * n * max_singular_value``. Raises
     :class:`RankDefectError` when the zero count differs from one, which
     signals a non-ergodic kernel or numerical breakdown.
     """
     n = P.n
     svals = np.linalg.svd(np.eye(n) - P.entries, compute_uv=False)
-    cutoff = zero_threshold_factor * n * svals[0]
+    cutoff = ZERO_THRESHOLD_FACTOR * n * svals[0]
     zeros = int(np.sum(svals <= cutoff))
     if zeros != 1:
         raise RankDefectError(

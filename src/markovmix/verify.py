@@ -18,8 +18,6 @@ from .adiabatic import (
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
     _certified_horizon,
-    _interp_stack,
-    _stationary_stack,
     adiabatic_time,
     ceil_int,
     corridor,
@@ -27,7 +25,7 @@ from .adiabatic import (
     theorem2_check,
     theorem3_horizon,
 )
-from .chains import ChainPair, interpolate
+from .chains import ChainPair, _interp_stack, _stationary_stack, interpolate
 from .errors import (
     CapExceededError,
     EpsTooLargeError,
@@ -138,7 +136,6 @@ def verify_all(
     horizon_cap: int = DEFAULT_HORIZON_CAP,
     name: str = "chain",
     grid_points: int = 101,
-    refine_depth: int = 4,
 ) -> BoundReport:
     """Run every bound check for every epsilon and assemble the report.
 
@@ -169,11 +166,10 @@ def verify_all(
         prop3.append((T, worst, all(r.passed for r in rows)))
 
     for eps in eps_values:
-        sup = sup_mixing_time(pair, eps / 2.0, grid_points, refine_depth)
+        sup = sup_mixing_time(pair, eps / 2.0, grid_points)
         resolutions.append(sup.grid_resolution)
 
         # PROP1: adiabatic time against its mixing-time bound.
-        m1, prop1_bound = _certified_horizon(pair, eps)
         try:
             res = adiabatic_time(pair, eps, horizon_cap=horizon_cap)
             entries.append(
@@ -181,12 +177,13 @@ def verify_all(
                     eps=eps,
                     bound_id="PROP1",
                     empirical=float(res.t_ad),
-                    theoretical=float(prop1_bound),
-                    passed=res.t_ad <= prop1_bound,
-                    detail=f"tmix_half={m1} horizon={res.certified_horizon}",
+                    theoretical=float(res.certified_horizon),
+                    passed=res.t_ad <= res.certified_horizon,
+                    detail=f"tmix_half={res.tmix_half} horizon={res.certified_horizon}",
                 )
             )
         except HorizonCapError:
+            _, prop1_bound = _certified_horizon(pair, eps)
             caps_hit.append(f"PROP1:eps={eps!r}:horizon={prop1_bound}")
             detail = f"SKIPPED: horizon {prop1_bound} exceeds cap {horizon_cap}"
             entries.append(_skipped(eps, "PROP1", detail))

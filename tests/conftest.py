@@ -11,6 +11,21 @@ from markovmix import (
     two_state,
 )
 
+
+def pytest_configure(config):
+    """Run every property test with fixed examples and no deadline.
+
+    ``derandomize`` draws the same examples on every run, so two runs of the
+    suite check the same inputs. hypothesis is imported here rather than at
+    the top, so that loading this module for its chain builders alone stays
+    cheap.
+    """
+    from hypothesis import settings
+
+    settings.register_profile("markovmix", deadline=None, derandomize=True)
+    settings.load_profile("markovmix")
+
+
 # The two kernels most closed-form values are anchored to.
 LAZY = (0.25, 0.25)
 ASYM = (0.2, 0.4)

@@ -71,3 +71,30 @@ def adiabatic_distance_oracle(P0: np.ndarray, P1: np.ndarray, T: int) -> float:
         M = M @ ((1.0 - t) * P0 + t * P1)
     pi1 = stationary_eig(P1)
     return float(0.5 * np.abs(M - pi1).sum(axis=1).max())
+
+
+def period_oracle(adj: np.ndarray) -> int:
+    """Period at state 0: the gcd of all k <= 3n with (A^k)_00 > 0.
+
+    Boolean matrix powers, independent of any search. Lengths up to 3n
+    suffice: inserting a simple cycle (length <= n) into a closed walk
+    through 0 of length <= 2n - 2 gives one of length <= 3n - 2, so every
+    cycle length's contribution to the gcd shows up by then.
+    """
+    A = np.asarray(adj, dtype=np.int64)
+    g, M = 0, A
+    for k in range(1, 3 * len(A) + 1):
+        if M[0, 0]:
+            g = int(np.gcd(g, k))
+        M = ((M @ A) > 0).astype(np.int64)
+    return g
+
+
+def strongly_connected(adj: np.ndarray) -> bool:
+    """Every state reaches every other, from the boolean power (I + A)^(n-1)."""
+    n = len(adj)
+    step = np.eye(n, dtype=np.int64) + np.asarray(adj, dtype=np.int64)
+    R = np.eye(n, dtype=np.int64)
+    for _ in range(n - 1):
+        R = ((R @ step) > 0).astype(np.int64)
+    return bool(R.all())

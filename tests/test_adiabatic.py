@@ -192,7 +192,7 @@ dense_pairs = st.builds(
 class TestBatchedAdiabaticGaps:
     """The all-horizons kernel against the single-horizon loop and the oracle."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(pair=dense_pairs, H=st.integers(1, 60))
     def test_equals_loop_and_oracle(self, pair, H):
         gaps = _adiabatic_gaps(pair, np.arange(1, H + 1))
@@ -201,7 +201,7 @@ class TestBatchedAdiabaticGaps:
         oracle = [adiabatic_distance_oracle(P0, P1, T) for T in range(1, H + 1)]
         np.testing.assert_allclose(gaps, oracle, rtol=0.0, atol=1e-12)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(pair=dense_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]))
     def test_exact_scan_matches_loop(self, pair, eps):
         res = adiabatic_time(pair, eps)
@@ -308,7 +308,7 @@ class TestStableAdiabaticTime:
         assert [T for T, _ in trace] == [1, 2, 3]
         assert all(gap >= 1e-9 for _, gap in trace)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(pair=dense_pairs, eps=st.sampled_from([0.1, 0.05]))
     def test_matches_oracle_scan(self, pair, eps):
         P0, P1 = np.array(pair.p0.entries), np.array(pair.p1.entries)

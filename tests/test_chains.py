@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import markovmix.chains as chains
 from markovmix import (
     ChainPair,
     DimensionMismatchError,
@@ -23,9 +26,36 @@ from markovmix import (
     validate_distribution,
     validate_stochastic,
 )
-from markovmix.chains import _stationary_power
+from markovmix.chains import _stationary_power, _stationary_stack
 
-from oracles import stationary_eig, two_state_stationary
+from oracles import (
+    period_oracle,
+    stationary_eig,
+    strongly_connected,
+    two_state_stationary,
+)
+
+
+@st.composite
+def graphs(draw):
+    """0/1 adjacency with no empty row: a pure cycle, two merged cycles, or random."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["cycle", "merged", "random"]))
+    if kind == "random":
+        adj = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        adj = adj.reshape(n, n)
+    else:
+        adj = np.zeros((n, n), dtype=bool)
+        cycles = [draw(st.permutations(range(n)))]
+        if kind == "merged":
+            states = st.integers(0, n - 1)
+            cycles.append(draw(st.lists(states, min_size=1, max_size=n, unique=True)))
+        for cyc in cycles:
+            for u, v in zip(cyc, [*cyc[1:], cyc[0]]):
+                adj[u, v] = True
+    for u in np.flatnonzero(~adj.any(axis=1)):
+        adj[u, draw(st.integers(0, n - 1))] = True
+    return adj
 
 
 class TestValidateStochastic:
@@ -117,6 +147,17 @@ class TestStructure:
         P = validate_stochastic([[0.5, 0.5], [0.0, 1.0]])
         assert structure(P).irreducible is False
 
+    @settings(max_examples=200)
+    @given(adj=graphs())
+    def test_matches_period_oracle(self, adj):
+        rep = structure(validate_stochastic(adj / adj.sum(axis=1, keepdims=True)))
+        assert rep.irreducible == strongly_connected(adj)
+        if rep.irreducible:
+            assert rep.period == period_oracle(adj)
+            assert rep.aperiodic == (rep.period == 1)
+        else:
+            assert rep.period is None and not rep.aperiodic
+
     def test_suite_chains_all_ergodic(self, suite_chains):
         for name, P in suite_chains.items():
             rep = structure(P)
@@ -151,7 +192,7 @@ class TestStationary:
         np.testing.assert_allclose(stationary(lazy).mass, [0.5, 0.5], atol=1e-14)
 
     def test_asym_closed_form_and_residual(self, asym):
-        pi = stationary(asym, residual_tol=1e-12)
+        pi = stationary(asym)
         np.testing.assert_allclose(pi.mass, two_state_stationary(0.2, 0.4), atol=1e-14)
         assert np.abs(pi.mass @ asym.entries - pi.mass).sum() <= 1e-12
 
@@ -181,6 +222,46 @@ class TestStationary:
     def test_power_fallback_agrees(self, asym):
         pi = _stationary_power(np.array(asym.entries))
         np.testing.assert_allclose(pi, two_state_stationary(0.2, 0.4), atol=1e-12)
+
+    @pytest.mark.parametrize("failure", ["singular", "residual"])
+    def test_falls_back_when_the_solve_fails(self, asym, monkeypatch, failure):
+        real = np.linalg.solve
+        calls = []
+
+        def bad_solve(A, b):
+            calls.append(len(A))
+            if failure == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            return real(A, b) + 1e-6
+
+        monkeypatch.setattr(np.linalg, "solve", bad_solve)
+        pi = stationary(asym)
+        assert calls == [1]
+        np.testing.assert_allclose(pi.mass, two_state_stationary(0.2, 0.4), atol=1e-12)
+
+    def test_bad_row_falls_back_alone(self, suite_pairs, monkeypatch):
+        pair = suite_pairs["dense6-to-dense6"]
+        Ps = chains._interp_stack(pair, np.linspace(0.0, 1.0, 5))
+        direct = _stationary_stack(Ps)
+        real_solve, real_power = np.linalg.solve, chains._stationary_power
+        powered = []
+
+        def solve_with_bad_row(A, b):
+            x = real_solve(A, b)
+            x[2] = -x[2]
+            return x
+
+        def spy_power(P):
+            powered.append(P)
+            return real_power(P)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_with_bad_row)
+        monkeypatch.setattr(chains, "_stationary_power", spy_power)
+        pis = _stationary_stack(Ps)
+        assert len(powered) == 1 and np.array_equal(powered[0], Ps[2])
+        keep = [0, 1, 3, 4]
+        np.testing.assert_array_equal(pis[keep], direct[keep])
+        np.testing.assert_allclose(pis[2], direct[2], rtol=0.0, atol=1e-12)
 
     def test_power_fallback_cap(self, asym):
         # uniform start is one step away from (2/3, 1/3), so cap 1 cannot land

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import markovmix.adiabatic as adiabatic
 import markovmix.cli as cli
 from markovmix import (
     CapExceededError,
@@ -15,6 +16,7 @@ from markovmix import (
 )
 from markovmix.cli import (
     EXIT_BOUND_FAILED,
+    EXIT_BREAKDOWN,
     EXIT_CAP,
     EXIT_OK,
     EXIT_USAGE,
@@ -255,6 +257,14 @@ class TestExitCodes:
         code = main(["verify", "--chain", str(pair_file), "--epsilon", "0.1"])
         assert code == EXIT_BOUND_FAILED
         capsys.readouterr()
+
+    def test_numerical_breakdown_exit(self, pair_file, monkeypatch, capsys):
+        monkeypatch.setattr(
+            adiabatic, "_adiabatic_gaps", lambda pair, Ts: np.full(len(Ts), np.nan)
+        )
+        code = main(["adiabatic", "--chain", str(pair_file), "--epsilon", "0.1"])
+        assert code == EXIT_BREAKDOWN
+        assert "numerical breakdown" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--chain", str(tmp_path / "nope.json")]) == EXIT_VALIDATION

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovmix import (
     ChainPair,
@@ -11,6 +13,7 @@ from markovmix import (
     OutOfRangeError,
     interpolate,
     mixing_time,
+    random_dense,
     stationary,
     sup_mixing_time,
     validate_distribution,
@@ -150,6 +153,18 @@ class TestSupMixingTime:
     def test_no_jumps_reports_base_spacing(self, lazy):
         res = sup_mixing_time(ChainPair(lazy, lazy), 0.05, grid_points=11)
         assert res.grid_resolution == pytest.approx(0.1)
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(2, 6),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        eps=st.sampled_from([0.3, 0.1, 0.05]),
+    )
+    def test_samples_match_checked_path(self, n, seeds, eps):
+        pair = ChainPair(random_dense(n, seed=seeds[0]), random_dense(n, seed=seeds[1]))
+        res = sup_mixing_time(pair, eps, grid_points=11)
+        for s, t in res.per_s_samples:
+            assert t == mixing_time(interpolate(pair, s), eps).tmix, s
 
     def test_bad_grid(self, lazy_asym_pair):
         with pytest.raises(OutOfRangeError):
