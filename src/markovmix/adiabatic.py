@@ -33,9 +33,14 @@ DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
 DEFAULT_HORIZON_CAP = 10**5
 
-# Byte budget for the stacks of partial products in the exact adiabatic scan;
-# horizons are processed in chunks small enough to stay within it.
+# Byte budget for the (chunk, n, n) stacks of the batched scans and of the
+# streamed corridor; horizons or steps are taken in chunks that stay within it.
 _GAPS_STACK_BUDGET = 4 * 2**20
+
+
+def _chunk(n: int, extra: int) -> int:
+    """How many items of three n x n kernels plus ``extra`` floats fit the budget."""
+    return max(1, _GAPS_STACK_BUDGET // (8 * (3 * n * n + extra)))
 
 
 def ceil_int(x: float, rel: float = 1e-12) -> int:
@@ -93,23 +98,31 @@ class Corridor:
 def corridor(pair: ChainPair, T: int) -> Corridor:
     """Compute the full corridor at horizon T.
 
-    O(T) matrix-vector products plus T stationary solves (batched).
+    O(T) matrix-vector products plus T stationary solves, batched over
+    chunks of steps whose kernel stacks fit the byte budget, so memory is
+    O(chunk n^2 + T n) whatever the horizon.
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     n = pair.n
-    Ps = _interp_stack(pair, np.arange(1, T + 1) / T)
-    targets = _stationary_stack(Ps)
-
+    # per step: the kernel and the solve's working copies, plus mu, target and t
+    chunk = _chunk(n, 4 * n)
     mu = np.array(pair.pi0.mass)
-    mus = np.empty((T, n))
-    for k in range(T):
-        mu = mu @ Ps[k]
-        s = mu.sum()
-        if s != 1.0:
-            mu /= s
-        mus[k] = mu
-    gaps = 0.5 * np.abs(mus - targets).sum(axis=1)
+    for lo in range(0, T, chunk):
+        hi = min(lo + chunk, T)
+        Ps = _interp_stack(pair, np.arange(lo + 1, hi + 1) / T)
+        pis = _stationary_stack(Ps)
+        if lo == 0:
+            # after the first solve, so that a one-chunk corridor peaks no higher
+            mus, targets, gaps = np.empty((T, n)), np.empty((T, n)), np.empty(T)
+        targets[lo:hi] = pis
+        for k in range(hi - lo):
+            mu = mu @ Ps[k]
+            s = mu.sum()
+            if s != 1.0:
+                mu /= s
+            mus[lo + k] = mu
+        gaps[lo:hi] = 0.5 * np.abs(mus[lo:hi] - targets[lo:hi]).sum(axis=1)
     return Corridor(T=T, mus=mus, targets=targets, gaps=gaps)
 
 
@@ -144,7 +157,7 @@ def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
     p0, p1, pi1 = pair.p0.entries, pair.p1.entries, pair.pi1.mass
     gaps = np.empty(len(Ts))
     # per horizon: the product, its successor and the kernel, plus the t's
-    chunk = min(len(Ts), max(1, _GAPS_STACK_BUDGET // (8 * (3 * n * n + 4))))
+    chunk = min(len(Ts), _chunk(n, 4))
     stacks = [np.empty((chunk, n, n)) for _ in range(3)]
     for lo in range(0, len(Ts), chunk):
         hs = Ts[lo : lo + chunk]
@@ -244,24 +257,58 @@ class StableAdiabaticResult:
 def stable_adiabatic_time(
     pair: ChainPair, eps: float, cap: int = DEFAULT_STABLE_CAP
 ) -> StableAdiabaticResult:
-    """Linear upward scan for the stable adiabatic time.
+    """Upward scan for the stable adiabatic time.
 
     The definition takes a plain infimum over T (no requirement on larger
     T), and corridor feasibility is not known to be monotone in T, so every
-    T is checked in order. The strict comparison ``gap < eps`` is kept
-    exact: adding slack would admit gaps equal to eps.
+    T is checked in order. Horizons go in blocks, about half as many as
+    already scanned and at least 32, within the byte budget; every live
+    horizon of a block advances one step k at a time, with its kernel and
+    target built from the same floats as :func:`corridor`, and is dropped at
+    its first gap that reaches eps by more than the rounding margin. A
+    horizon that survives all its steps is decided by the reference
+    ``corridor(pair, T)``, whose worst step the result reports, so the
+    strict comparison ``gap < eps`` is exact: adding slack would admit gaps
+    equal to eps.
+
+    On :class:`CapExceededError` the trace holds, for every T, the gap that
+    ruled T out: the gap at its dropping step, or its corridor's maximum if
+    it survived to the reference. Either is at least eps.
     """
     if eps <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
     if cap < 1:
         raise OutOfRangeError(f"cap must be >= 1, got {cap}")
+    n = pair.n
+    # per step and side a gap drifts <= (n + 2)u: gamma_n per product (Higham 3.5) + 2u rescale
+    margin = 2 * (n + 2) * 2.0**-53
     trace: list[tuple[int, float]] = []
-    for T in range(1, cap + 1):
-        cor = corridor(pair, T)
-        k, gap = cor.worst
-        trace.append((T, gap))
-        if gap < eps:
-            return StableAdiabaticResult(t_sad=T, eps=eps, worst_k=k, worst_gap=gap)
+    lo = 1
+    while lo <= cap:
+        size = min(max(32, (lo - 1) // 2), _chunk(n, 4 * n), cap - lo + 1)
+        hs = np.arange(lo, lo + size)
+        ruled_out = np.empty(size)
+        live = np.arange(size)  # positions in hs, ascending
+        mus = np.tile(pair.pi0.mass, (size, 1))
+        for k in range(1, lo + size):
+            Ps = _interp_stack(pair, k / hs[live])
+            targets = _stationary_stack(Ps)
+            mus = np.matmul(mus[:, None, :], Ps)[:, 0, :]
+            mus /= mus.sum(axis=1, keepdims=True)
+            gaps = 0.5 * np.abs(mus - targets).sum(axis=1)
+            out = gaps >= eps + (k + 1) * margin
+            ruled_out[live[out]] = gaps[out]
+            live, mus = live[~out], mus[~out]
+            if live.size and hs[live[0]] == k:
+                k_worst, gap = corridor(pair, k).worst
+                if gap < eps:
+                    return StableAdiabaticResult(t_sad=k, eps=eps, worst_k=k_worst, worst_gap=gap)
+                ruled_out[live[0]] = gap
+                live, mus = live[1:], mus[1:]
+            if not live.size:
+                break
+        trace.extend(zip(hs.tolist(), ruled_out.tolist()))
+        lo += size
     raise CapExceededError(
         f"no T <= {cap} kept the corridor strictly below eps = {eps!r}", trace=trace
     )

@@ -56,8 +56,11 @@ class EpsTooLargeError(ChainError):
 class CapExceededError(ChainError):
     """A scan hit its cap before finishing.
 
-    ``trace`` holds the partial per-T worst-gap pairs seen so far, for
-    diagnosis.
+    ``trace`` holds a (T, gap) pair for every horizon scanned so far, for
+    diagnosis. From the stable adiabatic scan the gap is the one that ruled
+    T out, at least eps: the gap at the first step where T was dropped, or
+    the corridor's maximum for a horizon that survived to the reference
+    corridor.
     """
 
     def __init__(self, message, trace=None):

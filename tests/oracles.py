@@ -98,3 +98,24 @@ def strongly_connected(adj: np.ndarray) -> bool:
     for _ in range(n - 1):
         R = ((R @ step) > 0).astype(np.int64)
     return bool(R.all())
+
+
+def stable_scan_reference(pair, eps: float, cap: int):
+    """The per-T stable scan: one full library corridor per horizon, in order.
+
+    The reference for the batched scan in ``stable_adiabatic_time``: it
+    returns the same result and raises the same CapExceededError, whose
+    trace holds each T's corridor maximum. markovmix is imported here so
+    that loading this module alone does not import the library.
+    """
+    from markovmix import CapExceededError, StableAdiabaticResult, corridor
+
+    trace = []
+    for T in range(1, cap + 1):
+        k, gap = corridor(pair, T).worst
+        trace.append((T, gap))
+        if gap < eps:
+            return StableAdiabaticResult(t_sad=T, eps=eps, worst_k=k, worst_gap=gap)
+    raise CapExceededError(
+        f"no T <= {cap} kept the corridor strictly below eps = {eps!r}", trace=trace
+    )

@@ -34,6 +34,7 @@ from markovmix.adiabatic import _adiabatic_gaps, ceil_int
 from oracles import (
     adiabatic_distance_oracle,
     corridor_oracle,
+    stable_scan_reference,
     two_state_stationary,
     two_state_worst_gap,
     tv,
@@ -99,6 +100,36 @@ class TestCorridor:
     def test_bad_T(self, lazy_asym_pair):
         with pytest.raises(OutOfRangeError):
             corridor(lazy_asym_pair, 0)
+
+    def test_streamed_chunks_are_bit_identical(self, suite_pairs, monkeypatch):
+        for name in ("complete5-to-bd5", "dense6-to-dense6", "lazy-to-asym"):
+            pair = suite_pairs[name]
+            n = pair.n
+            monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", 2**40)
+            whole = corridor(pair, 300)
+            # one step per chunk, seven per chunk, and the default budget
+            for budget in (1, 7 * 8 * (3 * n * n + 4 * n), 4 * 2**20):
+                monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", budget)
+                part = corridor(pair, 300)
+                for field in ("mus", "targets", "gaps"):
+                    np.testing.assert_array_equal(
+                        getattr(part, field), getattr(whole, field), err_msg=(name, budget)
+                    )
+
+    def test_memory_streams_as_T_grows(self):
+        pair = ChainPair(random_dense(40, seed=0), random_dense(40, seed=1))
+        pair.pi0  # solve the cached endpoint outside the trace
+        excess = []
+        for T in (2000, 8000):
+            tracemalloc.start()
+            try:
+                cor = corridor(pair, T)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # beyond the (T, n) results, only the chunked kernel stacks
+            excess.append(peak - (cor.mus.nbytes + cor.targets.nbytes + cor.gaps.nbytes))
+        assert excess[1] - excess[0] <= 64 * 1024, excess
 
 
 class TestAdiabaticDistance:
@@ -307,6 +338,10 @@ class TestStableAdiabaticTime:
         trace = excinfo.value.trace
         assert [T for T, _ in trace] == [1, 2, 3]
         assert all(gap >= 1e-9 for _, gap in trace)
+        # each gap is the one at the step that ruled T out, up to the margin
+        for T, gap in trace:
+            margin = 2 * (T + 1) * (lazy_asym_pair.n + 2) * 2.0**-53
+            assert np.abs(corridor(lazy_asym_pair, T).gaps - gap).min() <= margin, T
 
     @settings(max_examples=30)
     @given(pair=dense_pairs, eps=st.sampled_from([0.1, 0.05]))
@@ -348,6 +383,124 @@ class TestStableAdiabaticTime:
             _, last_peak = peak(lambda: corridor(pair, res.t_sad))
             excess.append(scan_peak - last_peak)
         assert max(excess) <= 64 * 1024, excess
+
+
+def _stable_or_cap(scan, pair, eps, cap):
+    try:
+        return scan(pair, eps, cap)
+    except CapExceededError as exc:
+        return exc
+
+
+def _assert_same_scan(pair, eps, cap):
+    """The batched scan against the per-T reference loop."""
+    got = _stable_or_cap(stable_adiabatic_time, pair, eps, cap)
+    want = _stable_or_cap(stable_scan_reference, pair, eps, cap)
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, CapExceededError):
+        assert str(got) == str(want)
+        assert [T for T, _ in got.trace] == [T for T, _ in want.trace]
+        assert all(gap >= eps for _, gap in got.trace)
+    else:
+        assert (got.t_sad, got.worst_k) == (want.t_sad, want.worst_k)
+        assert got.worst_gap.hex() == want.worst_gap.hex()
+    return got
+
+
+class TestBatchedStableScan:
+    """Blocks of horizons dropped at their first failing step, against the loop."""
+
+    @settings(max_examples=30)
+    @given(
+        pair=dense_pairs,
+        eps=st.sampled_from([0.1, 0.05, 0.02]),
+        block=st.sampled_from([None, 1, 2]),
+    )
+    def test_matches_reference_loop(self, pair, eps, block):
+        n = pair.n
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                # blocks of one or two horizons
+                mp.setattr(adiabatic, "_GAPS_STACK_BUDGET", block * 8 * (3 * n * n + 4 * n))
+            _assert_same_scan(pair, eps, 60)
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_suite_pairs_match_reference(self, suite_pairs, monkeypatch, block):
+        for name, pair in suite_pairs.items():
+            n = pair.n
+            if block is not None:
+                monkeypatch.setattr(
+                    adiabatic, "_GAPS_STACK_BUDGET", block * 8 * (3 * n * n + 4 * n)
+                )
+            for eps in (0.05, 0.02):
+                _assert_same_scan(pair, eps, 400)
+
+    def test_eps_at_the_gap_itself(self, suite_pairs):
+        pair = suite_pairs["complete5-to-bd5"]
+        t = stable_adiabatic_time(pair, 0.05).t_sad
+        gap = corridor(pair, t).max_gap
+        # strict comparison: t itself must fail when eps equals its gap
+        assert _assert_same_scan(pair, gap, 400).t_sad > t
+        assert _assert_same_scan(pair, gap + 1e-13, 400).t_sad == t
+
+    def test_eps_one_ulp_above_the_gap(self, suite_pairs):
+        # the smallest eps that t_sad passes; a scan that drops horizons
+        # without the rounding margin loses t_sad where its own mu rounds up
+        for name, pair in suite_pairs.items():
+            t = stable_adiabatic_time(pair, 0.02).t_sad
+            eps = float(np.nextafter(corridor(pair, t).max_gap, 1.0))
+            assert _assert_same_scan(pair, eps, t).t_sad == t, name
+
+    def test_only_survivors_meet_the_reference(self, suite_pairs, monkeypatch):
+        real = adiabatic.corridor
+        decided = []
+
+        def recording(pair, T):
+            decided.append(T)
+            return real(pair, T)
+
+        monkeypatch.setattr(adiabatic, "corridor", recording)
+        for name, eps, t_sad in (("complete5-to-bd5", 0.05, 50), ("bd4-to-dense4", 0.02, 85)):
+            decided.clear()
+            assert stable_adiabatic_time(suite_pairs[name], eps).t_sad == t_sad
+            assert decided == [t_sad], name
+
+    def test_rounding_inside_the_margin_drops_nothing(self, suite_pairs, monkeypatch):
+        # Where the scan's mu rounds differently from corridor's, its gaps
+        # move by less than the margin. Move a quarter of the k = 1 margin
+        # of the scan's own targets so that the worst gap of t_sad grows,
+        # with eps one ulp above that gap: the answer must still be the
+        # reference's.
+        pair = suite_pairs["complete5-to-bd5"]
+        t = 50
+        ref = corridor(pair, t)
+        k, gap = ref.worst
+        eps = float(np.nextafter(gap, 1.0))
+        want = stable_scan_reference(pair, eps, t)
+        excess = ref.mus[k - 1] - ref.targets[k - 1]
+        # targets lose mass where mu is above them and gain it where below
+        shift = np.zeros(pair.n)
+        shift[np.argmax(excess)] -= (pair.n + 2) * 2.0**-53
+        shift[np.argmin(excess)] += (pair.n + 2) * 2.0**-53
+        real_stack, real_corridor = adiabatic._stationary_stack, adiabatic.corridor
+        inside = []
+
+        def unshifted_corridor(pair, T):
+            inside.append(T)
+            try:
+                return real_corridor(pair, T)
+            finally:
+                inside.pop()
+
+        def shifted_stack(Ps):
+            pis = real_stack(Ps)
+            return pis if inside else pis + shift
+
+        monkeypatch.setattr(adiabatic, "corridor", unshifted_corridor)
+        monkeypatch.setattr(adiabatic, "_stationary_stack", shifted_stack)
+        got = stable_adiabatic_time(pair, eps, cap=t)
+        assert (got.t_sad, got.worst_k) == (want.t_sad, want.worst_k) == (t, k)
+        assert got.worst_gap.hex() == want.worst_gap.hex()
 
 
 class TestProp3Check:
