@@ -22,9 +22,9 @@ from .chains import ChainPair, Distribution, _interp_stack, _stationary_stack
 from .errors import (
     CapExceededError,
     HorizonCapError,
-    NonPositiveEpsError,
     NumericalBreakdownError,
     OutOfRangeError,
+    _check_eps,
 )
 from .mixing import PASS_SLACK, SupMixingResult, mixing_time, sup_mixing_time
 
@@ -44,15 +44,16 @@ def _chunk(n: int, extra: int) -> int:
 
 
 def ceil_int(x: float, rel: float = 1e-12) -> int:
-    """Ceiling that snaps to the nearest integer within relative rounding noise.
+    """Ceiling, at least 1, that snaps to the nearest integer within rounding noise.
 
     Formulas like 2 m^2 / eps are integer-valued for many inputs but land a
-    few ulp away in floats; a raw ceil would overshoot by one.
+    few ulp away in floats; a raw ceil would overshoot by one. A formula that
+    is nearly 0 at a huge eps still names a horizon of one step.
     """
     r = round(x)
     if abs(x - r) <= rel * max(1.0, abs(x)):
-        return int(r)
-    return int(math.ceil(x))
+        return max(1, int(r))
+    return max(1, math.ceil(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +214,7 @@ def adiabatic_time(
     Scans every horizon up to the certified one, yielding a complete
     certificate.
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     tmix_half, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
@@ -275,8 +275,7 @@ def stable_adiabatic_time(
     ruled T out: the gap at its dropping step, or its corridor's maximum if
     it survived to the reference. Either is at least eps.
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     if cap < 1:
         raise OutOfRangeError(f"cap must be >= 1, got {cap}")
     n = pair.n
@@ -372,8 +371,7 @@ def theorem2_check(
     is recorded so a failure can be attributed to sup underestimation).
     Every step k with delta <= k/T <= 1 must have gap at most eps.
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     if not 0.0 < delta <= 1.0:
         raise OutOfRangeError(f"delta = {delta!r} is outside (0, 1]")
     if sup_result is None:
@@ -383,7 +381,7 @@ def theorem2_check(
     if T > corridor_cap:
         raise CapExceededError(f"required horizon {T} exceeds corridor cap {corridor_cap}")
     cor = corridor(pair, T)
-    k_min = max(1, ceil_int(delta * T))
+    k_min = ceil_int(delta * T)
     tail = cor.gaps[k_min - 1 :]
     bad = np.flatnonzero(tail > eps + BOUND_SLACK)
     violations = tuple((int(i) + k_min, float(tail[i])) for i in bad)
@@ -409,8 +407,7 @@ def theorem3_horizon(n: int, eps: float, sup_tmix_half_eps: int) -> int:
     """
     if n < 2:
         raise OutOfRangeError(f"n must be >= 2, got {n}")
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     if sup_tmix_half_eps < 1:
         raise ValueError(f"sup_tmix_half_eps must be >= 1, got {sup_tmix_half_eps!r}")
     m = float(sup_tmix_half_eps)

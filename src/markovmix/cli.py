@@ -21,7 +21,7 @@ from .chainfile import load_pair, pair_to_dict
 from .chains import ChainPair, interpolate, stationary, structure
 from .errors import CapExceededError, ChainError, NoConvergenceError, NumericalBreakdownError
 from .generators import FAMILIES, GeneratorParams, generate
-from .mixing import mixing_time, sup_mixing_time
+from .mixing import DEFAULT_MIXING_CAP, mixing_time, sup_mixing_time
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -109,7 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--which", choices=["P0", "P1"], default="P1")
     p.add_argument("--s", type=float, default=None, help="use the interpolant at s instead")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_MIXING_CAP)
     _add_out_arg(p)
 
     p = sub.add_parser("sup-mixing", help="sup of the mixing time over the family")

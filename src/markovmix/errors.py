@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the eps rule that raises two of them."""
+
+import math
 
 
 class ChainError(Exception):
@@ -47,6 +49,14 @@ class RankDefectError(ChainError):
 
 class NonPositiveEpsError(ChainError):
     """Epsilon must be strictly positive."""
+
+
+def _check_eps(eps: float) -> None:
+    """The one eps rule: finite and strictly positive."""
+    if not math.isfinite(eps):
+        raise NonFiniteError(f"eps must be finite, got {eps!r}")
+    if eps <= 0.0:
+        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
 
 
 class EpsTooLargeError(ChainError):

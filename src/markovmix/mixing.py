@@ -14,9 +14,9 @@ import numpy as np
 from .chains import ChainPair, StochasticMatrix, _interp_stack, _stationary_stack, stationary
 from .errors import (
     IterationCapError,
-    NonPositiveEpsError,
     NumericalBreakdownError,
     OutOfRangeError,
+    _check_eps,
 )
 
 PASS_SLACK = 1e-12
@@ -81,8 +81,7 @@ def _mixing_scan(P: np.ndarray, pi: np.ndarray, eps: float, cap: int) -> MixingR
 
 def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) -> MixingResult:
     """Least T >= 1 with max Dirac-start TV gap at most eps, by a scan up to cap."""
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
     return _mixing_scan(P.entries, pi, eps, cap)
 
@@ -100,8 +99,7 @@ def sup_mixing_time(
         raise OutOfRangeError(f"grid_points must be >= 2, got {grid_points}")
     if refine_depth < 0:
         raise OutOfRangeError(f"refine_depth must be >= 0, got {refine_depth}")
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
 
     def eval_at(s: float) -> int:
         # the interpolants of an ergodic pair are ergodic (see ChainPair)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import StochasticMatrix
-from .errors import EpsTooLargeError, NonPositiveEpsError, RankDefectError
+from .errors import EpsTooLargeError, RankDefectError, _check_eps
 
 ZERO_THRESHOLD_FACTOR = 1e-12
 
@@ -59,8 +59,7 @@ def mixing_lower_bound(P: StochasticMatrix, eps: float) -> float:
     May be nonpositive (vacuous) for large eps; it is informative only when
     eps < 1 / (2 sqrt(n)).
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     sigma = spectral_summary(P).sigma
     return (1.0 - 2.0 * math.sqrt(P.n) * eps) / sigma
 
@@ -71,8 +70,7 @@ def continuity_delta(P0: StochasticMatrix, eps: float) -> float:
     Guarantee: for every s <= delta the stationary distribution of the
     interpolant P_s stays within eps of that of P0 in total variation.
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     sigma = spectral_summary(P0).sigma
     delta = eps * sigma / (2.0 * P0.n ** 1.5)
     return min(delta, 1.0)
@@ -85,8 +83,7 @@ def cor1_delta(n: int, eps: float, tmix_half_eps: int) -> float:
     Guarantee: for every s <= delta the stationary distribution of P_s stays
     within eps / 2 of that of P0. Requires eps < 1 / sqrt(n).
     """
-    if eps <= 0.0:
-        raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    _check_eps(eps)
     if eps >= 1.0 / math.sqrt(n):
         raise EpsTooLargeError(f"eps = {eps!r} is >= 1/sqrt({n})")
     if tmix_half_eps < 1:

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from .errors import (
     EpsTooLargeError,
     HorizonCapError,
     NonPositiveEpsError,
+    _check_eps,
 )
-from .mixing import mixing_time, sup_mixing_time
+from .mixing import SupMixingResult, mixing_time, sup_mixing_time
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound
 
-BOUND_IDS = ("PROP1", "PROP2", "PROP3", "PROP4", "COR1", "THM2", "THM3")
 PROP3_HORIZONS = (10, 50, 200)
 THM2_DELTAS = (0.5, 0.25)
 GRID_CHECK_POINTS = 200
@@ -58,11 +58,6 @@ class BoundEntry:
     theoretical: float | None
     passed: bool | None
     detail: str
-
-
-def _skipped(eps: float, bound_id: str, detail: str) -> BoundEntry:
-    """A skipped entry: no values and no verdict, only the reason."""
-    return BoundEntry(eps, bound_id, None, None, None, detail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +83,7 @@ class BoundReport:
             "grid_resolution": self.grid_resolution,
             "caps_hit": list(self.caps_hit),
             "entries": [
-                {
-                    "eps": e.eps,
-                    "bound_id": e.bound_id,
-                    "empirical": e.empirical,
-                    "theoretical": e.theoretical,
-                    "pass": e.passed,
-                    "detail": e.detail,
-                }
+                {"pass" if k == "passed" else k: v for k, v in asdict(e).items()}
                 for e in self.entries
             ],
         }
@@ -122,11 +110,114 @@ class BoundReport:
         return buf.getvalue()
 
 
-def _stationary_grid_max_tv(pair: ChainPair, delta: float, points: int) -> float:
+def _grid_max_tv(pair: ChainPair, delta: float) -> float:
     """Max TV between pi_s and pi_0 over a uniform s-grid on [0, delta]."""
-    ss = np.linspace(0.0, delta, points)
+    ss = np.linspace(0.0, delta, GRID_CHECK_POINTS)
     pis = _stationary_stack(_interp_stack(pair, ss))
     return float((0.5 * np.abs(pis - pair.pi0.mass).sum(axis=1)).max())
+
+
+class _Skip(Exception):
+    """A check that was not evaluated; args are its detail and, for a cap, a caps_hit label."""
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """What the checks read at one eps; ``cor1`` is None when eps >= 1/sqrt(n)."""
+
+    pair: ChainPair
+    eps: float
+    kernels: list
+    prop3: list
+    sup: SupMixingResult
+    cor1: float | None
+    corridor_cap: int
+    horizon_cap: int
+
+
+def _prop1(c: _Inputs):
+    """Adiabatic time against its mixing-time bound."""
+    try:
+        res = adiabatic_time(c.pair, c.eps, horizon_cap=c.horizon_cap)
+    except HorizonCapError:
+        _, bound = _certified_horizon(c.pair, c.eps)
+        raise _Skip(f"SKIPPED: horizon {bound} exceeds cap {c.horizon_cap}", f"horizon={bound}")
+    detail = f"tmix_half={res.tmix_half} horizon={res.certified_horizon}"
+    return float(res.t_ad), float(res.certified_horizon), res.t_ad <= res.certified_horizon, detail
+
+
+def _prop2(c: _Inputs, label: str, kernel):
+    """Spectral lower bound on the mixing time of one kernel of the sweep."""
+    t = mixing_time(kernel, c.eps).tmix
+    bound = mixing_lower_bound(kernel, c.eps)
+    if bound <= 0.0:
+        return float(t), bound, True, f"kernel={label} (vacuous)"
+    return float(t), bound, bound <= t + 1e-9, f"kernel={label}"
+
+
+def _prop3(c: _Inputs, T: int, rows):
+    """Per-step corridor drift bound at a fixed horizon; the rows do not depend on eps."""
+    worst = max(rows, key=lambda r: r.lhs - r.rhs)
+    return worst.lhs, worst.rhs, all(r.passed for r in rows), f"T={T} worst_k={worst.k}"
+
+
+def _prop4(c: _Inputs):
+    """Stationary continuity within the sigma-based radius."""
+    delta = continuity_delta(c.pair.p0, c.eps)
+    max_tv = _grid_max_tv(c.pair, delta)
+    return max_tv, c.eps, max_tv <= c.eps + GRID_SLACK, f"delta={delta!r} grid={GRID_CHECK_POINTS}"
+
+
+def _cor1(c: _Inputs):
+    """Continuity within the mixing-time-based radius, target eps/2."""
+    if c.cor1 is None:
+        raise _Skip(f"SKIPPED: eps >= 1/sqrt({c.pair.n})")
+    max_tv = _grid_max_tv(c.pair, c.cor1)
+    detail = f"delta={c.cor1!r} sup_tmix={c.sup.sup_tmix} grid={GRID_CHECK_POINTS}"
+    return max_tv, c.eps / 2.0, max_tv <= c.eps / 2.0 + GRID_SLACK, detail
+
+
+def _thm2(c: _Inputs, delta: float):
+    """Tail-corridor guarantee at the derived horizon."""
+    try:
+        rep = theorem2_check(c.pair, c.eps, delta, corridor_cap=c.corridor_cap, sup_result=c.sup)
+    except CapExceededError:
+        T = ceil_int(2.0 * c.sup.sup_tmix**2 / (c.eps * delta))
+        detail = f"SKIPPED: delta={delta} needs T={T}, above corridor cap {c.corridor_cap}"
+        raise _Skip(detail, f"delta={delta}:T={T}")
+    detail = f"delta={delta} T={rep.T} violations={len(rep.violations)}"
+    return rep.max_gap, c.eps, rep.passed, detail
+
+
+def _thm3(c: _Inputs):
+    """Full corridor at the quartic horizon, when caps and preconditions allow."""
+    horizon = theorem3_horizon(c.pair.n, c.eps, c.sup.sup_tmix)
+    if horizon > c.horizon_cap:
+        detail = f"SKIPPED: horizon {horizon} exceeds cap {c.horizon_cap}"
+        raise _Skip(detail, f"horizon={horizon}")
+    if c.cor1 is None:
+        raise _Skip(f"PRECONDITION_UNMET: eps >= 1/sqrt({c.pair.n})")
+    derived = math.sqrt(c.eps / horizon) - 1.0 / horizon
+    if derived > c.cor1:
+        raise _Skip(
+            f"PRECONDITION_UNMET: derived radius {derived!r} exceeds "
+            f"continuity radius at T={horizon}"
+        )
+    max_gap = corridor(c.pair, horizon).max_gap
+    return max_gap, c.eps, max_gap <= c.eps + GRID_SLACK, f"T={horizon} sup_tmix={c.sup.sup_tmix}"
+
+
+# Report order: (bound id, check, the argument tuples it runs on at one eps).
+_CHECKS = (
+    ("PROP1", _prop1, lambda c: [()]),
+    ("PROP2", _prop2, lambda c: c.kernels),
+    ("PROP3", _prop3, lambda c: c.prop3),
+    ("PROP4", _prop4, lambda c: [()]),
+    ("COR1", _cor1, lambda c: [()]),
+    ("THM2", _thm2, lambda c: [(delta,) for delta in THM2_DELTAS]),
+    ("THM3", _thm3, lambda c: [()]),
+)
+BOUND_IDS = tuple(bound_id for bound_id, _, _ in _CHECKS)
 
 
 def verify_all(
@@ -147,10 +238,9 @@ def verify_all(
     eps_values = [float(e) for e in eps_list]
     if not eps_values:
         raise NonPositiveEpsError("eps_list must be nonempty")
-    if any(e <= 0.0 for e in eps_values):
-        raise NonPositiveEpsError(f"every eps must be > 0, got {eps_values!r}")
+    for eps in eps_values:
+        _check_eps(eps)
 
-    n = pair.n
     entries: list[BoundEntry] = []
     caps_hit: list[str] = []
     resolutions: list[float] = []
@@ -158,160 +248,24 @@ def verify_all(
     kernels = [("P0", pair.p0), ("P1", pair.p1)] + [
         (f"s={s:.1f}", interpolate(pair, float(s))) for s in np.linspace(0.0, 1.0, 11)
     ]
-    # PROP3 does not depend on eps: (T, worst row, all passed) per horizon.
-    prop3 = []
-    for T in PROP3_HORIZONS:
-        rows = prop3_check(pair, T)
-        worst = max(rows, key=lambda r: r.lhs - r.rhs)
-        prop3.append((T, worst, all(r.passed for r in rows)))
+    prop3 = [(T, prop3_check(pair, T)) for T in PROP3_HORIZONS]
 
     for eps in eps_values:
         sup = sup_mixing_time(pair, eps / 2.0, grid_points)
         resolutions.append(sup.grid_resolution)
-
-        # PROP1: adiabatic time against its mixing-time bound.
         try:
-            res = adiabatic_time(pair, eps, horizon_cap=horizon_cap)
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="PROP1",
-                    empirical=float(res.t_ad),
-                    theoretical=float(res.certified_horizon),
-                    passed=res.t_ad <= res.certified_horizon,
-                    detail=f"tmix_half={res.tmix_half} horizon={res.certified_horizon}",
-                )
-            )
-        except HorizonCapError:
-            _, prop1_bound = _certified_horizon(pair, eps)
-            caps_hit.append(f"PROP1:eps={eps!r}:horizon={prop1_bound}")
-            detail = f"SKIPPED: horizon {prop1_bound} exceeds cap {horizon_cap}"
-            entries.append(_skipped(eps, "PROP1", detail))
-
-        # PROP2: spectral lower bound on the mixing time, per kernel.
-        for label, kernel in kernels:
-            t = mixing_time(kernel, eps).tmix
-            bound = mixing_lower_bound(kernel, eps)
-            if bound <= 0.0:
-                passed, note = True, " (vacuous)"
-            else:
-                passed, note = bound <= t + 1e-9, ""
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="PROP2",
-                    empirical=float(t),
-                    theoretical=bound,
-                    passed=passed,
-                    detail=f"kernel={label}{note}",
-                )
-            )
-
-        # PROP3: per-step corridor drift bound at fixed horizons.
-        for T, worst, passed in prop3:
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="PROP3",
-                    empirical=worst.lhs,
-                    theoretical=worst.rhs,
-                    passed=passed,
-                    detail=f"T={T} worst_k={worst.k}",
-                )
-            )
-
-        # PROP4: stationary continuity within the sigma-based radius.
-        delta4 = continuity_delta(pair.p0, eps)
-        max_tv4 = _stationary_grid_max_tv(pair, delta4, GRID_CHECK_POINTS)
-        entries.append(
-            BoundEntry(
-                eps=eps,
-                bound_id="PROP4",
-                empirical=max_tv4,
-                theoretical=eps,
-                passed=max_tv4 <= eps + GRID_SLACK,
-                detail=f"delta={delta4!r} grid={GRID_CHECK_POINTS}",
-            )
-        )
-
-        # COR1: continuity within the mixing-time-based radius, target eps/2.
-        try:
-            delta_c = cor1_delta(n, eps, sup.sup_tmix)
-            max_tvc = _stationary_grid_max_tv(pair, delta_c, GRID_CHECK_POINTS)
-            entries.append(
-                BoundEntry(
-                    eps=eps,
-                    bound_id="COR1",
-                    empirical=max_tvc,
-                    theoretical=eps / 2.0,
-                    passed=max_tvc <= eps / 2.0 + GRID_SLACK,
-                    detail=f"delta={delta_c!r} sup_tmix={sup.sup_tmix} grid={GRID_CHECK_POINTS}",
-                )
-            )
+            cor1 = cor1_delta(pair.n, eps, sup.sup_tmix)
         except EpsTooLargeError:
-            entries.append(_skipped(eps, "COR1", f"SKIPPED: eps >= 1/sqrt({n})"))
-
-        # THM2: tail-corridor guarantee at the derived horizon, per delta.
-        for delta in THM2_DELTAS:
-            try:
-                rep = theorem2_check(
-                    pair, eps, delta, corridor_cap=corridor_cap, sup_result=sup
-                )
-                entries.append(
-                    BoundEntry(
-                        eps=eps,
-                        bound_id="THM2",
-                        empirical=rep.max_gap,
-                        theoretical=eps,
-                        passed=rep.passed,
-                        detail=f"delta={delta} T={rep.T} violations={len(rep.violations)}",
-                    )
-                )
-            except CapExceededError:
-                T_needed = ceil_int(2.0 * sup.sup_tmix**2 / (eps * delta))
-                caps_hit.append(f"THM2:eps={eps!r}:delta={delta}:T={T_needed}")
-                entries.append(
-                    _skipped(
-                        eps,
-                        "THM2",
-                        f"SKIPPED: delta={delta} needs T={T_needed}, "
-                        f"above corridor cap {corridor_cap}",
-                    )
-                )
-
-        # THM3: full corridor at the quartic horizon, when caps and
-        # preconditions allow.
-        horizon = theorem3_horizon(n, eps, sup.sup_tmix)
-        if horizon > horizon_cap:
-            caps_hit.append(f"THM3:eps={eps!r}:horizon={horizon}")
-            detail = f"SKIPPED: horizon {horizon} exceeds cap {horizon_cap}"
-            entries.append(_skipped(eps, "THM3", detail))
-        else:
-            derived = math.sqrt(eps / horizon) - 1.0 / horizon
-            if eps >= 1.0 / math.sqrt(n):
-                detail = f"PRECONDITION_UNMET: eps >= 1/sqrt({n})"
-                entries.append(_skipped(eps, "THM3", detail))
-            elif derived > cor1_delta(n, eps, sup.sup_tmix):
-                entries.append(
-                    _skipped(
-                        eps,
-                        "THM3",
-                        f"PRECONDITION_UNMET: derived radius {derived!r} exceeds "
-                        f"continuity radius at T={horizon}",
-                    )
-                )
-            else:
-                cor = corridor(pair, horizon)
-                entries.append(
-                    BoundEntry(
-                        eps=eps,
-                        bound_id="THM3",
-                        empirical=cor.max_gap,
-                        theoretical=eps,
-                        passed=cor.max_gap <= eps + GRID_SLACK,
-                        detail=f"T={horizon} sup_tmix={sup.sup_tmix}",
-                    )
-                )
+            cor1 = None
+        c = _Inputs(pair, eps, kernels, prop3, sup, cor1, corridor_cap, horizon_cap)
+        for bound_id, check, cases in _CHECKS:
+            for args in cases(c):
+                try:
+                    entries.append(BoundEntry(eps, bound_id, *check(c, *args)))
+                except _Skip as skip:
+                    detail, *cap = skip.args
+                    caps_hit += [f"{bound_id}:eps={eps!r}:{label}" for label in cap]
+                    entries.append(BoundEntry(eps, bound_id, None, None, None, detail))
 
     return BoundReport(
         chain_name=name,

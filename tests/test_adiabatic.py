@@ -1,5 +1,6 @@
 """Corridors, adiabatic and stable adiabatic times, and the bound checkers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from markovmix import (
     ChainError,
     ChainPair,
     HorizonCapError,
+    NonFiniteError,
     NonPositiveEpsError,
     OutOfRangeError,
     adiabatic_distance,
@@ -51,6 +53,9 @@ class TestCeilInt:
         assert ceil_int(179.5) == 180
         assert ceil_int(180.0) == 180
         assert ceil_int(180.2) == 181
+        # a horizon is at least one step, even where the formula snaps to 0
+        assert ceil_int(1e-13) == 1
+        assert ceil_int(0.3) == 1
 
 
 class TestCorridor:
@@ -198,6 +203,13 @@ class TestAdiabaticTime:
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
             adiabatic_time(lazy_asym_pair, 0.0)
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteError):
+                adiabatic_time(lazy_asym_pair, eps)
+
+    def test_huge_eps_has_one_step_horizon(self, lazy_asym_pair):
+        res = adiabatic_time(lazy_asym_pair, 1e13)
+        assert (res.t_ad, res.certified_horizon) == (1, 1)
 
     def test_prop1_bound_on_two_state_pairs(self, suite_pairs):
         for name in ("lazy-to-asym", "asym-to-lazy", "lazy-to-uniform2"):
@@ -298,6 +310,13 @@ class TestBatchedAdiabaticGaps:
 
 
 class TestStableAdiabaticTime:
+    def test_bad_eps(self, lazy_asym_pair):
+        with pytest.raises(NonPositiveEpsError):
+            stable_adiabatic_time(lazy_asym_pair, 0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                stable_adiabatic_time(lazy_asym_pair, eps)
+
     def test_constant_family(self, suite_chains):
         for name in ("lazy", "asym", "complete3"):
             res = stable_adiabatic_time(ChainPair(suite_chains[name], suite_chains[name]), 0.1)
@@ -554,6 +573,13 @@ class TestTheorem2Check:
         with pytest.raises(CapExceededError):
             theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=10)
 
+    def test_bad_eps(self, lazy_asym_pair):
+        with pytest.raises(NonPositiveEpsError):
+            theorem2_check(lazy_asym_pair, -0.2, 0.5)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                theorem2_check(lazy_asym_pair, eps, 0.5)
+
 
 class TestTheorem3Horizon:
     def test_values(self):
@@ -564,6 +590,9 @@ class TestTheorem3Horizon:
     def test_errors(self):
         with pytest.raises(NonPositiveEpsError):
             theorem3_horizon(2, 0.0, 3)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                theorem3_horizon(2, eps, 3)
         with pytest.raises(ValueError):
             theorem3_horizon(2, 0.1, 0)
         with pytest.raises(OutOfRangeError):

@@ -245,6 +245,10 @@ class TestExitCodes:
                 main(["adiabatic", "--chain", str(pair_file), "--epsilon", "0.1", *flags])
             assert excinfo.value.code == EXIT_USAGE
 
+    def test_nan_eps_exits_validation_at_once(self, pair_file, capsys):
+        assert main(["adiabatic", "--chain", str(pair_file), "--epsilon", "nan"]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
     def test_bound_failure_exit(self, pair_file, monkeypatch, capsys):
         failing = BoundReport(
             chain_name="synthetic",

@@ -1,5 +1,7 @@
 """Mixing times: closed forms, brute-force cross-checks, the sup estimate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from markovmix import (
     ChainPair,
     IterationCapError,
+    NonFiniteError,
     NonPositiveEpsError,
     NotErgodicError,
     OutOfRangeError,
@@ -100,6 +103,9 @@ class TestMixingTime:
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
             mixing_time(lazy, 0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                mixing_time(lazy, eps)
 
     def test_not_ergodic(self):
         cycle = validate_stochastic([[0.0, 1.0], [1.0, 0.0]])
@@ -169,3 +175,10 @@ class TestSupMixingTime:
     def test_bad_grid(self, lazy_asym_pair):
         with pytest.raises(OutOfRangeError):
             sup_mixing_time(lazy_asym_pair, 0.05, grid_points=1)
+
+    def test_bad_eps(self, lazy_asym_pair):
+        with pytest.raises(NonPositiveEpsError):
+            sup_mixing_time(lazy_asym_pair, 0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                sup_mixing_time(lazy_asym_pair, eps)

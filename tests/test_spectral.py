@@ -7,6 +7,7 @@ import pytest
 
 from markovmix import (
     EpsTooLargeError,
+    NonFiniteError,
     NonPositiveEpsError,
     RankDefectError,
     continuity_delta,
@@ -83,6 +84,9 @@ class TestMixingLowerBound:
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
             mixing_lower_bound(lazy, 0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                mixing_lower_bound(lazy, eps)
 
     def test_holds_on_suite(self, suite_chains):
         for name, P in suite_chains.items():
@@ -114,6 +118,9 @@ class TestContinuityDelta:
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
             continuity_delta(lazy, -0.1)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                continuity_delta(lazy, eps)
 
 
 class TestCor1Delta:
@@ -133,6 +140,9 @@ class TestCor1Delta:
     def test_nonpositive_eps(self):
         with pytest.raises(NonPositiveEpsError):
             cor1_delta(2, 0.0, 3)
+        for eps in (math.nan, -math.inf):
+            with pytest.raises(NonFiniteError):
+                cor1_delta(2, eps, 3)
 
     def test_bad_tmix(self):
         with pytest.raises(ValueError):

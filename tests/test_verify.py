@@ -9,10 +9,14 @@ from markovmix import (
     BoundEntry,
     BoundReport,
     ChainPair,
+    NonFiniteError,
     NonPositiveEpsError,
     verify_all,
 )
 from markovmix.verify import BOUND_IDS
+
+from conftest import build_suite_pairs
+from record_verify_golden import GOLDEN_DIR, render
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +59,21 @@ class TestVerifyAll:
                 assert e.empirical == pytest.approx(0.0, abs=1e-12), bound_id
 
     def test_huge_eps_vacuous_and_skipped(self, lazy_asym_pair):
-        report = verify_all(lazy_asym_pair, [2.0], name="huge-eps")
+        # at 1e13 every derived horizon rounds to one step
+        report = verify_all(lazy_asym_pair, [2.0, 1e13], name="huge-eps")
         assert report.all_passed()
         prop2 = [e for e in report.entries if e.bound_id == "PROP2"]
         assert all("vacuous" in e.detail and e.passed for e in prop2)
         assert all(e.theoretical <= 0.0 for e in prop2)
         cor1 = [e for e in report.entries if e.bound_id == "COR1"]
-        assert len(cor1) == 1 and cor1[0].passed is None
-        assert "SKIPPED" in cor1[0].detail
+        assert len(cor1) == 2 and all(e.passed is None for e in cor1)
+        assert all("SKIPPED" in e.detail for e in cor1)
         thm3 = [e for e in report.entries if e.bound_id == "THM3"]
-        assert thm3[0].passed is None
-        assert "PRECONDITION_UNMET" in thm3[0].detail
+        assert all(e.passed is None for e in thm3)
+        assert all("PRECONDITION_UNMET" in e.detail for e in thm3)
+        skipped = {e.bound_id for e in report.entries if e.eps == 1e13 and e.passed is None}
+        assert skipped == {"COR1", "THM3"}
+        assert report.caps_hit == ()
 
     def test_small_caps_record_skips(self, lazy_asym_pair):
         report = verify_all(
@@ -82,6 +90,9 @@ class TestVerifyAll:
             verify_all(lazy_asym_pair, [])
         with pytest.raises(NonPositiveEpsError):
             verify_all(lazy_asym_pair, [0.1, -0.2])
+        for eps in (math.nan, math.inf):
+            with pytest.raises(NonFiniteError):
+                verify_all(lazy_asym_pair, [0.1, eps])
 
     def test_prop2_sweep_covers_endpoints_and_grid(self, forward_report):
         details = [e.detail for e in forward_report.entries if e.bound_id == "PROP2" and e.eps == 0.2]
@@ -131,6 +142,12 @@ class TestReportSerialization:
 
 
 class TestVerifyOnSuite:
+    @pytest.mark.parametrize("name", list(build_suite_pairs()))
+    def test_reports_match_golden_bytes(self, name, suite_pairs):
+        # after a deliberate report change: PYTHONPATH=src python tests/record_verify_golden.py
+        for suffix, text in render(name, suite_pairs[name]).items():
+            assert text.encode() == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
+
     def test_three_state_pair_passes(self, suite_pairs):
         report = verify_all(
             suite_pairs["cycle3-to-complete3"], [0.2], name="cycle3-to-complete3"
