@@ -219,7 +219,8 @@ def adiabatic_time(
     if horizon > horizon_cap:
         raise HorizonCapError(
             f"certified horizon {horizon} exceeds cap {horizon_cap}; "
-            "raise the cap or relax eps"
+            "raise the cap or relax eps",
+            horizon=horizon,
         )
 
     gaps = _adiabatic_gaps(pair, np.arange(1, horizon + 1))
@@ -379,7 +380,9 @@ def theorem2_check(
     m = sup_result.sup_tmix
     T = ceil_int(2.0 * m * m / (eps * delta))
     if T > corridor_cap:
-        raise CapExceededError(f"required horizon {T} exceeds corridor cap {corridor_cap}")
+        raise CapExceededError(
+            f"required horizon {T} exceeds corridor cap {corridor_cap}", horizon=T
+        )
     cor = corridor(pair, T)
     k_min = ceil_int(delta * T)
     tail = cor.gaps[k_min - 1 :]

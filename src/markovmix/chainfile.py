@@ -14,6 +14,11 @@ from .chains import ChainPair, validate_stochastic
 from .errors import BadParamsError
 
 
+def _json_text(payload) -> str:
+    """The one JSON rendering of the package: two-space indent, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def pair_to_dict(name: str, pair: ChainPair) -> dict:
     return {
         "name": name,
@@ -41,8 +46,7 @@ def pair_from_dict(payload: dict) -> tuple[str, ChainPair]:
 
 
 def save_pair(path, name: str, pair: ChainPair) -> None:
-    text = json.dumps(pair_to_dict(name, pair), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(_json_text(pair_to_dict(name, pair)), encoding="utf-8")
 
 
 def load_pair(path) -> tuple[str, ChainPair]:

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     DimensionMismatchError,
     NegativeEntryError,
     NoConvergenceError,
@@ -59,6 +60,14 @@ def _exact_simplex(vec):
             break
         vec[int(np.argmax(vec))] += drift
     return vec
+
+
+def _float_array(raw) -> np.ndarray:
+    """A new float array of ``raw``; entries that are not numbers, or ragged rows, fail validation."""
+    try:
+        return np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadParamsError(f"expected an array of numbers: {exc}") from None
 
 
 def _require_finite(arr: np.ndarray) -> None:
@@ -176,11 +185,12 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
     """Validate a raw square matrix and renormalize rows to exact sum 1.
 
     Entries in [-tolerance, 0) are clamped to 0. Raises
-    :class:`NotSquareError`, :class:`NonFiniteError`,
+    :class:`BadParamsError` for entries that are not numbers or rows of
+    unequal length, and :class:`NotSquareError`, :class:`NonFiniteError`,
     :class:`NegativeEntryError` or :class:`RowSumError` when the input is
     not within tolerance of a row-stochastic matrix.
     """
-    arr = np.array(raw, dtype=float)
+    arr = _float_array(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise NotSquareError(f"expected a square matrix with n >= 2, got shape {arr.shape}")
     _require_finite(arr)
@@ -200,7 +210,7 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
 
 def validate_distribution(raw, tolerance: float = DISTRIBUTION_TOLERANCE) -> Distribution:
     """Validate a raw probability vector, renormalizing to exact sum 1."""
-    vec = np.array(raw, dtype=float)
+    vec = _float_array(raw)
     if vec.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {vec.shape}")
     _require_finite(vec)

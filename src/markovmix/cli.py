@@ -5,8 +5,9 @@ can gate on `verify`), 3 cap exceeded, 4 numerical breakdown, 64 usage error.
 """
 
 import argparse
-import json
+import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .adiabatic import (
@@ -17,7 +18,7 @@ from .adiabatic import (
     corridor,
     stable_adiabatic_time,
 )
-from .chainfile import load_pair, pair_to_dict
+from .chainfile import _json_text, load_pair, pair_to_dict
 from .chains import ChainPair, interpolate, stationary, structure
 from .errors import CapExceededError, ChainError, NoConvergenceError, NumericalBreakdownError
 from .generators import FAMILIES, GeneratorParams, generate
@@ -33,32 +34,22 @@ EXIT_USAGE = 64
 
 _CAP_ERRORS = (CapExceededError, NoConvergenceError)
 
+# Values such as -1e-3, -inf and -nan are numbers, not flags, so that every
+# spelling of a bad eps meets the eps rule instead of a usage error.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+_SPEC_TYPES = {"n": int, "seed": int, "p": float, "q": float, "alpha": float}
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-
-
-def _structure_dict(P) -> dict:
-    rep = structure(P)
-    return {
-        "irreducible": rep.irreducible,
-        "period": rep.period,
-        "aperiodic": rep.aperiodic,
-    }
 
 
 def _parse_generator_spec(spec: str, default_seed: int | None) -> GeneratorParams:
@@ -68,97 +59,16 @@ def _parse_generator_spec(spec: str, default_seed: int | None) -> GeneratorParam
     if rest:
         for item in rest.split(","):
             key, sep, value = item.partition("=")
-            if not sep:
-                raise ChainError(f"bad generator parameter {item!r} in {spec!r}")
             key = key.strip()
-            if key in ("n", "seed"):
-                kwargs[key] = int(value)
-            elif key in ("p", "q", "alpha"):
-                kwargs[key] = float(value)
-            else:
+            if sep and key not in _SPEC_TYPES:
                 raise ChainError(f"unknown generator parameter {key!r} in {spec!r}")
+            try:
+                kwargs[key] = _SPEC_TYPES[key](value)
+            except (KeyError, ValueError):
+                raise ChainError(f"bad generator parameter {item!r} in {spec!r}") from None
     if family == "random_dense" and "seed" not in kwargs and default_seed is not None:
         kwargs["seed"] = default_seed
     return GeneratorParams(family=family, **kwargs)
-
-
-def _add_chain_arg(sub) -> None:
-    sub.add_argument("--chain", required=True, help="chain-pair JSON file")
-
-
-def _add_out_arg(sub) -> None:
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="markovmix", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a chain-pair file")
-    _add_chain_arg(p)
-    _add_out_arg(p)
-
-    p = sub.add_parser("stationary", help="stationary distributions of the pair")
-    _add_chain_arg(p)
-    p.add_argument("--which", choices=["P0", "P1", "both"], default="both")
-    p.add_argument("--s", type=float, default=None, help="also solve the interpolant at s")
-    _add_out_arg(p)
-
-    p = sub.add_parser("mixing", help="exact mixing time of one kernel")
-    _add_chain_arg(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--which", choices=["P0", "P1"], default="P1")
-    p.add_argument("--s", type=float, default=None, help="use the interpolant at s instead")
-    p.add_argument("--cap", type=int, default=DEFAULT_MIXING_CAP)
-    _add_out_arg(p)
-
-    p = sub.add_parser("sup-mixing", help="sup of the mixing time over the family")
-    _add_chain_arg(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--refine", type=int, default=4)
-    _add_out_arg(p)
-
-    p = sub.add_parser("adiabatic", help="adiabatic time with a certified horizon")
-    _add_chain_arg(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_HORIZON_CAP)
-    _add_out_arg(p)
-
-    p = sub.add_parser("stable", help="stable adiabatic time (corridor scan)")
-    _add_chain_arg(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_STABLE_CAP)
-    _add_out_arg(p)
-
-    p = sub.add_parser("corridor", help="full corridor at one horizon T")
-    _add_chain_arg(p)
-    p.add_argument("--steps", type=int, required=True, metavar="T")
-    p.add_argument("--cap", type=int, default=DEFAULT_CORRIDOR_CAP)
-    _add_out_arg(p)
-
-    p = sub.add_parser("verify", help="run every bound check and emit a report")
-    _add_chain_arg(p)
-    p.add_argument(
-        "--epsilon", type=float, action="append", required=True, help="repeatable"
-    )
-    p.add_argument("--cap", type=int, default=DEFAULT_CORRIDOR_CAP, help="corridor cap")
-    p.add_argument("--horizon-cap", type=int, default=DEFAULT_HORIZON_CAP)
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out_arg(p)
-
-    p = sub.add_parser("generate", help="generate kernels and emit a pair file")
-    p.add_argument(
-        "--p0", required=True, metavar="SPEC",
-        help=f"generator spec family:key=value,... with family in {FAMILIES}",
-    )
-    p.add_argument("--p1", default=None, metavar="SPEC", help="second kernel (optional)")
-    p.add_argument("--name", default="generated")
-    p.add_argument("--seed", type=int, default=None, help="default seed for random_dense")
-    _add_out_arg(p)
-
-    return parser
 
 
 def _kernel_for(args, pair: ChainPair):
@@ -167,123 +77,166 @@ def _kernel_for(args, pair: ChainPair):
     return args.which, pair.p0 if args.which == "P0" else pair.p1
 
 
+# Each handler returns the JSON payload of its subcommand, without "chain";
+# verify returns its own report text and exit code instead.
+
+
+def _validate(args, pair, name):
+    return {
+        "n": pair.n,
+        "P0": asdict(structure(pair.p0)),
+        "P1": asdict(structure(pair.p1)),
+        "valid": True,
+    }
+
+
+def _stationary(args, pair, name):
+    payload: dict = {"n": pair.n}
+    if args.which in ("P0", "both"):
+        payload["pi0"] = stationary(pair.p0).mass.tolist()
+    if args.which in ("P1", "both"):
+        payload["pi1"] = stationary(pair.p1).mass.tolist()
+    if args.s is not None:
+        payload["s"] = args.s
+        payload["pi_s"] = stationary(interpolate(pair, args.s)).mass.tolist()
+    return payload
+
+
+def _mixing(args, pair, name):
+    label, kernel = _kernel_for(args, pair)
+    return {"kernel": label, **asdict(mixing_time(kernel, args.epsilon, cap=args.cap))}
+
+
+def _sup_mixing(args, pair, name):
+    payload = asdict(sup_mixing_time(pair, args.epsilon, args.grid, args.refine))
+    payload["samples"] = payload.pop("per_s_samples")
+    return payload
+
+
+def _adiabatic(args, pair, name):
+    res = adiabatic_time(pair, args.epsilon, horizon_cap=args.cap)
+    return {
+        "eps": res.eps,
+        "t_ad": res.t_ad,
+        "certified_horizon": res.certified_horizon,
+        "horizons_checked": len(res.per_T_gaps),
+    }
+
+
+def _stable(args, pair, name):
+    return asdict(stable_adiabatic_time(pair, args.epsilon, cap=args.cap))
+
+
+def _corridor(args, pair, name):
+    if args.steps > args.cap:
+        raise CapExceededError(f"T = {args.steps} exceeds cap {args.cap}")
+    cor = corridor(pair, args.steps)
+    worst_k, worst_gap = cor.worst
+    return {"T": cor.T, "max_gap": worst_gap, "worst_k": worst_k, "gaps": cor.gaps.tolist()}
+
+
+def _verify(args, pair, name):
+    report = verify_all(
+        pair,
+        args.epsilon,
+        corridor_cap=args.cap,
+        horizon_cap=args.horizon_cap,
+        name=name,
+        grid_points=args.grid,
+    )
+    text = report.to_json() if args.format == "json" else report.to_csv()
+    return text, EXIT_OK if report.all_passed() else EXIT_BOUND_FAILED
+
+
+def _generate(args):
+    p0 = generate(_parse_generator_spec(args.p0, args.seed))
+    if args.p1 is None:
+        return {"name": args.name, "n": p0.n, "P0": p0.entries.tolist()}
+    p1 = generate(_parse_generator_spec(args.p1, args.seed))
+    return pair_to_dict(args.name, ChainPair(p0, p1))
+
+
+_EPSILON = {"--epsilon": {"type": float, "required": True}}
+
+# Subcommand: (handler, help, its options between --chain and --out).
+_COMMANDS = {
+    "validate": (_validate, "validate a chain-pair file", {}),
+    "stationary": (_stationary, "stationary distributions of the pair", {
+        "--which": {"choices": ["P0", "P1", "both"], "default": "both"},
+        "--s": {"type": float, "default": None, "help": "also solve the interpolant at s"},
+    }),
+    "mixing": (_mixing, "exact mixing time of one kernel", {
+        **_EPSILON,
+        "--which": {"choices": ["P0", "P1"], "default": "P1"},
+        "--s": {"type": float, "default": None, "help": "use the interpolant at s instead"},
+        "--cap": {"type": int, "default": DEFAULT_MIXING_CAP},
+    }),
+    "sup-mixing": (_sup_mixing, "sup of the mixing time over the family", {
+        **_EPSILON,
+        "--grid": {"type": int, "default": 101},
+        "--refine": {"type": int, "default": 4},
+    }),
+    "adiabatic": (_adiabatic, "adiabatic time with a certified horizon", {
+        **_EPSILON,
+        "--cap": {"type": int, "default": DEFAULT_HORIZON_CAP},
+    }),
+    "stable": (_stable, "stable adiabatic time (corridor scan)", {
+        **_EPSILON,
+        "--cap": {"type": int, "default": DEFAULT_STABLE_CAP},
+    }),
+    "corridor": (_corridor, "full corridor at one horizon T", {
+        "--steps": {"type": int, "required": True, "metavar": "T"},
+        "--cap": {"type": int, "default": DEFAULT_CORRIDOR_CAP},
+    }),
+    "verify": (_verify, "run every bound check and emit a report", {
+        "--epsilon": {"type": float, "action": "append", "required": True, "help": "repeatable"},
+        "--cap": {"type": int, "default": DEFAULT_CORRIDOR_CAP, "help": "corridor cap"},
+        "--horizon-cap": {"type": int, "default": DEFAULT_HORIZON_CAP},
+        "--grid": {"type": int, "default": 101},
+        "--format": {"choices": ["json", "csv"], "default": "json"},
+    }),
+    "generate": (_generate, "generate kernels and emit a pair file", {
+        "--p0": {
+            "required": True, "metavar": "SPEC",
+            "help": f"generator spec family:key=value,... with family in {FAMILIES}",
+        },
+        "--p1": {"default": None, "metavar": "SPEC", "help": "second kernel (optional)"},
+        "--name": {"default": "generated"},
+        "--seed": {"type": int, "default": None, "help": "default seed for random_dense"},
+    }),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="markovmix", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if handler is not _generate:
+            p.add_argument("--chain", required=True, help="chain-pair JSON file")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.set_defaults(handler=handler)
+    return parser
+
+
 def _run(args) -> int:
-    if args.command == "generate":
-        p0 = generate(_parse_generator_spec(args.p0, args.seed))
-        if args.p1 is None:
-            payload = {"name": args.name, "n": p0.n, "P0": p0.entries.tolist()}
-            _emit_json(payload, args.out)
-            return EXIT_OK
-        p1 = generate(_parse_generator_spec(args.p1, args.seed))
-        pair = ChainPair(p0, p1)
-        _emit_json(pair_to_dict(args.name, pair), args.out)
-        return EXIT_OK
-
-    name, pair = load_pair(args.chain)
-
-    if args.command == "validate":
-        payload = {
-            "chain": name,
-            "n": pair.n,
-            "P0": _structure_dict(pair.p0),
-            "P1": _structure_dict(pair.p1),
-            "valid": True,
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "stationary":
-        payload: dict = {"chain": name, "n": pair.n}
-        if args.which in ("P0", "both"):
-            payload["pi0"] = stationary(pair.p0).mass.tolist()
-        if args.which in ("P1", "both"):
-            payload["pi1"] = stationary(pair.p1).mass.tolist()
-        if args.s is not None:
-            payload["s"] = args.s
-            payload["pi_s"] = stationary(interpolate(pair, args.s)).mass.tolist()
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "mixing":
-        label, kernel = _kernel_for(args, pair)
-        res = mixing_time(kernel, args.epsilon, cap=args.cap)
-        payload = {
-            "chain": name,
-            "kernel": label,
-            "eps": res.eps,
-            "tmix": res.tmix,
-            "worst_state": res.worst_state,
-            "final_gap": res.final_gap,
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "sup-mixing":
-        res = sup_mixing_time(pair, args.epsilon, args.grid, args.refine)
-        payload = {
-            "chain": name,
-            "eps": res.eps,
-            "sup_tmix": res.sup_tmix,
-            "argmax_s": res.argmax_s,
-            "grid_resolution": res.grid_resolution,
-            "samples": [[s, t] for s, t in res.per_s_samples],
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "adiabatic":
-        res = adiabatic_time(pair, args.epsilon, horizon_cap=args.cap)
-        payload = {
-            "chain": name,
-            "eps": res.eps,
-            "t_ad": res.t_ad,
-            "certified_horizon": res.certified_horizon,
-            "horizons_checked": len(res.per_T_gaps),
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "stable":
-        res = stable_adiabatic_time(pair, args.epsilon, cap=args.cap)
-        payload = {
-            "chain": name,
-            "eps": res.eps,
-            "t_sad": res.t_sad,
-            "worst_k": res.worst_k,
-            "worst_gap": res.worst_gap,
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "corridor":
-        if args.steps > args.cap:
-            raise CapExceededError(f"T = {args.steps} exceeds cap {args.cap}")
-        cor = corridor(pair, args.steps)
-        worst_k, worst_gap = cor.worst
-        payload = {
-            "chain": name,
-            "T": cor.T,
-            "max_gap": worst_gap,
-            "worst_k": worst_k,
-            "gaps": cor.gaps.tolist(),
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "verify":
-        report = verify_all(
-            pair,
-            args.epsilon,
-            corridor_cap=args.cap,
-            horizon_cap=args.horizon_cap,
-            name=name,
-            grid_points=args.grid,
-        )
-        text = report.to_json() if args.format == "json" else report.to_csv()
-        _emit(text, args.out)
-        return EXIT_OK if report.all_passed() else EXIT_BOUND_FAILED
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    """Run the subcommand's handler, write its output to stdout or --out, return the exit code."""
+    if args.handler is _generate:
+        text, code = _json_text(_generate(args)), EXIT_OK
+    else:
+        name, pair = load_pair(args.chain)
+        result = args.handler(args, pair, name)
+        if isinstance(result, tuple):
+            text, code = result
+        else:
+            text, code = _json_text({"chain": name, **result}), EXIT_OK
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text, encoding="utf-8")
+    return code
 
 
 def main(argv=None) -> int:

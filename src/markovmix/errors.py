@@ -70,12 +70,14 @@ class CapExceededError(ChainError):
     diagnosis. From the stable adiabatic scan the gap is the one that ruled
     T out, at least eps: the gap at the first step where T was dropped, or
     the corridor's maximum for a horizon that survived to the reference
-    corridor.
+    corridor. ``horizon`` is the horizon the scan needed, when it was derived
+    before the cap stopped it, and None otherwise.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, horizon=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
+        self.horizon = horizon
 
 
 class IterationCapError(CapExceededError):

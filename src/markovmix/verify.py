@@ -8,7 +8,6 @@ identical inputs serialize to identical bytes.
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -17,14 +16,13 @@ import numpy as np
 from .adiabatic import (
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
-    _certified_horizon,
     adiabatic_time,
-    ceil_int,
     corridor,
     prop3_check,
     theorem2_check,
     theorem3_horizon,
 )
+from .chainfile import _json_text
 from .chains import ChainPair, _interp_stack, _stationary_stack, interpolate
 from .errors import (
     CapExceededError,
@@ -87,7 +85,7 @@ class BoundReport:
                 for e in self.entries
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -139,9 +137,9 @@ def _prop1(c: _Inputs):
     """Adiabatic time against its mixing-time bound."""
     try:
         res = adiabatic_time(c.pair, c.eps, horizon_cap=c.horizon_cap)
-    except HorizonCapError:
-        _, bound = _certified_horizon(c.pair, c.eps)
-        raise _Skip(f"SKIPPED: horizon {bound} exceeds cap {c.horizon_cap}", f"horizon={bound}")
+    except HorizonCapError as exc:
+        detail = f"SKIPPED: horizon {exc.horizon} exceeds cap {c.horizon_cap}"
+        raise _Skip(detail, f"horizon={exc.horizon}")
     detail = f"tmix_half={res.tmix_half} horizon={res.certified_horizon}"
     return float(res.t_ad), float(res.certified_horizon), res.t_ad <= res.certified_horizon, detail
 
@@ -181,10 +179,9 @@ def _thm2(c: _Inputs, delta: float):
     """Tail-corridor guarantee at the derived horizon."""
     try:
         rep = theorem2_check(c.pair, c.eps, delta, corridor_cap=c.corridor_cap, sup_result=c.sup)
-    except CapExceededError:
-        T = ceil_int(2.0 * c.sup.sup_tmix**2 / (c.eps * delta))
-        detail = f"SKIPPED: delta={delta} needs T={T}, above corridor cap {c.corridor_cap}"
-        raise _Skip(detail, f"delta={delta}:T={T}")
+    except CapExceededError as exc:
+        detail = f"SKIPPED: delta={delta} needs T={exc.horizon}, above corridor cap {c.corridor_cap}"
+        raise _Skip(detail, f"delta={delta}:T={exc.horizon}")
     detail = f"delta={delta} T={rep.T} violations={len(rep.violations)}"
     return rep.max_gap, c.eps, rep.passed, detail
 

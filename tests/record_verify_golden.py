@@ -5,7 +5,9 @@ Run from the repository root after a deliberate report change:
     PYTHONPATH=src python tests/record_verify_golden.py
 
 It rewrites ``tests/data/verify/<pair>.json`` and ``<pair>.csv`` for the ten
-suite pairs of ``conftest.build_suite_pairs`` at ``GOLDEN_EPS``.
+suite pairs of ``conftest.build_suite_pairs`` at ``GOLDEN_EPS``, and
+``capped.json`` and ``capped.csv`` for lazy-to-asym under the small caps of
+``CAPPED``, where PROP1, THM2 and THM3 are skipped.
 """
 
 from pathlib import Path
@@ -16,18 +18,22 @@ from conftest import build_suite_pairs
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "verify"
 GOLDEN_EPS = (0.3, 0.25)
+CAPPED = {"eps_list": [0.1], "corridor_cap": 100, "horizon_cap": 50}
 
 
-def render(name: str, pair) -> dict[str, str]:
+def render(name: str, pair, eps_list=GOLDEN_EPS, **caps) -> dict[str, str]:
     """The report of one pair, keyed by golden file suffix."""
-    report = verify_all(pair, GOLDEN_EPS, name=name)
+    report = verify_all(pair, eps_list, name=name, **caps)
     return {"json": report.to_json(), "csv": report.to_csv()}
 
 
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, pair in build_suite_pairs().items():
-        for suffix, text in render(name, pair).items():
+    pairs = build_suite_pairs()
+    reports = {name: render(name, pair) for name, pair in pairs.items()}
+    reports["capped"] = render("capped", pairs["lazy-to-asym"], **CAPPED)
+    for name, texts in reports.items():
+        for suffix, text in texts.items():
             (GOLDEN_DIR / f"{name}.{suffix}").write_bytes(text.encode())
 
 

@@ -200,6 +200,12 @@ class TestAdiabaticTime:
         with pytest.raises(HorizonCapError):
             adiabatic_time(ChainPair(lazy, lazy), 0.05, horizon_cap=999)
 
+    def test_horizon_cap_carries_the_certified_horizon(self, lazy_asym_pair):
+        horizon = adiabatic_time(lazy_asym_pair, 0.1).certified_horizon
+        with pytest.raises(HorizonCapError) as excinfo:
+            adiabatic_time(lazy_asym_pair, 0.1, horizon_cap=horizon - 1)
+        assert excinfo.value.horizon == horizon
+
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
             adiabatic_time(lazy_asym_pair, 0.0)
@@ -572,6 +578,12 @@ class TestTheorem2Check:
     def test_corridor_cap(self, lazy_asym_pair):
         with pytest.raises(CapExceededError):
             theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=10)
+
+    def test_corridor_cap_carries_the_derived_horizon(self, lazy_asym_pair):
+        T = theorem2_check(lazy_asym_pair, 0.2, 0.5).T
+        with pytest.raises(CapExceededError) as excinfo:
+            theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=T - 1)
+        assert excinfo.value.horizon == T
 
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import markovmix.chains as chains
 from markovmix import (
+    BadParamsError,
     ChainPair,
     DimensionMismatchError,
     Distribution,
@@ -84,6 +85,21 @@ class TestValidateStochastic:
             validate_stochastic([[bad, 0.5], [0.5, 0.5]])
         with pytest.raises(NonFiniteError, match="non-finite"):
             StochasticMatrix(np.array([[0.5, 0.5], [0.5, bad]]))
+
+    @pytest.mark.parametrize(
+        "matrix, vector",
+        [
+            ([["a", 0.5], [0.5, 0.5]], ["a", 0.5]),
+            ([[0.5, 0.5], [1.0]], [[0.5], 0.5]),
+            ([[0.5, {}], [0.5, 0.5]], [0.5, {}]),
+        ],
+        ids=["text", "ragged", "object"],
+    )
+    def test_entries_that_are_not_numbers_rejected(self, matrix, vector):
+        with pytest.raises(BadParamsError, match="expected an array of numbers"):
+            validate_stochastic(matrix)
+        with pytest.raises(BadParamsError, match="expected an array of numbers"):
+            validate_distribution(vector)
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):

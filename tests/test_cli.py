@@ -25,6 +25,8 @@ from markovmix.cli import (
 )
 from markovmix.verify import BoundEntry, BoundReport
 
+from record_cli_golden import CASES, GOLDEN_DIR, run, write_inputs
+
 LAZY_TO_ASYM = ["--p0", "two_state:p=0.25,q=0.25", "--p1", "two_state:p=0.2,q=0.4"]
 
 
@@ -34,6 +36,13 @@ def pair_file(tmp_path):
     code = main(["generate", *LAZY_TO_ASYM, "--name", "lazy-to-asym", "--out", str(path)])
     assert code == EXIT_OK
     return path
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-inputs")
+    write_inputs(directory)
+    return directory
 
 
 def run_json(capsys, argv):
@@ -248,6 +257,29 @@ class TestExitCodes:
     def test_nan_eps_exits_validation_at_once(self, pair_file, capsys):
         assert main(["adiabatic", "--chain", str(pair_file), "--epsilon", "nan"]) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
+        # every spelling of a negative or non-finite eps is a value, not a flag
+        for command in ("mixing", "verify"):
+            for eps in ("-1e-3", "-inf", "-0.1", "-.5", "-2E+1", "-Infinity", "-nan", "nan"):
+                assert main([command, "--chain", str(pair_file), "--epsilon", eps]) == EXIT_VALIDATION
+                assert capsys.readouterr().err.startswith("markovmix: eps must be")
+            assert main([command, "--chain", str(pair_file), "--epsilon=-1e-3"]) == EXIT_VALIDATION
+            assert "eps must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec", ["two_state:p=abc,q=0.2", "lazy_cycle:n=2.5,alpha=0.5"]
+    )
+    def test_malformed_generator_number(self, spec, capsys):
+        assert main(["generate", "--p0", spec]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("markovmix: bad generator parameter")
+
+    @pytest.mark.parametrize(
+        "P0", [[["a", 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.0]]], ids=["letter", "ragged"]
+    )
+    def test_malformed_chain_file_number(self, P0, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "bad", "n": 2, "P0": P0, "P1": [[0.5, 0.5], [0.5, 0.5]]}))
+        assert main(["validate", "--chain", str(bad)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("markovmix: expected an array of numbers")
 
     def test_bound_failure_exit(self, pair_file, monkeypatch, capsys):
         failing = BoundReport(
@@ -272,3 +304,13 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--chain", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_matches_golden_bytes(self, case, golden_inputs, monkeypatch):
+        # after a deliberate output change: PYTHONPATH=src python tests/record_cli_golden.py
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(golden_inputs)
+        text = json.dumps(run(CASES[case]), indent=2, sort_keys=True) + "\n"
+        assert text.encode() == (GOLDEN_DIR / f"{case}.json").read_bytes()

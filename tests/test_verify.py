@@ -16,7 +16,7 @@ from markovmix import (
 from markovmix.verify import BOUND_IDS
 
 from conftest import build_suite_pairs
-from record_verify_golden import GOLDEN_DIR, render
+from record_verify_golden import CAPPED, GOLDEN_DIR, render
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,8 @@ class TestVerifyAll:
         assert any(hit.startswith("THM3") for hit in report.caps_hit)
         # skipped entries never count as failures
         assert report.all_passed()
+        for suffix, text in render("capped", lazy_asym_pair, **CAPPED).items():
+            assert text.encode() == (GOLDEN_DIR / f"capped.{suffix}").read_bytes(), suffix
 
     def test_eps_list_validation(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
