@@ -26,7 +26,7 @@ from .errors import (
     OutOfRangeError,
     _check_eps,
 )
-from .mixing import PASS_SLACK, SupMixingResult, mixing_time, sup_mixing_time
+from .mixing import PASS_SLACK, MixingResult, SupMixingResult, mixing_time, sup_mixing_time
 
 BOUND_SLACK = 1e-10
 DEFAULT_STABLE_CAP = 10_000
@@ -186,36 +186,66 @@ def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
 class AdiabaticResult:
     """Least T* from which the adiabatic condition holds up to the horizon.
 
-    The condition was evaluated for every T in [1, certified_horizon] and
-    ``t_ad`` is the least T* with no failure at or beyond it; the certified
-    horizon itself comes from the mixing-time bound 2 t_mix(P1, eps/2)^2 /
-    eps, beyond which the condition is guaranteed; ``tmix_half`` is that
-    t_mix(P1, eps/2).
+    The certified horizon comes from the mixing-time bound 2 t_mix(P1,
+    eps/2)^2 / eps, beyond which the condition is guaranteed; ``tmix_half``
+    is that t_mix(P1, eps/2). Every T in [1, tail_from] was evaluated, and
+    ``per_T_gaps`` holds those gaps. Every T in [tail_from, certified_horizon]
+    passes by the perturbation bound for products of stochastic kernels
+    (Mitrophanov, J. Appl. Probab. 42, 2005): for m <= T + 1,
+
+        gap(T) <= d1(m) + L m (m - 1) / (2 T),
+
+    with L the largest row-wise TV distance between P0 and P1 and d1(m) the
+    worst-start gap of P1^m. ``t_ad`` is the least T* with no failure at or
+    beyond it.
     """
 
     t_ad: int
     eps: float
     tmix_half: int
     certified_horizon: int
+    tail_from: int
     per_T_gaps: tuple[tuple[int, float], ...]
 
 
-def _certified_horizon(pair: ChainPair, eps: float) -> tuple[int, int]:
-    """(t_mix(P1, eps/2), ceil(2 t_mix^2 / eps)), the PROP1 horizon."""
-    m1 = mixing_time(pair.p1, eps / 2.0).tmix
-    return m1, ceil_int(2.0 * m1 * m1 / eps)
+def _certified_horizon(pair: ChainPair, eps: float) -> tuple[MixingResult, int]:
+    """(t_mix(P1, eps/2) result, ceil(2 t_mix^2 / eps)), the PROP1 horizon."""
+    mix = mixing_time(pair.p1, eps / 2.0)
+    return mix, ceil_int(2.0 * mix.tmix * mix.tmix / eps)
+
+
+def _tail_from(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> int:
+    """Least T_c <= horizon from which the perturbation bound certifies every gap.
+
+    With m = t_mix(P1, eps/2) and d1(m) its final gap, every T >= m - 1 with
+    L m (m - 1) / (2 T) <= eps - d1(m) - radius passes; the radius covers the
+    float drift of the products up to the horizon and of L and d1(m). With
+    no room left the bound certifies nothing and T_c is the horizon.
+    """
+    m = mix.tmix
+    L = float((0.5 * np.abs(pair.p0.entries - pair.p1.entries).sum(axis=1)).max())
+    radius = 2 * (horizon + 1) * (pair.n + 2) * 2.0**-53
+    room = eps - mix.final_gap - radius
+    if room <= 0.0:
+        return horizon
+    # math.ceil, not ceil_int: snapping down could name an uncertified T
+    return min(horizon, max(1, m - 1, math.ceil(L * m * (m - 1) / (2.0 * room))))
 
 
 def adiabatic_time(
     pair: ChainPair, eps: float, horizon_cap: int = DEFAULT_HORIZON_CAP
 ) -> AdiabaticResult:
-    """Adiabatic time of the pair at eps.
+    """Adiabatic time of the pair at eps, certified up to the PROP1 horizon.
 
-    Scans every horizon up to the certified one, yielding a complete
-    certificate.
+    Scans every horizon of the head 1..T_c exactly and certifies the tail
+    T_c..H by the perturbation bound gap(T) <= d1(m) + L m (m - 1) / (2 T)
+    (Mitrophanov 2005; see :class:`AdiabaticResult`), whose inputs m and
+    d1(m) the horizon computation already has. When the bound leaves no
+    room, T_c = H and the whole range is scanned. A failure at T_c, which
+    the bound certifies, is a numerical breakdown.
     """
     _check_eps(eps)
-    tmix_half, horizon = _certified_horizon(pair, eps)
+    mix, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
             f"certified horizon {horizon} exceeds cap {horizon_cap}; "
@@ -223,21 +253,23 @@ def adiabatic_time(
             horizon=horizon,
         )
 
-    gaps = _adiabatic_gaps(pair, np.arange(1, horizon + 1))
+    tail_from = _tail_from(pair, eps, mix, horizon)
+    gaps = _adiabatic_gaps(pair, np.arange(1, tail_from + 1))
     # written as a negation so that a NaN gap counts as a failure
     fails = np.flatnonzero(~(gaps <= eps + PASS_SLACK))
     last_fail = int(fails[-1]) + 1 if fails.size else 0
-    if last_fail >= horizon:
+    if last_fail >= tail_from:
         raise NumericalBreakdownError(
-            f"condition still failing at the certified horizon {horizon}; "
-            "numerical breakdown"
+            f"condition still failing at the last scanned horizon {tail_from}, "
+            "which the bounds certify; numerical breakdown"
         )
     return AdiabaticResult(
         t_ad=last_fail + 1,
         eps=eps,
-        tmix_half=tmix_half,
+        tmix_half=mix.tmix,
         certified_horizon=horizon,
-        per_T_gaps=tuple(zip(range(1, horizon + 1), gaps.tolist())),
+        tail_from=tail_from,
+        per_T_gaps=tuple(zip(range(1, tail_from + 1), gaps.tolist())),
     )
 
 

@@ -100,7 +100,7 @@ class StochasticMatrix:
         sums = e.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
             bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise RowSumError(f"row {bad} sums to {sums[bad]!r}")
+            raise RowSumError(f"row {bad} sums to {float(sums[bad])!r}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -124,7 +124,7 @@ class Distribution:
             raise NegativeEntryError("mass must be nonnegative")
         s = m.sum()
         if abs(s - 1.0) > DISTRIBUTION_TOLERANCE:
-            raise RowSumError(f"mass sums to {s!r}, not 1")
+            raise RowSumError(f"mass sums to {float(s)!r}, not 1")
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 
@@ -196,12 +196,12 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
     _require_finite(arr)
     if np.any(arr < -tolerance):
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise NegativeEntryError(f"entry ({i}, {j}) = {arr[i, j]!r} is below -{tolerance!r}")
+        raise NegativeEntryError(f"entry ({i}, {j}) = {float(arr[i, j])!r} is below -{tolerance!r}")
     sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0)
     if np.any(off > tolerance):
         bad = int(np.argmax(off))
-        raise RowSumError(f"row {bad} sums to {sums[bad]!r}, outside tolerance {tolerance!r}")
+        raise RowSumError(f"row {bad} sums to {float(sums[bad])!r}, outside tolerance {tolerance!r}")
     fixed = np.clip(arr, 0.0, None)
     for i in range(fixed.shape[0]):
         _exact_simplex(fixed[i])
@@ -217,7 +217,7 @@ def validate_distribution(raw, tolerance: float = DISTRIBUTION_TOLERANCE) -> Dis
     if np.any(vec < -tolerance):
         raise NegativeEntryError("vector has an entry below the tolerance")
     if abs(vec.sum() - 1.0) > tolerance:
-        raise RowSumError(f"vector sums to {vec.sum()!r}, outside tolerance {tolerance!r}")
+        raise RowSumError(f"vector sums to {float(vec.sum())!r}, outside tolerance {tolerance!r}")
     _exact_simplex(np.clip(vec, 0.0, None, out=vec))
     return Distribution(vec)
 

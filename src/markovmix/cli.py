@@ -119,7 +119,7 @@ def _adiabatic(args, pair, name):
         "eps": res.eps,
         "t_ad": res.t_ad,
         "certified_horizon": res.certified_horizon,
-        "horizons_checked": len(res.per_T_gaps),
+        "horizons_checked": res.certified_horizon,
     }
 
 

@@ -1,5 +1,6 @@
 """Corridors, adiabatic and stable adiabatic times, and the bound checkers."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,7 +32,8 @@ from markovmix import (
     two_state,
     validate_stochastic,
 )
-from markovmix.adiabatic import _adiabatic_gaps, ceil_int
+from markovmix.adiabatic import _adiabatic_gaps, _tail_from, ceil_int
+from markovmix.mixing import PASS_SLACK
 
 from oracles import (
     adiabatic_distance_oracle,
@@ -184,12 +186,16 @@ class TestAdiabaticDistance:
 
 class TestAdiabaticTime:
     def test_lazy_pair_exact(self, lazy):
-        res = adiabatic_time(ChainPair(lazy, lazy), 0.05)
+        pair = ChainPair(lazy, lazy)
+        res = adiabatic_time(pair, 0.05)
         assert res.t_ad == 3
         assert res.certified_horizon == 1000  # ceil(2 * 5^2 / 0.05)
-        gaps = dict(res.per_T_gaps)
-        assert gaps[2] > 0.05
-        assert all(gaps[T] <= 0.05 + 1e-12 for T in range(3, 1001))
+        gaps = _adiabatic_gaps(pair, np.arange(1, 1001))
+        assert gaps[2 - 1] > 0.05
+        assert all(gaps[T - 1] <= 0.05 + 1e-12 for T in range(3, 1001))
+        # the scanned head is the full scan's
+        assert [T for T, _ in res.per_T_gaps] == list(range(1, res.tail_from + 1))
+        np.testing.assert_array_equal([g for _, g in res.per_T_gaps], gaps[: res.tail_from])
 
     def test_one_step_mixer(self):
         P = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
@@ -216,6 +222,7 @@ class TestAdiabaticTime:
     def test_huge_eps_has_one_step_horizon(self, lazy_asym_pair):
         res = adiabatic_time(lazy_asym_pair, 1e13)
         assert (res.t_ad, res.certified_horizon) == (1, 1)
+        assert res.tail_from == 1 and len(res.per_T_gaps) == 1
 
     def test_prop1_bound_on_two_state_pairs(self, suite_pairs):
         for name in ("lazy-to-asym", "asym-to-lazy", "lazy-to-uniform2"):
@@ -254,11 +261,11 @@ class TestBatchedAdiabaticGaps:
     @given(pair=dense_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]))
     def test_exact_scan_matches_loop(self, pair, eps):
         res = adiabatic_time(pair, eps)
-        H = res.certified_horizon
-        loop = _loop_gaps(pair, H)
-        assert [T for T, _ in res.per_T_gaps] == list(range(1, H + 1))
-        np.testing.assert_array_equal([g for _, g in res.per_T_gaps], loop)
-        fails = [T for T in range(1, H + 1) if not loop[T - 1] <= eps + 1e-12]
+        H, T_c = res.certified_horizon, res.tail_from
+        assert [T for T, _ in res.per_T_gaps] == list(range(1, T_c + 1))
+        np.testing.assert_array_equal([g for _, g in res.per_T_gaps], _loop_gaps(pair, T_c))
+        full = _adiabatic_gaps(pair, np.arange(1, H + 1))
+        fails = [T for T in range(1, H + 1) if not full[T - 1] <= eps + 1e-12]
         assert res.t_ad == (fails[-1] + 1 if fails else 1)
 
     def test_several_chunks_same_array(self, suite_pairs, monkeypatch):
@@ -274,8 +281,10 @@ class TestBatchedAdiabaticGaps:
             monkeypatch.undo()
             np.testing.assert_array_equal(whole, _loop_gaps(pair, 80), err_msg=name)
 
-    def test_nan_gap_counts_as_failure(self, lazy, monkeypatch):
-        pair = ChainPair(lazy, lazy)
+    def test_nan_gap_counts_as_failure(self, suite_pairs, monkeypatch):
+        # a head long enough to hold T = 10: 1..187 at eps 0.3, where t_ad = 2
+        pair = suite_pairs["complete5-to-bd5"]
+        T_c = adiabatic_time(pair, 0.3).tail_from
         real = _adiabatic_gaps
 
         def with_nan_at(T_bad):
@@ -287,14 +296,14 @@ class TestBatchedAdiabaticGaps:
             return fake
 
         monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(10))
-        res = adiabatic_time(pair, 0.05)
+        res = adiabatic_time(pair, 0.3)
         assert res.t_ad == 11
         T, gap = res.per_T_gaps[9]
         assert T == 10 and type(T) is int and type(gap) is float and np.isnan(gap)
 
-        monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(1000))
+        monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(T_c))
         with pytest.raises(ChainError, match="numerical breakdown"):
-            adiabatic_time(pair, 0.05)
+            adiabatic_time(pair, 0.3)
 
     def test_memory_bounded_as_horizon_grows(self, suite_pairs, monkeypatch):
         pair = suite_pairs["dense6-to-dense6"]
@@ -313,6 +322,73 @@ class TestBatchedAdiabaticGaps:
         # fixed-size iteration buffers for the broadcast kernel weights
         assert max(peaks) <= budget + 64 * 1024, peaks
         assert peaks[1] - peaks[0] <= 8 * 1024, peaks
+
+
+class TestTailCertificate:
+    """The head scan 1..T_c and the perturbation bound on the tail T_c..H."""
+
+    def test_no_room_falls_back_to_the_full_scan(self, lazy_asym_pair):
+        # at eps = 1e-12 the final gap of t_mix(P1, eps/2) plus rounding fills eps
+        eps = 1e-12
+        mix = mixing_time(lazy_asym_pair.p1, eps / 2)
+        H = ceil_int(2.0 * mix.tmix**2 / eps)
+        assert _tail_from(lazy_asym_pair, eps, mix, H) == H
+
+    def test_no_room_scans_every_horizon(self, lazy_asym_pair, monkeypatch):
+        want = adiabatic_time(lazy_asym_pair, 0.1)
+        real = adiabatic._certified_horizon
+
+        def no_room(pair, eps):
+            mix, H = real(pair, eps)
+            return dataclasses.replace(mix, final_gap=eps), H
+
+        monkeypatch.setattr(adiabatic, "_certified_horizon", no_room)
+        res = adiabatic_time(lazy_asym_pair, 0.1)
+        H = res.certified_horizon
+        assert want.tail_from < H and res.tail_from == H
+        assert [T for T, _ in res.per_T_gaps] == list(range(1, H + 1))
+        assert res.t_ad == want.t_ad
+
+    def test_constant_family_needs_only_the_mixing_steps(self, lazy):
+        # L = 0: the bound is d1(m) from T = m - 1 on
+        res = adiabatic_time(ChainPair(lazy, lazy), 0.05)
+        assert (res.tmix_half, res.tail_from) == (5, 4)
+
+    def test_one_step_mixer_target_certifies_every_horizon(self, lazy):
+        # m = 1: the last factor is P1 itself, whose rows are all pi1
+        P1 = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
+        pair = ChainPair(lazy, P1)
+        res = adiabatic_time(pair, 0.1)
+        assert (res.tmix_half, res.tail_from, res.t_ad) == (1, 1, 1)
+        assert res.certified_horizon == 20
+        assert (_adiabatic_gaps(pair, np.arange(1, 21)) <= 1e-15).all()
+
+    def test_suite_headline_thresholds(self, suite_pairs):
+        pair = suite_pairs["complete5-to-bd5"]
+        got = [
+            (r.t_ad, r.tail_from, r.certified_horizon)
+            for r in (adiabatic_time(pair, eps) for eps in (0.3, 0.25))
+        ]
+        assert got == [(2, 187, 960), (3, 273, 1352)]
+
+    @settings(max_examples=15)
+    @given(pair=dense_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]))
+    def test_tail_passes_against_the_full_scan(self, pair, eps):
+        res = adiabatic_time(pair, eps)
+        H, T_c, m = res.certified_horizon, res.tail_from, res.tmix_half
+        full = _adiabatic_gaps(pair, np.arange(1, H + 1))
+        assert (full[T_c - 1 :] <= eps).all()
+        fails = np.flatnonzero(~(full <= eps + PASS_SLACK))
+        assert res.t_ad == (int(fails[-1]) + 2 if fails.size else 1)
+        # the bound holds on the scan, and at T_c it is within eps
+        d1 = mixing_time(pair.p1, eps / 2).final_gap
+        L = max(tv(row0, row1) for row0, row1 in zip(pair.p0.entries, pair.p1.entries))
+        Ts = np.arange(max(1, m - 1), H + 1)
+        bound = d1 + L * m * (m - 1) / (2.0 * Ts)
+        assert (full[Ts - 1] <= bound + 1e-12).all()
+        if T_c < H:
+            assert T_c >= m - 1
+            assert d1 + L * m * (m - 1) / (2.0 * T_c) <= eps
 
 
 class TestStableAdiabaticTime:

@@ -16,7 +16,7 @@ from markovmix import (
 from markovmix.verify import BOUND_IDS
 
 from conftest import build_suite_pairs
-from record_verify_golden import CAPPED, GOLDEN_DIR, render
+from record_verify_golden import CAPPED, GOLDEN_DIR, GOLDEN_EPS_SETS, render
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +147,10 @@ class TestVerifyOnSuite:
     @pytest.mark.parametrize("name", list(build_suite_pairs()))
     def test_reports_match_golden_bytes(self, name, suite_pairs):
         # after a deliberate report change: PYTHONPATH=src python tests/record_verify_golden.py
-        for suffix, text in render(name, suite_pairs[name]).items():
-            assert text.encode() == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
+        for tag, eps_list in GOLDEN_EPS_SETS.items():
+            for suffix, text in render(name, suite_pairs[name], eps_list).items():
+                golden = GOLDEN_DIR / f"{name}{tag}.{suffix}"
+                assert text.encode() == golden.read_bytes(), golden.name
 
     def test_three_state_pair_passes(self, suite_pairs):
         report = verify_all(
