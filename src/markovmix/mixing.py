@@ -54,28 +54,63 @@ class SupMixingResult:
     per_s_samples: tuple[tuple[float, int], ...]
 
 
-def _mixing_scan(P: np.ndarray, pi: np.ndarray, eps: float, cap: int) -> MixingResult:
-    """Least T in 1..cap with max Dirac-start TV gap to ``pi`` at most eps.
+# Byte budget for the working stacks of one batched scan (four n x n arrays
+# per kernel), sized to a 2 MiB L2 cache: a chunk is three kernels at
+# n = 100 and one from n = 129 up. Chunks that fall out of cache scan
+# slower, and one kernel per chunk at n = 100 pays the per-step
+# bookkeeping alone.
+_SCAN_STACK_BUDGET = 2**20
 
-    Powers the kernel by repeated multiplication, checking every T; the
-    max gap is nonincreasing in T (contraction toward stationarity), which
-    is asserted along the way, so the first passing T is the infimum.
+
+def _chunks(count: int, n: int):
+    """Slices of a stack of ``count`` n x n kernels, each within the scan budget."""
+    size = max(1, _SCAN_STACK_BUDGET // (8 * 4 * n * n))
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def _mixing_scans(
+    Ps: np.ndarray, pis: np.ndarray, eps: float, cap: int, labels=None
+) -> list[MixingResult]:
+    """Mixing time of each kernel of a (k, n, n) stack against its target in ``pis``.
+
+    Every kernel is powered by repeated multiplication and checked at every
+    T in 1..cap, all in lockstep; each keeps its own product sequence, so
+    its result is bit-identical to a scan of it alone. A kernel retires at
+    its first T with max Dirac-start TV gap within eps. The max gap is
+    nonincreasing in T (contraction toward stationarity); a rise beyond
+    ``PASS_SLACK`` raises NumericalBreakdownError naming the kernel by its
+    entry in ``labels`` (default: its stack position). Callers take their
+    stacks in ``_chunks``.
     """
-    M = np.array(P)
+    labels = range(len(Ps)) if labels is None else labels
+    results: list = [None] * len(Ps)
+    live = np.arange(len(Ps))
+    P, pi, M = Ps, pis[:, None, :], Ps.copy()
+    # written in place at every step: a fresh n x n array per step would
+    # cost more than the arithmetic at large n
+    diff, spare = np.empty_like(M), np.empty_like(M)
     prev = np.inf
     for T in range(1, cap + 1):
-        gaps = 0.5 * np.abs(M - pi).sum(axis=1)
-        worst = int(np.argmax(gaps))
-        gap = float(gaps[worst])
-        if gap > prev + PASS_SLACK:
+        gaps = 0.5 * np.abs(np.subtract(M, pi, out=diff), out=diff).sum(axis=2)
+        worst = gaps.max(axis=1)
+        if (worst > prev + PASS_SLACK).any():
+            i = np.flatnonzero(worst > prev + PASS_SLACK)[0]
             raise NumericalBreakdownError(
-                f"max TV gap increased from {prev!r} to {gap!r} at T={T}; "
-                "numerical breakdown"
+                f"kernel {labels[live[i]]}: max TV gap increased from "
+                f"{float(prev[i])!r} to {float(worst[i])!r} at T={T}; numerical breakdown"
             )
-        if gap <= eps + PASS_SLACK:
-            return MixingResult(tmix=T, eps=eps, worst_state=worst, final_gap=gap)
-        prev = gap
-        M = M @ P
+        done = worst <= eps + PASS_SLACK
+        if done.any():
+            for i in np.flatnonzero(done):
+                worst_state = int(np.argmax(gaps[i]))
+                results[live[i]] = MixingResult(T, eps, worst_state, float(worst[i]))
+            if done.all():
+                return results
+            keep = ~done
+            live, P, pi, M, worst = live[keep], P[keep], pi[keep], M[keep], worst[keep]
+            diff, spare = diff[: len(live)], spare[: len(live)]
+        prev = worst
+        M, spare = np.matmul(M, P, out=spare), M
     raise IterationCapError(f"no T <= {cap} reached eps = {eps!r}")
 
 
@@ -83,7 +118,7 @@ def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) 
     """Least T >= 1 with max Dirac-start TV gap at most eps, by a scan up to cap."""
     _check_eps(eps)
     pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
-    return _mixing_scan(P.entries, pi, eps, cap)
+    return _mixing_scans(P.entries[None], pi[None], eps, cap)[0]
 
 
 def sup_mixing_time(
@@ -101,34 +136,33 @@ def sup_mixing_time(
         raise OutOfRangeError(f"refine_depth must be >= 0, got {refine_depth}")
     _check_eps(eps)
 
-    def eval_at(s: float) -> int:
+    samples: dict[float, int] = {}
+
+    def scan(ss: list[float]) -> None:
         # the interpolants of an ergodic pair are ergodic (see ChainPair)
-        Ps = _interp_stack(pair, np.array([s]))
-        return _mixing_scan(Ps[0], _stationary_stack(Ps)[0], eps, DEFAULT_MIXING_CAP).tmix
+        for part in _chunks(len(ss), pair.n):
+            Ps = _interp_stack(pair, np.array(ss[part]))
+            labels = [f"s={s!r}" for s in ss[part]]
+            found = _mixing_scans(Ps, _stationary_stack(Ps), eps, DEFAULT_MIXING_CAP, labels)
+            samples.update(zip(ss[part], (r.tmix for r in found)))
 
-    base = np.linspace(0.0, 1.0, grid_points)
-    samples: dict[float, int] = {float(s): eval_at(float(s)) for s in base}
+    base = np.linspace(0.0, 1.0, grid_points).tolist()
+    scan(base)
 
+    # Bisect every interval whose ends differ, one level at a time; each
+    # level's new midpoints are scanned as one stack.
     resolution = 10.0 ** (-refine_depth)
-    stack = [
-        (float(base[i]), float(base[i + 1]))
-        for i in range(grid_points - 1)
-        if samples[float(base[i])] != samples[float(base[i + 1])]
-    ]
-    refined = bool(stack)
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= resolution:
-            continue
-        mid = 0.5 * (lo + hi)
-        tmid = samples.get(mid)
-        if tmid is None:
-            tmid = eval_at(mid)
-            samples[mid] = tmid
-        if tmid != samples[lo]:
-            stack.append((lo, mid))
-        if tmid != samples[hi]:
-            stack.append((mid, hi))
+    jumps = [(lo, hi) for lo, hi in zip(base, base[1:]) if samples[lo] != samples[hi]]
+    refined = bool(jumps)
+    while jumps := [(lo, hi) for lo, hi in jumps if hi - lo > resolution]:
+        mids = [0.5 * (lo + hi) for lo, hi in jumps]
+        scan([m for m in mids if m not in samples])
+        jumps = [
+            half
+            for (lo, hi), mid in zip(jumps, mids)
+            for half in ((lo, mid), (mid, hi))
+            if samples[half[0]] != samples[half[1]]
+        ]
 
     sup = max(samples.values())
     if samples[0.0] == sup:
@@ -143,6 +177,6 @@ def sup_mixing_time(
         sup_tmix=sup,
         argmax_s=argmax,
         eps=eps,
-        grid_resolution=resolution if refined else float(base[1] - base[0]),
+        grid_resolution=resolution if refined else base[1] - base[0],
         per_s_samples=ordered,
     )

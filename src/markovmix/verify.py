@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveEpsError,
     _check_eps,
 )
-from .mixing import SupMixingResult, mixing_time, sup_mixing_time
+from .mixing import DEFAULT_MIXING_CAP, SupMixingResult, _chunks, _mixing_scans, sup_mixing_time
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound
 
 PROP3_HORIZONS = (10, 50, 200)
@@ -121,11 +121,14 @@ class _Skip(Exception):
 
 @dataclass(frozen=True)
 class _Inputs:
-    """What the checks read at one eps; ``cor1`` is None when eps >= 1/sqrt(n)."""
+    """What the checks read at one eps; ``cor1`` is None when eps >= 1/sqrt(n).
+
+    ``sweep`` holds the PROP2 kernels as (label, kernel, mixing time at eps).
+    """
 
     pair: ChainPair
     eps: float
-    kernels: list
+    sweep: list
     prop3: list
     sup: SupMixingResult
     cor1: float | None
@@ -144,9 +147,8 @@ def _prop1(c: _Inputs):
     return float(res.t_ad), float(res.certified_horizon), res.t_ad <= res.certified_horizon, detail
 
 
-def _prop2(c: _Inputs, label: str, kernel):
+def _prop2(c: _Inputs, label: str, kernel, t: int):
     """Spectral lower bound on the mixing time of one kernel of the sweep."""
-    t = mixing_time(kernel, c.eps).tmix
     bound = mixing_lower_bound(kernel, c.eps)
     if bound <= 0.0:
         return float(t), bound, True, f"kernel={label} (vacuous)"
@@ -207,7 +209,7 @@ def _thm3(c: _Inputs):
 # Report order: (bound id, check, the argument tuples it runs on at one eps).
 _CHECKS = (
     ("PROP1", _prop1, lambda c: [()]),
-    ("PROP2", _prop2, lambda c: c.kernels),
+    ("PROP2", _prop2, lambda c: c.sweep),
     ("PROP3", _prop3, lambda c: c.prop3),
     ("PROP4", _prop4, lambda c: [()]),
     ("COR1", _cor1, lambda c: [()]),
@@ -245,6 +247,9 @@ def verify_all(
     kernels = [("P0", pair.p0), ("P1", pair.p1)] + [
         (f"s={s:.1f}", interpolate(pair, float(s))) for s in np.linspace(0.0, 1.0, 11)
     ]
+    labels = [label for label, _ in kernels]
+    stack = np.stack([kernel.entries for _, kernel in kernels])
+    pis = _stationary_stack(stack)  # the sweep's kernels are ergodic (see ChainPair)
     prop3 = [(T, prop3_check(pair, T)) for T in PROP3_HORIZONS]
 
     for eps in eps_values:
@@ -254,7 +259,13 @@ def verify_all(
             cor1 = cor1_delta(pair.n, eps, sup.sup_tmix)
         except EpsTooLargeError:
             cor1 = None
-        c = _Inputs(pair, eps, kernels, prop3, sup, cor1, corridor_cap, horizon_cap)
+        tmix = [
+            res
+            for part in _chunks(len(stack), pair.n)
+            for res in _mixing_scans(stack[part], pis[part], eps, DEFAULT_MIXING_CAP, labels[part])
+        ]
+        sweep = [(*kernel, res.tmix) for kernel, res in zip(kernels, tmix)]
+        c = _Inputs(pair, eps, sweep, prop3, sup, cor1, corridor_cap, horizon_cap)
         for bound_id, check, cases in _CHECKS:
             for args in cases(c):
                 try:

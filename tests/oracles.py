@@ -119,3 +119,80 @@ def stable_scan_reference(pair, eps: float, cap: int):
     raise CapExceededError(
         f"no T <= {cap} kept the corridor strictly below eps = {eps!r}", trace=trace
     )
+
+
+def mixing_scan_reference(P: np.ndarray, pi: np.ndarray, eps: float, cap: int):
+    """The per-kernel mixing scan: one kernel powered and checked at every T.
+
+    The reference for the batched ``_mixing_scans``, which must give the
+    same MixingResult bit for bit and raise the same errors.
+    """
+    from markovmix import IterationCapError, MixingResult, NumericalBreakdownError
+    from markovmix.mixing import PASS_SLACK
+
+    M = np.array(P)
+    prev = np.inf
+    for T in range(1, cap + 1):
+        gaps = 0.5 * np.abs(M - pi).sum(axis=1)
+        worst = int(np.argmax(gaps))
+        gap = float(gaps[worst])
+        if gap > prev + PASS_SLACK:
+            raise NumericalBreakdownError(
+                f"max TV gap increased from {prev!r} to {gap!r} at T={T}; numerical breakdown"
+            )
+        if gap <= eps + PASS_SLACK:
+            return MixingResult(tmix=T, eps=eps, worst_state=worst, final_gap=gap)
+        prev = gap
+        M = M @ P
+    raise IterationCapError(f"no T <= {cap} reached eps = {eps!r}")
+
+
+def sup_mixing_reference(pair, eps: float, grid_points: int = 101, refine_depth: int = 4):
+    """The one-sample-at-a-time sup mixing time: a stack of one per s, refined depth first.
+
+    The reference for ``sup_mixing_time``, which scans each refinement
+    level as one stack and must sample the same s values.
+    """
+    from markovmix import SupMixingResult
+    from markovmix.chains import _interp_stack, _stationary_stack
+    from markovmix.mixing import DEFAULT_MIXING_CAP
+
+    def eval_at(s: float) -> int:
+        Ps = _interp_stack(pair, np.array([s]))
+        return mixing_scan_reference(Ps[0], _stationary_stack(Ps)[0], eps, DEFAULT_MIXING_CAP).tmix
+
+    base = np.linspace(0.0, 1.0, grid_points)
+    samples = {float(s): eval_at(float(s)) for s in base}
+    resolution = 10.0 ** (-refine_depth)
+    stack = [
+        (float(base[i]), float(base[i + 1]))
+        for i in range(grid_points - 1)
+        if samples[float(base[i])] != samples[float(base[i + 1])]
+    ]
+    refined = bool(stack)
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo <= resolution:
+            continue
+        mid = 0.5 * (lo + hi)
+        if mid not in samples:
+            samples[mid] = eval_at(mid)
+        if samples[mid] != samples[lo]:
+            stack.append((lo, mid))
+        if samples[mid] != samples[hi]:
+            stack.append((mid, hi))
+
+    sup = max(samples.values())
+    if samples[0.0] == sup:
+        argmax = 0.0
+    elif samples[1.0] == sup:
+        argmax = 1.0
+    else:
+        argmax = min(s for s, t in samples.items() if t == sup)
+    return SupMixingResult(
+        sup_tmix=sup,
+        argmax_s=argmax,
+        eps=eps,
+        grid_resolution=resolution if refined else float(base[1] - base[0]),
+        per_s_samples=tuple(sorted(samples.items())),
+    )

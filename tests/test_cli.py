@@ -1,6 +1,7 @@
 """CLI subcommands, output schemas, and the exit-code contract."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +302,14 @@ class TestExitCodes:
         code = main(["adiabatic", "--chain", str(pair_file), "--epsilon", "0.1"])
         assert code == EXIT_BREAKDOWN
         assert "numerical breakdown" in capsys.readouterr().err
+
+    def test_mixing_breakdown_exit(self, pair_file, monkeypatch, capsys):
+        # a kernel whose rows sum to 1.5 gains mass, so its scan's gap rises
+        grown = lambda args, pair: ("P0", SimpleNamespace(entries=1.5 * pair.p0.entries))
+        monkeypatch.setattr(cli, "_kernel_for", grown)
+        code = main(["mixing", "--chain", str(pair_file), "--epsilon", "0.01"])
+        assert code == EXIT_BREAKDOWN
+        assert "kernel 0: max TV gap increased" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--chain", str(tmp_path / "nope.json")]) == EXIT_VALIDATION

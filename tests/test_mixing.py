@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import markovmix.mixing as mixing
 from markovmix import (
     ChainPair,
     IterationCapError,
     NonFiniteError,
     NonPositiveEpsError,
     NotErgodicError,
+    NumericalBreakdownError,
     OutOfRangeError,
     interpolate,
     mixing_time,
@@ -23,7 +25,16 @@ from markovmix import (
     validate_stochastic,
 )
 
-from oracles import brute_mixing_time, two_state_tmix, two_state_worst_gap
+from markovmix.chains import _stationary_stack
+from markovmix.mixing import DEFAULT_MIXING_CAP, _mixing_scans
+
+from oracles import (
+    brute_mixing_time,
+    mixing_scan_reference,
+    sup_mixing_reference,
+    two_state_tmix,
+    two_state_worst_gap,
+)
 
 
 class TestMixingTime:
@@ -113,6 +124,82 @@ class TestMixingTime:
             mixing_time(cycle, 0.1)
 
 
+def _references(Ps, pis, eps, cap=DEFAULT_MIXING_CAP):
+    return [mixing_scan_reference(P, pi, eps, cap) for P, pi in zip(Ps, pis)]
+
+
+# Stacks of random dense kernels, each mixed with the identity by its own
+# laziness, so that the kernels of one stack retire at different T.
+dense_stacks = st.builds(
+    lambda n, seeds, lazies: np.stack(
+        [
+            (1.0 - a) * random_dense(n, seed=seed).entries + a * np.eye(n)
+            for seed, a in zip(seeds, lazies)
+        ]
+    ),
+    n=st.integers(2, 8),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6),
+    lazies=st.lists(st.sampled_from([0.0, 0.5, 0.8, 0.95]), min_size=1, max_size=6),
+)
+
+
+class TestBatchedMixingScan:
+    @settings(max_examples=60)
+    @given(Ps=dense_stacks, eps=st.sampled_from([0.3, 0.1, 0.05, 0.01, 1e-4]))
+    def test_equals_per_kernel_reference(self, Ps, eps):
+        pis = _stationary_stack(Ps)
+        assert _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP) == _references(Ps, pis, eps)
+
+    def test_several_chunks_same_results(self, suite_chains, suite_pairs, monkeypatch):
+        Ps = np.stack([P.entries for name, P in suite_chains.items() if P.n == 5])
+        pis = _stationary_stack(Ps)
+        whole = _mixing_scans(Ps, pis, 0.01, DEFAULT_MIXING_CAP)
+        assert len({r.tmix for r in whole}) > 1
+        pair = suite_pairs["complete5-to-bd5"]
+        sup = sup_mixing_time(pair, 0.05)
+        # two kernels per chunk: four 5 x 5 float arrays each
+        monkeypatch.setattr(mixing, "_SCAN_STACK_BUDGET", 2 * 4 * 8 * 5 * 5)
+        parts = mixing._chunks(len(Ps), 5)
+        assert len(parts) == 2
+        chunked = [_mixing_scans(Ps[part], pis[part], 0.01, DEFAULT_MIXING_CAP) for part in parts]
+        assert chunked[0] + chunked[1] == whole == _references(Ps, pis, 0.01)
+        assert sup_mixing_time(pair, 0.05) == sup
+
+    def test_cap_raises_for_the_stack(self, lazy):
+        Ps = np.stack([lazy.entries, np.full((2, 2), 0.5)])
+        pis = _stationary_stack(Ps)
+        with pytest.raises(IterationCapError):
+            _mixing_scans(Ps, pis, 1e-6, 3)
+        with pytest.raises(IterationCapError):
+            mixing_scan_reference(Ps[0], pis[0], 1e-6, 3)
+
+    def test_rising_gap_is_a_breakdown(self, lazy):
+        # The max gap of a stochastic kernel to any fixed target never rises
+        # (each row of P^(T+1) is a convex mix of rows of P^T), so the broken
+        # kernel here gains mass: its rows sum to 1.5. The one-step mixer
+        # in front retires at T = 1, before the breakdown at T = 2.
+        Ps = np.stack([np.full((2, 2), 0.5), lazy.entries, 1.5 * lazy.entries])
+        pis = np.full((3, 2), 0.5)
+        with pytest.raises(NumericalBreakdownError, match="^kernel 2: .* at T=2; numerical"):
+            _mixing_scans(Ps, pis, 0.01, DEFAULT_MIXING_CAP)
+        with pytest.raises(NumericalBreakdownError, match="^kernel grown: "):
+            _mixing_scans(Ps, pis, 0.01, DEFAULT_MIXING_CAP, labels=["one", "lazy", "grown"])
+        with pytest.raises(NumericalBreakdownError, match="at T=2; numerical"):
+            mixing_scan_reference(Ps[2], pis[2], 0.01, DEFAULT_MIXING_CAP)
+
+    def test_sup_breakdown_names_s(self, lazy_asym_pair, monkeypatch):
+        interp = mixing._interp_stack
+
+        def broken_at_half(pair, ss):
+            Ps = interp(pair, ss)
+            Ps[ss == 0.5] *= 1.5
+            return Ps
+
+        monkeypatch.setattr(mixing, "_interp_stack", broken_at_half)
+        with pytest.raises(NumericalBreakdownError, match="^kernel s=0.5: "):
+            sup_mixing_time(lazy_asym_pair, 0.05)
+
+
 class TestSupMixingTime:
     def test_constant_family(self, lazy):
         res = sup_mixing_time(ChainPair(lazy, lazy), 0.05)
@@ -171,6 +258,21 @@ class TestSupMixingTime:
         res = sup_mixing_time(pair, eps, grid_points=11)
         for s, t in res.per_s_samples:
             assert t == mixing_time(interpolate(pair, s), eps).tmix, s
+
+    @pytest.mark.parametrize("eps", [0.15, 0.05, 0.025])
+    def test_matches_one_sample_reference(self, suite_pairs, eps):
+        refined = 0
+        for name, pair in suite_pairs.items():
+            res = sup_mixing_time(pair, eps)
+            ref = sup_mixing_reference(pair, eps)
+            assert res == ref, name  # per_s_samples, argmax_s, grid_resolution and all
+            refined += len(res.per_s_samples) > 101
+        assert refined
+
+    def test_matches_one_sample_reference_at_n40(self):
+        # 20 kernels per chunk, with row sums long enough for pairwise summation
+        pair = ChainPair(random_dense(40, seed=7), random_dense(40, seed=8))
+        assert sup_mixing_time(pair, 0.05) == sup_mixing_reference(pair, 0.05)
 
     def test_bad_grid(self, lazy_asym_pair):
         with pytest.raises(OutOfRangeError):

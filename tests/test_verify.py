@@ -2,9 +2,11 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+import markovmix.mixing as mixing
 from markovmix import (
     BoundEntry,
     BoundReport,
@@ -13,6 +15,7 @@ from markovmix import (
     NonPositiveEpsError,
     verify_all,
 )
+from markovmix.chains import _stationary_stack
 from markovmix.verify import BOUND_IDS
 
 from conftest import build_suite_pairs
@@ -101,6 +104,30 @@ class TestVerifyAll:
         assert details[0] == "kernel=P0"
         assert details[1] == "kernel=P1"
         assert len(details) == 13
+
+    def test_sweep_in_chunks_same_report(self, lazy_asym_pair, forward_report, monkeypatch):
+        # two sweep kernels per chunk: four 2 x 2 float arrays each
+        monkeypatch.setattr(mixing, "_SCAN_STACK_BUDGET", 2 * 4 * 8 * 2 * 2)
+        report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
+        assert report.to_json() == forward_report.to_json()
+
+    def test_stationary_solves_stay_batched(self, lazy_asym_pair, forward_report, monkeypatch):
+        # 27 stacks: each sup-mixing refinement level and the PROP2 sweep is
+        # one stack; a solve per sample and per sweep kernel would make 252
+        calls = []
+
+        def counted(Ps):
+            calls.append(len(Ps))
+            return _stationary_stack(Ps)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "markovmix":
+                for attr, value in list(vars(module).items()):
+                    if value is _stationary_stack:
+                        monkeypatch.setattr(module, attr, counted)
+        report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
+        assert report.to_json() == forward_report.to_json()
+        assert len(calls) <= 30
 
 
 class TestReportSerialization:
