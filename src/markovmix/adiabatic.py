@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, Distribution, _interp_stack, _stationary_stack
+from .chains import ChainPair, Distribution, _chunk, _interp_stack, _row_tv, _stationary_stack
 from .errors import (
     CapExceededError,
     HorizonCapError,
@@ -32,16 +32,6 @@ BOUND_SLACK = 1e-10
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
 DEFAULT_HORIZON_CAP = 10**5
-
-# Byte budget for the (chunk, n, n) stacks of the batched scans and of the
-# streamed corridor; horizons or steps are taken in chunks that stay within it.
-_GAPS_STACK_BUDGET = 4 * 2**20
-
-
-def _chunk(n: int, extra: int) -> int:
-    """How many items of three n x n kernels plus ``extra`` floats fit the budget."""
-    return max(1, _GAPS_STACK_BUDGET // (8 * (3 * n * n + extra)))
-
 
 def ceil_int(x: float, rel: float = 1e-12) -> int:
     """Ceiling, at least 1, that snaps to the nearest integer within rounding noise.
@@ -100,14 +90,14 @@ def corridor(pair: ChainPair, T: int) -> Corridor:
     """Compute the full corridor at horizon T.
 
     O(T) matrix-vector products plus T stationary solves, batched over
-    chunks of steps whose kernel stacks fit the byte budget, so memory is
+    chunks of steps whose kernel stacks fit the stack budget, so memory is
     O(chunk n^2 + T n) whatever the horizon.
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     n = pair.n
     # per step: the kernel and the solve's working copies, plus mu, target and t
-    chunk = _chunk(n, 4 * n)
+    chunk = _chunk(3 * n * n + 4 * n)
     mu = np.array(pair.pi0.mass)
     for lo in range(0, T, chunk):
         hi = min(lo + chunk, T)
@@ -123,7 +113,7 @@ def corridor(pair: ChainPair, T: int) -> Corridor:
             if s != 1.0:
                 mu /= s
             mus[lo + k] = mu
-        gaps[lo:hi] = 0.5 * np.abs(mus[lo:hi] - targets[lo:hi]).sum(axis=1)
+        gaps[lo:hi] = _row_tv(mus[lo:hi], targets[lo:hi])
     return Corridor(T=T, mus=mus, targets=targets, gaps=gaps)
 
 
@@ -135,50 +125,33 @@ def adiabatic_distance(pair: ChainPair, T: int) -> float:
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
-    p0, p1 = pair.p0.entries, pair.p1.entries
-    M = np.array(p0)
-    for k in range(1, T + 1):
-        t = k / T
-        M = M @ ((1.0 - t) * p0 + t * p1)
-    pi1 = pair.pi1.mass
-    return float((0.5 * np.abs(M - pi1).sum(axis=1)).max())
+    return float(_adiabatic_gaps(pair, [T])[0])
 
 
 def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
     """``adiabatic_distance(pair, T)`` for every T in the ascending ``Ts``.
 
     All horizons advance together: at step k every unfinished horizon T
-    multiplies its partial product by its own P_{k/T}, built from the same
-    floats as :func:`adiabatic_distance`, so the gaps agree bit for bit.
-    Horizons are taken in chunks whose three (chunk, n, n) stacks fit the
-    byte budget, so memory does not grow with the largest horizon.
+    multiplies its partial product by its own P_{k/T}, and each keeps its
+    own product sequence, so every gap equals a scan of its horizon alone
+    bit for bit. Horizons are taken in chunks within the stack budget, so
+    memory does not grow with the largest horizon.
     """
     Ts = np.asarray(Ts, dtype=np.int64)
     n = pair.n
-    p0, p1, pi1 = pair.p0.entries, pair.p1.entries, pair.pi1.mass
     gaps = np.empty(len(Ts))
     # per horizon: the product, its successor and the kernel, plus the t's
-    chunk = min(len(Ts), _chunk(n, 4))
-    stacks = [np.empty((chunk, n, n)) for _ in range(3)]
+    chunk = _chunk(3 * n * n + 4)
     for lo in range(0, len(Ts), chunk):
-        hs = Ts[lo : lo + chunk]
-        M, nxt, P = (a[: len(hs)] for a in stacks)
-        M[:] = p0
-        first = 0
+        hs, out = Ts[lo : lo + chunk], gaps[lo : lo + chunk]
+        M = np.tile(pair.p0.entries, (len(hs), 1, 1))
         for k in range(1, int(hs[-1]) + 1):
-            # horizons below k are finished; the rest form the suffix hs[first:]
-            t = (k / hs[first:])[:, None, None]
-            Pk, Nk = P[first:], nxt[first:]
-            np.multiply(1.0 - t, p0, out=Pk)
-            np.multiply(t, p1, out=Nk)
-            np.add(Pk, Nk, out=Pk)
-            np.matmul(M[first:], Pk, out=Nk)
-            M, nxt = nxt, M
-            done = first + int(np.searchsorted(hs[first:], k, side="right"))
-            if done > first:
-                dev = 0.5 * np.abs(M[first:done] - pi1).sum(axis=2)
-                gaps[lo + first : lo + done] = dev.max(axis=1)
-                first = done
+            M = np.matmul(M, _interp_stack(pair, k / hs))
+            # horizons are ascending, so the finished ones leave from the front
+            done = int(np.searchsorted(hs, k, side="right"))
+            if done:
+                out[:done] = _row_tv(M[:done], pair.pi1.mass).max(axis=1)
+                hs, out, M = hs[done:], out[done:], M[done:]
     return gaps
 
 
@@ -223,7 +196,7 @@ def _tail_from(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> 
     no room left the bound certifies nothing and T_c is the horizon.
     """
     m = mix.tmix
-    L = float((0.5 * np.abs(pair.p0.entries - pair.p1.entries).sum(axis=1)).max())
+    L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
     radius = 2 * (horizon + 1) * (pair.n + 2) * 2.0**-53
     room = eps - mix.final_gap - radius
     if room <= 0.0:
@@ -295,7 +268,7 @@ def stable_adiabatic_time(
     The definition takes a plain infimum over T (no requirement on larger
     T), and corridor feasibility is not known to be monotone in T, so every
     T is checked in order. Horizons go in blocks, about half as many as
-    already scanned and at least 32, within the byte budget; every live
+    already scanned and at least 32, within the stack budget; every live
     horizon of a block advances one step k at a time, with its kernel and
     target built from the same floats as :func:`corridor`, and is dropped at
     its first gap that reaches eps by more than the rounding margin. A
@@ -317,7 +290,7 @@ def stable_adiabatic_time(
     trace: list[tuple[int, float]] = []
     lo = 1
     while lo <= cap:
-        size = min(max(32, (lo - 1) // 2), _chunk(n, 4 * n), cap - lo + 1)
+        size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
         hs = np.arange(lo, lo + size)
         ruled_out = np.empty(size)
         live = np.arange(size)  # positions in hs, ascending
@@ -327,7 +300,7 @@ def stable_adiabatic_time(
             targets = _stationary_stack(Ps)
             mus = np.matmul(mus[:, None, :], Ps)[:, 0, :]
             mus /= mus.sum(axis=1, keepdims=True)
-            gaps = 0.5 * np.abs(mus - targets).sum(axis=1)
+            gaps = _row_tv(mus, targets)
             out = gaps >= eps + (k + 1) * margin
             ruled_out[live[out]] = gaps[out]
             live, mus = live[~out], mus[~out]
@@ -367,7 +340,7 @@ def prop3_check(pair: ChainPair, T: int) -> list[CorridorDriftRow]:
     cor = corridor(pair, T)
     pi0 = pair.pi0.mass
     ks = np.arange(1, T + 1)
-    rhs = 0.5 * np.abs(cor.targets - pi0).sum(axis=1) + (ks + 1) ** 2 / (2.0 * T)
+    rhs = _row_tv(cor.targets, pi0) + (ks + 1) ** 2 / (2.0 * T)
     rows = []
     for k in range(1, T + 1):
         lhs = float(cor.gaps[k - 1])

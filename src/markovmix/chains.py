@@ -33,6 +33,12 @@ ROW_SUM_TOLERANCE = 1e-9
 DISTRIBUTION_TOLERANCE = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-12
 
+# Byte budget for the working stack of every batched scan, sized to a 2 MiB
+# L2 cache. Each caller counts the floats one stacked item needs; a mixing
+# scan's four n x n arrays per kernel make three kernels per chunk at
+# n = 100 and one from n = 129 up. Chunks that fall out of cache scan slower.
+_STACK_BUDGET = 2**20
+
 # Renormalization fixpoint: sums within a few ulp of 1.0 are left untouched,
 # which makes validation idempotent (bitwise round trips) even for the rare
 # rows where IEEE summation cannot land on 1.0 exactly.
@@ -257,6 +263,11 @@ def structure(P: StochasticMatrix) -> StructureReport:
     return StructureReport(True, period, period == 1)
 
 
+def _chunk(floats: int) -> int:
+    """How many items of ``floats`` float64 values each fit the stack budget, at least one."""
+    return max(1, _STACK_BUDGET // (8 * floats))
+
+
 def _interp_stack(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
     """The (len(ts), n, n) stack of raw kernels (1 - t) P0 + t P1."""
     t = ts[:, None, None]
@@ -329,15 +340,16 @@ def stationary(P: StochasticMatrix) -> Distribution:
     return Distribution(_stationary_stack(P.entries[None])[0])
 
 
-def _tv(a: np.ndarray, b: np.ndarray) -> float:
-    return float(0.5 * np.abs(a - b).sum())
+def _row_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Total variation distance between matching rows (the last axis) of ``a`` and ``b``."""
+    return 0.5 * np.abs(a - b).sum(axis=-1)
 
 
 def tv_distance(a: Distribution, b: Distribution) -> float:
     """Total variation distance, half the l1 distance; a value in [0, 1]."""
     if a.n != b.n:
         raise DimensionMismatchError(f"dimensions differ: {a.n} vs {b.n}")
-    return _tv(a.mass, b.mass)
+    return float(_row_tv(a.mass, b.mass))
 
 
 def evolve(nu: Distribution, P: StochasticMatrix) -> Distribution:

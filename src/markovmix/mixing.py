@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, StochasticMatrix, _interp_stack, _stationary_stack, stationary
+from .chains import ChainPair, StochasticMatrix, _chunk, _interp_stack, _stationary_stack, stationary
 from .errors import (
     IterationCapError,
     NumericalBreakdownError,
@@ -54,20 +54,6 @@ class SupMixingResult:
     per_s_samples: tuple[tuple[float, int], ...]
 
 
-# Byte budget for the working stacks of one batched scan (four n x n arrays
-# per kernel), sized to a 2 MiB L2 cache: a chunk is three kernels at
-# n = 100 and one from n = 129 up. Chunks that fall out of cache scan
-# slower, and one kernel per chunk at n = 100 pays the per-step
-# bookkeeping alone.
-_SCAN_STACK_BUDGET = 2**20
-
-
-def _chunks(count: int, n: int):
-    """Slices of a stack of ``count`` n x n kernels, each within the scan budget."""
-    size = max(1, _SCAN_STACK_BUDGET // (8 * 4 * n * n))
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
-
-
 def _mixing_scans(
     Ps: np.ndarray, pis: np.ndarray, eps: float, cap: int, labels=None
 ) -> list[MixingResult]:
@@ -80,14 +66,14 @@ def _mixing_scans(
     nonincreasing in T (contraction toward stationarity); a rise beyond
     ``PASS_SLACK`` raises NumericalBreakdownError naming the kernel by its
     entry in ``labels`` (default: its stack position). Callers take their
-    stacks in ``_chunks``.
+    stacks in chunks of ``_chunk(4 * n * n)``: four n x n arrays a kernel.
     """
     labels = range(len(Ps)) if labels is None else labels
     results: list = [None] * len(Ps)
     live = np.arange(len(Ps))
     P, pi, M = Ps, pis[:, None, :], Ps.copy()
-    # written in place at every step: a fresh n x n array per step would
-    # cost more than the arithmetic at large n
+    # written in place at every step, rather than by chains._row_tv: a fresh
+    # n x n array per step would cost more than the arithmetic at large n
     diff, spare = np.empty_like(M), np.empty_like(M)
     prev = np.inf
     for T in range(1, cap + 1):
@@ -127,7 +113,8 @@ def sup_mixing_time(
     """Max mixing time over a uniform s-grid, refined around every jump.
 
     Adjacent grid points with different mixing times are bisected until the
-    interval width drops below 10^-refine_depth. Ties for the max prefer the
+    interval width drops below 10^-refine_depth or its midpoint rounds onto
+    an end (one ulp wide, from depth 16 on). Ties for the max prefer the
     endpoints s = 0 then s = 1, then the smallest sampled s.
     """
     if grid_points < 2:
@@ -140,7 +127,8 @@ def sup_mixing_time(
 
     def scan(ss: list[float]) -> None:
         # the interpolants of an ergodic pair are ergodic (see ChainPair)
-        for part in _chunks(len(ss), pair.n):
+        size = _chunk(4 * pair.n * pair.n)
+        for part in [slice(lo, lo + size) for lo in range(0, len(ss), size)]:
             Ps = _interp_stack(pair, np.array(ss[part]))
             labels = [f"s={s!r}" for s in ss[part]]
             found = _mixing_scans(Ps, _stationary_stack(Ps), eps, DEFAULT_MIXING_CAP, labels)
@@ -150,7 +138,8 @@ def sup_mixing_time(
     scan(base)
 
     # Bisect every interval whose ends differ, one level at a time; each
-    # level's new midpoints are scanned as one stack.
+    # level's new midpoints are scanned as one stack. A midpoint that rounds
+    # onto an end (an interval one ulp wide) splits nothing.
     resolution = 10.0 ** (-refine_depth)
     jumps = [(lo, hi) for lo, hi in zip(base, base[1:]) if samples[lo] != samples[hi]]
     refined = bool(jumps)
@@ -161,7 +150,7 @@ def sup_mixing_time(
             half
             for (lo, hi), mid in zip(jumps, mids)
             for half in ((lo, mid), (mid, hi))
-            if samples[half[0]] != samples[half[1]]
+            if lo < mid < hi and samples[half[0]] != samples[half[1]]
         ]
 
     sup = max(samples.values())

@@ -23,7 +23,7 @@ from .adiabatic import (
     theorem3_horizon,
 )
 from .chainfile import _json_text
-from .chains import ChainPair, _interp_stack, _stationary_stack, interpolate
+from .chains import ChainPair, StochasticMatrix, _chunk, _interp_stack, _row_tv, _stationary_stack
 from .errors import (
     CapExceededError,
     EpsTooLargeError,
@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveEpsError,
     _check_eps,
 )
-from .mixing import DEFAULT_MIXING_CAP, SupMixingResult, _chunks, _mixing_scans, sup_mixing_time
+from .mixing import DEFAULT_MIXING_CAP, SupMixingResult, _mixing_scans, sup_mixing_time
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound
 
 PROP3_HORIZONS = (10, 50, 200)
@@ -112,7 +112,7 @@ def _grid_max_tv(pair: ChainPair, delta: float) -> float:
     """Max TV between pi_s and pi_0 over a uniform s-grid on [0, delta]."""
     ss = np.linspace(0.0, delta, GRID_CHECK_POINTS)
     pis = _stationary_stack(_interp_stack(pair, ss))
-    return float((0.5 * np.abs(pis - pair.pi0.mass).sum(axis=1)).max())
+    return float(_row_tv(pis, pair.pi0.mass).max())
 
 
 class _Skip(Exception):
@@ -244,12 +244,13 @@ def verify_all(
     caps_hit: list[str] = []
     resolutions: list[float] = []
 
-    kernels = [("P0", pair.p0), ("P1", pair.p1)] + [
-        (f"s={s:.1f}", interpolate(pair, float(s))) for s in np.linspace(0.0, 1.0, 11)
-    ]
-    labels = [label for label, _ in kernels]
-    stack = np.stack([kernel.entries for _, kernel in kernels])
+    ss = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 11)))
+    labels = ["P0", "P1"] + [f"s={s:.1f}" for s in ss[2:]]
+    stack = _interp_stack(pair, ss)  # its P_0 and P_1 are P0 and P1 bit for bit
+    kernels = [StochasticMatrix(P) for P in stack]
     pis = _stationary_stack(stack)  # the sweep's kernels are ergodic (see ChainPair)
+    size = _chunk(4 * pair.n * pair.n)  # the mixing scan's four n x n arrays per kernel
+    parts = [slice(lo, lo + size) for lo in range(0, len(stack), size)]
     prop3 = [(T, prop3_check(pair, T)) for T in PROP3_HORIZONS]
 
     for eps in eps_values:
@@ -260,11 +261,11 @@ def verify_all(
         except EpsTooLargeError:
             cor1 = None
         tmix = [
-            res
-            for part in _chunks(len(stack), pair.n)
+            res.tmix
+            for part in parts
             for res in _mixing_scans(stack[part], pis[part], eps, DEFAULT_MIXING_CAP, labels[part])
         ]
-        sweep = [(*kernel, res.tmix) for kernel, res in zip(kernels, tmix)]
+        sweep = list(zip(labels, kernels, tmix))
         c = _Inputs(pair, eps, sweep, prop3, sup, cor1, corridor_cap, horizon_cap)
         for bound_id, check, cases in _CHECKS:
             for args in cases(c):

@@ -64,6 +64,21 @@ def corridor_oracle(P0: np.ndarray, P1: np.ndarray, T: int):
     return np.array(mus), np.array(targets), np.array(gaps)
 
 
+def adiabatic_distance_reference(pair, T: int) -> float:
+    """The single-horizon adiabatic product: one loop of T + 1 two-dimensional products.
+
+    The reference for the batched ``_adiabatic_gaps``, and so for
+    ``adiabatic_distance``, which must give the same gap bit for bit: every
+    factor is built from the same floats and multiplied in the same order.
+    """
+    p0, p1 = pair.p0.entries, pair.p1.entries
+    M = np.array(p0)
+    for k in range(1, T + 1):
+        t = k / T
+        M = M @ ((1.0 - t) * p0 + t * p1)
+    return float((0.5 * np.abs(M - pair.pi1.mass).sum(axis=1)).max())
+
+
 def adiabatic_distance_oracle(P0: np.ndarray, P1: np.ndarray, T: int) -> float:
     M = P0.copy()
     for k in range(1, T + 1):
@@ -172,9 +187,10 @@ def sup_mixing_reference(pair, eps: float, grid_points: int = 101, refine_depth:
     refined = bool(stack)
     while stack:
         lo, hi = stack.pop()
-        if hi - lo <= resolution:
-            continue
         mid = 0.5 * (lo + hi)
+        # an interval one ulp wide, whose midpoint rounds onto an end, is not split
+        if hi - lo <= resolution or not lo < mid < hi:
+            continue
         if mid not in samples:
             samples[mid] = eval_at(mid)
         if samples[mid] != samples[lo]:

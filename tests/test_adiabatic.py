@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import markovmix.adiabatic as adiabatic
+import markovmix.chains as chains
 from markovmix import (
     CapExceededError,
     ChainError,
@@ -37,6 +38,7 @@ from markovmix.mixing import PASS_SLACK
 
 from oracles import (
     adiabatic_distance_oracle,
+    adiabatic_distance_reference,
     corridor_oracle,
     stable_scan_reference,
     two_state_stationary,
@@ -112,11 +114,11 @@ class TestCorridor:
         for name in ("complete5-to-bd5", "dense6-to-dense6", "lazy-to-asym"):
             pair = suite_pairs[name]
             n = pair.n
-            monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", 2**40)
+            monkeypatch.setattr(chains, "_STACK_BUDGET", 2**40)
             whole = corridor(pair, 300)
             # one step per chunk, seven per chunk, and the default budget
-            for budget in (1, 7 * 8 * (3 * n * n + 4 * n), 4 * 2**20):
-                monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", budget)
+            for budget in (1, 7 * 8 * (3 * n * n + 4 * n), 2**20):
+                monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
                 part = corridor(pair, 300)
                 for field in ("mus", "targets", "gaps"):
                     np.testing.assert_array_equal(
@@ -167,6 +169,12 @@ class TestAdiabaticDistance:
                     np.array(pair.p0.entries), np.array(pair.p1.entries), T
                 )
                 assert got == pytest.approx(want, abs=1e-9), (name, T)
+
+    def test_equals_the_loop_reference(self, suite_pairs):
+        for name, pair in suite_pairs.items():
+            for T in (1, 2, 7, 40):
+                got = adiabatic_distance(pair, T)
+                assert got.hex() == adiabatic_distance_reference(pair, T).hex(), (name, T)
 
     def test_dirac_starts_suffice(self, lazy_asym_pair):
         rng = np.random.default_rng(43)
@@ -234,7 +242,7 @@ class TestAdiabaticTime:
 
 
 def _loop_gaps(pair, H):
-    return np.array([adiabatic_distance(pair, T) for T in range(1, H + 1)])
+    return np.array([adiabatic_distance_reference(pair, T) for T in range(1, H + 1)])
 
 
 dense_pairs = st.builds(
@@ -246,7 +254,7 @@ dense_pairs = st.builds(
 
 
 class TestBatchedAdiabaticGaps:
-    """The all-horizons kernel against the single-horizon loop and the oracle."""
+    """The all-horizons kernel against the single-horizon loop reference and the oracle."""
 
     @settings(max_examples=40)
     @given(pair=dense_pairs, H=st.integers(1, 60))
@@ -276,7 +284,7 @@ class TestBatchedAdiabaticGaps:
             n = pair.n
             # one horizon per chunk, then seven per chunk
             for budget in (1, 7 * 8 * (3 * n * n + 4)):
-                monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", budget)
+                monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
                 np.testing.assert_array_equal(_adiabatic_gaps(pair, Ts), whole, err_msg=name)
             monkeypatch.undo()
             np.testing.assert_array_equal(whole, _loop_gaps(pair, 80), err_msg=name)
@@ -308,7 +316,7 @@ class TestBatchedAdiabaticGaps:
     def test_memory_bounded_as_horizon_grows(self, suite_pairs, monkeypatch):
         pair = suite_pairs["dense6-to-dense6"]
         budget = 32 * 1024
-        monkeypatch.setattr(adiabatic, "_GAPS_STACK_BUDGET", budget)
+        monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
         peaks = []
         for H in (100, 400):
             Ts = np.arange(1, H + 1)
@@ -522,7 +530,7 @@ class TestBatchedStableScan:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 # blocks of one or two horizons
-                mp.setattr(adiabatic, "_GAPS_STACK_BUDGET", block * 8 * (3 * n * n + 4 * n))
+                mp.setattr(chains, "_STACK_BUDGET", block * 8 * (3 * n * n + 4 * n))
             _assert_same_scan(pair, eps, 60)
 
     @pytest.mark.parametrize("block", [None, 2])
@@ -531,7 +539,7 @@ class TestBatchedStableScan:
             n = pair.n
             if block is not None:
                 monkeypatch.setattr(
-                    adiabatic, "_GAPS_STACK_BUDGET", block * 8 * (3 * n * n + 4 * n)
+                    chains, "_STACK_BUDGET", block * 8 * (3 * n * n + 4 * n)
                 )
             for eps in (0.05, 0.02):
                 _assert_same_scan(pair, eps, 400)

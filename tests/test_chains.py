@@ -196,6 +196,17 @@ class TestInterpolate:
             with pytest.raises(OutOfRangeError):
                 interpolate(lazy_asym_pair, t)
 
+    def test_equals_the_raw_stack_bit_for_bit(self, suite_pairs):
+        # revalidation changes no entry, so the batched scans, which use the
+        # raw stack, see the same kernels as interpolate at every s checked,
+        # the PROP2 sweep's 11 points included
+        ss = np.concatenate((np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 11)))
+        for name, pair in suite_pairs.items():
+            for s in ss:
+                raw = chains._interp_stack(pair, np.array([s]))[0]
+                checked = interpolate(pair, float(s)).entries
+                np.testing.assert_array_equal(checked, raw, err_msg=(name, s))
+
     def test_validates_on_dense_grid(self, suite_pairs):
         pair = suite_pairs["dense4-to-dense4"]
         for t in np.linspace(0.0, 1.0, 1001):
@@ -393,3 +404,38 @@ class TestChainPair:
         np.testing.assert_allclose(
             lazy_asym_pair.pi1.mass, two_state_stationary(0.2, 0.4), atol=1e-14
         )
+
+
+class TestStackBudget:
+    """Every batched scan takes its chunks from the one budget in chains."""
+
+    def test_mixing_scan_chunk_sizes(self):
+        # four n x n arrays per mixing-scan kernel: three kernels per chunk
+        # at n = 100 and one from n = 129 up, as the README states
+        assert chains._STACK_BUDGET == 2**20
+        assert [chains._chunk(4 * n * n) for n in (100, 128, 129, 200)] == [3, 2, 1, 1]
+
+    def test_one_item_per_chunk_same_results(self, suite_pairs, monkeypatch):
+        from markovmix import corridor, stable_adiabatic_time, sup_mixing_time, verify_all
+        from markovmix.adiabatic import _adiabatic_gaps
+
+        pair = suite_pairs["complete5-to-bd5"]
+
+        def scans():
+            cor = corridor(pair, 120)
+            return {
+                "sweep": verify_all(pair, [0.3], name="budget").to_json(),
+                "sup": sup_mixing_time(pair, 0.05),
+                "gaps": _adiabatic_gaps(pair, np.arange(1, 61)).tolist(),
+                "corridor": [cor.mus.tolist(), cor.targets.tolist(), cor.gaps.tolist()],
+                "stable": stable_adiabatic_time(pair, 0.05),
+            }
+
+        whole = scans()
+        # the default budget holds each of these stacks in one chunk at n = 5
+        assert chains._chunk(3 * 5 * 5 + 4 * 5) >= 120
+        monkeypatch.setattr(chains, "_STACK_BUDGET", 1)
+        assert chains._chunk(4 * 5 * 5) == chains._chunk(3 * 5 * 5 + 4) == 1
+        chunked = scans()
+        for key in whole:
+            assert chunked[key] == whole[key], key

@@ -129,6 +129,12 @@ class TestSubcommands:
         assert payload["sup_tmix"] == 4
         assert payload["argmax_s"] == 0.0
 
+    def test_sup_mixing_deep_refinement_returns(self, capsys, pair_file):
+        argv = ["sup-mixing", "--chain", str(pair_file), "--epsilon", "0.05", "--refine", "16"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert payload["sup_tmix"] == 4
+
     def test_adiabatic(self, capsys, pair_file):
         code, payload = run_json(
             capsys, ["adiabatic", "--chain", str(pair_file), "--epsilon", "0.1"]

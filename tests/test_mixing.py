@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import markovmix.chains as chains
 import markovmix.mixing as mixing
 from markovmix import (
     ChainPair,
@@ -158,9 +159,10 @@ class TestBatchedMixingScan:
         pair = suite_pairs["complete5-to-bd5"]
         sup = sup_mixing_time(pair, 0.05)
         # two kernels per chunk: four 5 x 5 float arrays each
-        monkeypatch.setattr(mixing, "_SCAN_STACK_BUDGET", 2 * 4 * 8 * 5 * 5)
-        parts = mixing._chunks(len(Ps), 5)
-        assert len(parts) == 2
+        monkeypatch.setattr(chains, "_STACK_BUDGET", 2 * 4 * 8 * 5 * 5)
+        size = chains._chunk(4 * 5 * 5)
+        parts = [slice(lo, lo + size) for lo in range(0, len(Ps), size)]
+        assert size == 2 and len(parts) == 2
         chunked = [_mixing_scans(Ps[part], pis[part], 0.01, DEFAULT_MIXING_CAP) for part in parts]
         assert chunked[0] + chunked[1] == whole == _references(Ps, pis, 0.01)
         assert sup_mixing_time(pair, 0.05) == sup
@@ -273,6 +275,32 @@ class TestSupMixingTime:
         # 20 kernels per chunk, with row sums long enough for pairwise summation
         pair = ChainPair(random_dense(40, seed=7), random_dense(40, seed=8))
         assert sup_mixing_time(pair, 0.05) == sup_mixing_reference(pair, 0.05)
+
+    @pytest.mark.parametrize("depth", [16, 30])
+    def test_refinement_stops_at_one_ulp(self, lazy_asym_pair, depth, monkeypatch):
+        # From depth 16 on an interval can shrink to one ulp, where its
+        # midpoint rounds onto an end; such an interval is not split again.
+        # Each level sizes its chunks once, even with no new midpoint, so a
+        # scan that kept splitting fails at the 100th level instead of
+        # running forever.
+        chunk, levels = mixing._chunk, []
+
+        def counted(floats):
+            levels.append(floats)
+            assert len(levels) < 100, "refinement does not terminate"
+            return chunk(floats)
+
+        monkeypatch.setattr(mixing, "_chunk", counted)
+        res = sup_mixing_time(lazy_asym_pair, 0.05, refine_depth=depth)
+        monkeypatch.undo()
+        assert res == sup_mixing_reference(lazy_asym_pair, 0.05, refine_depth=depth)
+        samples = res.per_s_samples
+        jumps = [(a, b) for (a, ta), (b, tb) in zip(samples, samples[1:]) if ta != tb]
+        # one jump, near s = 0.678, one midpoint per level: the base spacing
+        # 0.01 halves to the ulp 2^-53 of s in [0.5, 1) in at most 47 levels
+        assert len(jumps) == 1 and jumps[0][1] == np.nextafter(jumps[0][0], 1.0)
+        assert len(samples) <= 101 + 47
+        assert res.sup_tmix == sup_mixing_time(lazy_asym_pair, 0.05).sup_tmix
 
     def test_bad_grid(self, lazy_asym_pair):
         with pytest.raises(OutOfRangeError):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-import markovmix.mixing as mixing
+import markovmix.chains as chains
 from markovmix import (
     BoundEntry,
     BoundReport,
@@ -107,7 +107,7 @@ class TestVerifyAll:
 
     def test_sweep_in_chunks_same_report(self, lazy_asym_pair, forward_report, monkeypatch):
         # two sweep kernels per chunk: four 2 x 2 float arrays each
-        monkeypatch.setattr(mixing, "_SCAN_STACK_BUDGET", 2 * 4 * 8 * 2 * 2)
+        monkeypatch.setattr(chains, "_STACK_BUDGET", 2 * 4 * 8 * 2 * 2)
         report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
         assert report.to_json() == forward_report.to_json()
 
