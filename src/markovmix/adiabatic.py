@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, Distribution, _chunk, _interp_stack, _row_tv, _stationary_stack
+from .chains import ChainPair, Distribution, _chunk, _family, _interp_stack, _row_tv, _stationary_stack
 from .errors import (
     CapExceededError,
     HorizonCapError,
@@ -96,13 +96,10 @@ def corridor(pair: ChainPair, T: int) -> Corridor:
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     n = pair.n
-    # per step: the kernel and the solve's working copies, plus mu, target and t
-    chunk = _chunk(3 * n * n + 4 * n)
     mu = np.array(pair.pi0.mass)
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        Ps = _interp_stack(pair, np.arange(lo + 1, hi + 1) / T)
-        pis = _stationary_stack(Ps)
+    # per step: the kernel and the solve's working copies, plus mu, target and t
+    for lo, Ps, pis in _family(pair, np.arange(1, T + 1) / T, 3 * n * n + 4 * n):
+        hi = lo + len(Ps)
         if lo == 0:
             # after the first solve, so that a one-chunk corridor peaks no higher
             mus, targets, gaps = np.empty((T, n)), np.empty((T, n)), np.empty(T)

@@ -327,6 +327,18 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
     return pis
 
 
+def _family(pair: ChainPair, ts: np.ndarray, floats: int):
+    """Yield ``(lo, kernels, pis)``, the P_t of ``ts[lo : lo + len(kernels)]`` solved, per chunk.
+
+    Chunks hold ``_chunk(floats)`` kernels, solved with no structure check:
+    the interpolants of an ergodic pair are ergodic (see ChainPair).
+    """
+    size = _chunk(floats)
+    for lo in range(0, len(ts), size):
+        Ps = _interp_stack(pair, ts[lo : lo + size])
+        yield lo, Ps, _stationary_stack(Ps)
+
+
 def stationary(P: StochasticMatrix) -> Distribution:
     """Stationary distribution of an ergodic kernel.
 

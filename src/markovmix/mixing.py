@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, StochasticMatrix, _chunk, _interp_stack, _stationary_stack, stationary
+from .chains import ChainPair, StochasticMatrix, _family, stationary
 from .errors import (
     IterationCapError,
     NumericalBreakdownError,
@@ -42,8 +42,8 @@ class MixingResult:
 class SupMixingResult:
     """Grid estimate of sup over s in [0, 1] of the mixing time of P_s.
 
-    ``sup_tmix`` is a certified lower estimate of the true sup; the finest
-    spacing examined is recorded in ``grid_resolution``. ``per_s_samples``
+    ``sup_tmix`` is a certified lower estimate of the true sup; every jump
+    lies in an interval at most ``grid_resolution`` wide. ``per_s_samples``
     lists every (s, tmix) evaluated, sorted by s.
     """
 
@@ -126,13 +126,10 @@ def sup_mixing_time(
     samples: dict[float, int] = {}
 
     def scan(ss: list[float]) -> None:
-        # the interpolants of an ergodic pair are ergodic (see ChainPair)
-        size = _chunk(4 * pair.n * pair.n)
-        for part in [slice(lo, lo + size) for lo in range(0, len(ss), size)]:
-            Ps = _interp_stack(pair, np.array(ss[part]))
-            labels = [f"s={s!r}" for s in ss[part]]
-            found = _mixing_scans(Ps, _stationary_stack(Ps), eps, DEFAULT_MIXING_CAP, labels)
-            samples.update(zip(ss[part], (r.tmix for r in found)))
+        for lo, Ps, pis in _family(pair, np.array(ss), 4 * pair.n * pair.n):
+            part = ss[lo : lo + len(Ps)]
+            found = _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP, [f"s={s!r}" for s in part])
+            samples.update(zip(part, (r.tmix for r in found)))
 
     base = np.linspace(0.0, 1.0, grid_points).tolist()
     scan(base)
@@ -142,7 +139,6 @@ def sup_mixing_time(
     # onto an end (an interval one ulp wide) splits nothing.
     resolution = 10.0 ** (-refine_depth)
     jumps = [(lo, hi) for lo, hi in zip(base, base[1:]) if samples[lo] != samples[hi]]
-    refined = bool(jumps)
     while jumps := [(lo, hi) for lo, hi in jumps if hi - lo > resolution]:
         mids = [0.5 * (lo + hi) for lo, hi in jumps]
         scan([m for m in mids if m not in samples])
@@ -162,10 +158,12 @@ def sup_mixing_time(
         argmax = min(s for s, t in samples.items() if t == sup)
 
     ordered = tuple(sorted(samples.items()))
+    # the final jump intervals; from depth 16 on one can stop at one ulp, wider than 10^-depth
+    widths = [b - a for (a, ta), (b, tb) in zip(ordered, ordered[1:]) if ta != tb]
     return SupMixingResult(
         sup_tmix=sup,
         argmax_s=argmax,
         eps=eps,
-        grid_resolution=resolution if refined else base[1] - base[0],
+        grid_resolution=max([resolution, *widths]) if widths else base[1] - base[0],
         per_s_samples=ordered,
     )

@@ -23,7 +23,7 @@ from .adiabatic import (
     theorem3_horizon,
 )
 from .chainfile import _json_text
-from .chains import ChainPair, StochasticMatrix, _chunk, _interp_stack, _row_tv, _stationary_stack
+from .chains import ChainPair, StochasticMatrix, _family, _row_tv
 from .errors import (
     CapExceededError,
     EpsTooLargeError,
@@ -111,8 +111,8 @@ class BoundReport:
 def _grid_max_tv(pair: ChainPair, delta: float) -> float:
     """Max TV between pi_s and pi_0 over a uniform s-grid on [0, delta]."""
     ss = np.linspace(0.0, delta, GRID_CHECK_POINTS)
-    pis = _stationary_stack(_interp_stack(pair, ss))
-    return float(_row_tv(pis, pair.pi0.mass).max())
+    chunks = _family(pair, ss, 3 * pair.n**2 + 4 * pair.n)  # a kernel, the solve's copies, pi_s, s
+    return max(float(_row_tv(pis, pair.pi0.mass).max()) for _, _, pis in chunks)
 
 
 class _Skip(Exception):
@@ -244,13 +244,10 @@ def verify_all(
     caps_hit: list[str] = []
     resolutions: list[float] = []
 
-    ss = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 11)))
-    labels = ["P0", "P1"] + [f"s={s:.1f}" for s in ss[2:]]
-    stack = _interp_stack(pair, ss)  # its P_0 and P_1 are P0 and P1 bit for bit
-    kernels = [StochasticMatrix(P) for P in stack]
-    pis = _stationary_stack(stack)  # the sweep's kernels are ergodic (see ChainPair)
-    size = _chunk(4 * pair.n * pair.n)  # the mixing scan's four n x n arrays per kernel
-    parts = [slice(lo, lo + size) for lo in range(0, len(stack), size)]
+    ss = np.linspace(0.0, 1.0, 11)
+    labels = [f"s={s:.1f}" for s in ss]
+    chunks = list(_family(pair, ss, 4 * pair.n * pair.n))  # four n x n arrays per scanned kernel
+    kernels = [StochasticMatrix(P) for _, Ps, _ in chunks for P in Ps]
     prop3 = [(T, prop3_check(pair, T)) for T in PROP3_HORIZONS]
 
     for eps in eps_values:
@@ -262,10 +259,12 @@ def verify_all(
             cor1 = None
         tmix = [
             res.tmix
-            for part in parts
-            for res in _mixing_scans(stack[part], pis[part], eps, DEFAULT_MIXING_CAP, labels[part])
+            for lo, Ps, pis in chunks
+            for res in _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP, labels[lo : lo + len(Ps)])
         ]
-        sweep = list(zip(labels, kernels, tmix))
+        # the grid's s = 0 and s = 1 kernels are P0 and P1 bit for bit
+        ends = [("P0", kernels[0], tmix[0]), ("P1", kernels[-1], tmix[-1])]
+        sweep = ends + list(zip(labels, kernels, tmix))
         c = _Inputs(pair, eps, sweep, prop3, sup, cor1, corridor_cap, horizon_cap)
         for bound_id, check, cases in _CHECKS:
             for args in cases(c):

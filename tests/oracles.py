@@ -205,10 +205,13 @@ def sup_mixing_reference(pair, eps: float, grid_points: int = 101, refine_depth:
         argmax = 1.0
     else:
         argmax = min(s for s, t in samples.items() if t == sup)
+    ordered = tuple(sorted(samples.items()))
+    # every jump lies in one of these intervals; one ulp wide ones can exceed 10^-depth
+    widths = [b - a for (a, ta), (b, tb) in zip(ordered, ordered[1:]) if ta != tb]
     return SupMixingResult(
         sup_tmix=sup,
         argmax_s=argmax,
         eps=eps,
-        grid_resolution=resolution if refined else float(base[1] - base[0]),
-        per_s_samples=tuple(sorted(samples.items())),
+        grid_resolution=max([resolution, *widths]) if refined else float(base[1] - base[0]),
+        per_s_samples=ordered,
     )

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import markovmix.chains as chains
-import markovmix.mixing as mixing
 from markovmix import (
     ChainPair,
     IterationCapError,
@@ -190,14 +189,14 @@ class TestBatchedMixingScan:
             mixing_scan_reference(Ps[2], pis[2], 0.01, DEFAULT_MIXING_CAP)
 
     def test_sup_breakdown_names_s(self, lazy_asym_pair, monkeypatch):
-        interp = mixing._interp_stack
+        interp = chains._interp_stack
 
         def broken_at_half(pair, ss):
             Ps = interp(pair, ss)
             Ps[ss == 0.5] *= 1.5
             return Ps
 
-        monkeypatch.setattr(mixing, "_interp_stack", broken_at_half)
+        monkeypatch.setattr(chains, "_interp_stack", broken_at_half)
         with pytest.raises(NumericalBreakdownError, match="^kernel s=0.5: "):
             sup_mixing_time(lazy_asym_pair, 0.05)
 
@@ -283,14 +282,14 @@ class TestSupMixingTime:
         # Each level sizes its chunks once, even with no new midpoint, so a
         # scan that kept splitting fails at the 100th level instead of
         # running forever.
-        chunk, levels = mixing._chunk, []
+        chunk, levels = chains._chunk, []
 
         def counted(floats):
             levels.append(floats)
             assert len(levels) < 100, "refinement does not terminate"
             return chunk(floats)
 
-        monkeypatch.setattr(mixing, "_chunk", counted)
+        monkeypatch.setattr(chains, "_chunk", counted)
         res = sup_mixing_time(lazy_asym_pair, 0.05, refine_depth=depth)
         monkeypatch.undo()
         assert res == sup_mixing_reference(lazy_asym_pair, 0.05, refine_depth=depth)
@@ -299,6 +298,8 @@ class TestSupMixingTime:
         # one jump, near s = 0.678, one midpoint per level: the base spacing
         # 0.01 halves to the ulp 2^-53 of s in [0.5, 1) in at most 47 levels
         assert len(jumps) == 1 and jumps[0][1] == np.nextafter(jumps[0][0], 1.0)
+        # the one-ulp interval is wider than 10^-depth, and the resolution says so
+        assert res.grid_resolution == jumps[0][1] - jumps[0][0] > 10.0**-depth
         assert len(samples) <= 101 + 47
         assert res.sup_tmix == sup_mixing_time(lazy_asym_pair, 0.05).sup_tmix
 

@@ -3,19 +3,23 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
 import markovmix.chains as chains
+import markovmix.verify as verify
 from markovmix import (
     BoundEntry,
     BoundReport,
     ChainPair,
     NonFiniteError,
     NonPositiveEpsError,
+    random_dense,
     verify_all,
 )
 from markovmix.chains import _stationary_stack
+from markovmix.mixing import _mixing_scans
 from markovmix.verify import BOUND_IDS
 
 from conftest import build_suite_pairs
@@ -128,6 +132,33 @@ class TestVerifyAll:
         report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
         assert report.to_json() == forward_report.to_json()
         assert len(calls) <= 30
+
+    def test_sweep_scans_each_grid_kernel_once_per_eps(
+        self, lazy_asym_pair, forward_report, monkeypatch
+    ):
+        # the P0 and P1 entries read the s = 0.0 and s = 1.0 scans: 11 kernels per eps, not 13
+        kernels = []
+
+        def counted(Ps, *args):
+            kernels.append(len(Ps))
+            return _mixing_scans(Ps, *args)
+
+        monkeypatch.setattr(verify, "_mixing_scans", counted)
+        report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
+        assert report.to_json() == forward_report.to_json()
+        assert sum(kernels) == 22
+
+    def test_grid_check_stays_within_stack_budget(self):
+        # PROP4 and COR1 solve 200 grid points; at n = 100 they fit 1 MiB only in chunks
+        pair = ChainPair(random_dense(100, seed=0), random_dense(100, seed=1))
+        pair.pi0  # solve the cached endpoint outside the trace
+        tracemalloc.start()
+        try:
+            verify._grid_max_tv(pair, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestReportSerialization:
