@@ -156,9 +156,9 @@ class StructureReport:
 class ChainPair:
     """A validated (P0, P1) pair defining an interpolated evolution.
 
-    Both kernels must be irreducible and aperiodic and have the same
-    dimension. For t in (0, 1) the interpolants inherit ergodicity: their
-    edge set contains the union of the endpoint edge sets.
+    Both kernels must be irreducible and aperiodic, checked once here, and of
+    the same dimension; pi0 and pi1 are solved with no second check. For t in
+    (0, 1) the interpolants inherit ergodicity: they hold both ends' edges.
     """
 
     p0: StochasticMatrix
@@ -180,17 +180,17 @@ class ChainPair:
 
     @cached_property
     def pi0(self) -> Distribution:
-        return stationary(self.p0)
+        return Distribution(_stationary_stack(self.p0.entries[None])[0])
 
     @cached_property
     def pi1(self) -> Distribution:
-        return stationary(self.p1)
+        return Distribution(_stationary_stack(self.p1.entries[None])[0])
 
 
-def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> StochasticMatrix:
+def validate_stochastic(raw) -> StochasticMatrix:
     """Validate a raw square matrix and renormalize rows to exact sum 1.
 
-    Entries in [-tolerance, 0) are clamped to 0. Raises
+    Entries in [-ROW_SUM_TOLERANCE, 0) are clamped to 0. Raises
     :class:`BadParamsError` for entries that are not numbers or rows of
     unequal length, and :class:`NotSquareError`, :class:`NonFiniteError`,
     :class:`NegativeEntryError` or :class:`RowSumError` when the input is
@@ -200,30 +200,36 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise NotSquareError(f"expected a square matrix with n >= 2, got shape {arr.shape}")
     _require_finite(arr)
-    if np.any(arr < -tolerance):
+    if np.any(arr < -ROW_SUM_TOLERANCE):
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise NegativeEntryError(f"entry ({i}, {j}) = {float(arr[i, j])!r} is below -{tolerance!r}")
+        raise NegativeEntryError(
+            f"entry ({i}, {j}) = {float(arr[i, j])!r} is below -{ROW_SUM_TOLERANCE!r}"
+        )
     sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0)
-    if np.any(off > tolerance):
+    if np.any(off > ROW_SUM_TOLERANCE):
         bad = int(np.argmax(off))
-        raise RowSumError(f"row {bad} sums to {float(sums[bad])!r}, outside tolerance {tolerance!r}")
+        raise RowSumError(
+            f"row {bad} sums to {float(sums[bad])!r}, outside tolerance {ROW_SUM_TOLERANCE!r}"
+        )
     fixed = np.clip(arr, 0.0, None)
     for i in range(fixed.shape[0]):
         _exact_simplex(fixed[i])
     return StochasticMatrix(fixed)
 
 
-def validate_distribution(raw, tolerance: float = DISTRIBUTION_TOLERANCE) -> Distribution:
+def validate_distribution(raw) -> Distribution:
     """Validate a raw probability vector, renormalizing to exact sum 1."""
     vec = _float_array(raw)
     if vec.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {vec.shape}")
     _require_finite(vec)
-    if np.any(vec < -tolerance):
+    if np.any(vec < -DISTRIBUTION_TOLERANCE):
         raise NegativeEntryError("vector has an entry below the tolerance")
-    if abs(vec.sum() - 1.0) > tolerance:
-        raise RowSumError(f"vector sums to {float(vec.sum())!r}, outside tolerance {tolerance!r}")
+    if abs(vec.sum() - 1.0) > DISTRIBUTION_TOLERANCE:
+        raise RowSumError(
+            f"vector sums to {float(vec.sum())!r}, outside tolerance {DISTRIBUTION_TOLERANCE!r}"
+        )
     _exact_simplex(np.clip(vec, 0.0, None, out=vec))
     return Distribution(vec)
 
@@ -363,9 +369,3 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
         raise DimensionMismatchError(f"dimensions differ: {a.n} vs {b.n}")
     return float(_row_tv(a.mass, b.mass))
 
-
-def evolve(nu: Distribution, P: StochasticMatrix) -> Distribution:
-    """One step of the chain: the distribution ``nu P``."""
-    if nu.n != P.n:
-        raise DimensionMismatchError(f"dimensions differ: {nu.n} vs {P.n}")
-    return Distribution(nu.mass @ P.entries)

@@ -62,6 +62,8 @@ def _parse_generator_spec(spec: str, default_seed: int | None) -> GeneratorParam
             key = key.strip()
             if sep and key not in _SPEC_TYPES:
                 raise ChainError(f"unknown generator parameter {key!r} in {spec!r}")
+            if key in kwargs:
+                raise ChainError(f"repeated generator parameter {key!r} in {spec!r}")
             try:
                 kwargs[key] = _SPEC_TYPES[key](value)
             except (KeyError, ValueError):

@@ -11,14 +11,13 @@ exactly so regression values survive reimplementation:
 * normalize each row to sum 1 (rows are then Dirichlet(1, ..., 1) samples).
 """
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .chains import StochasticMatrix, validate_stochastic
 from .errors import BadParamsError
-
-FAMILIES = ("two_state", "lazy_cycle", "complete_graph", "birth_death", "random_dense")
 
 
 @dataclass(frozen=True)
@@ -105,17 +104,21 @@ def random_dense(n: int, seed: int) -> StochasticMatrix:
     return validate_stochastic(e / e.sum(axis=1, keepdims=True))
 
 
+# Each family is named after its generator, whose signature names the parameters it takes.
+_GENERATORS = {
+    make.__name__: make
+    for make in (two_state, lazy_cycle, complete_graph, birth_death, random_dense)
+}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate(params: GeneratorParams) -> StochasticMatrix:
-    """Dispatch on the family name; raises BadParamsError for unknown ones."""
+    """Dispatch on the family; an unknown family or a key it does not take raises BadParamsError."""
     fam = params.family
-    if fam == "two_state":
-        return two_state(params.p, params.q)
-    if fam == "lazy_cycle":
-        return lazy_cycle(params.n, params.alpha)
-    if fam == "complete_graph":
-        return complete_graph(params.n, params.alpha)
-    if fam == "birth_death":
-        return birth_death(params.n, params.p, params.q)
-    if fam == "random_dense":
-        return random_dense(params.n, params.seed)
-    raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    if fam not in _GENERATORS:
+        raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    takes = inspect.signature(_GENERATORS[fam]).parameters
+    for field in fields(params):
+        if field.name not in (*takes, "family") and getattr(params, field.name) is not None:
+            raise BadParamsError(f"{fam} takes {', '.join(takes)}, not {field.name!r}")
+    return _GENERATORS[fam](**{name: getattr(params, name) for name in takes})

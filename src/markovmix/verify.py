@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adiabatic import (
+    BOUND_SLACK,
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
     adiabatic_time,
@@ -155,10 +156,11 @@ def _prop2(c: _Inputs, label: str, kernel, t: int):
     return float(t), bound, bound <= t + 1e-9, f"kernel={label}"
 
 
-def _prop3(c: _Inputs, T: int, rows):
-    """Per-step corridor drift bound at a fixed horizon; the rows do not depend on eps."""
-    worst = max(rows, key=lambda r: r.lhs - r.rhs)
-    return worst.lhs, worst.rhs, all(r.passed for r in rows), f"T={T} worst_k={worst.k}"
+def _prop3(c: _Inputs, T: int, gaps: np.ndarray, bounds: np.ndarray):
+    """Per-step corridor drift bound at a fixed horizon; the arrays do not depend on eps."""
+    k = int(np.argmax(gaps - bounds))
+    passed = bool(np.all(gaps <= bounds + BOUND_SLACK))
+    return float(gaps[k]), float(bounds[k]), passed, f"T={T} worst_k={k + 1}"
 
 
 def _prop4(c: _Inputs):
@@ -248,7 +250,7 @@ def verify_all(
     labels = [f"s={s:.1f}" for s in ss]
     chunks = list(_family(pair, ss, 4 * pair.n * pair.n))  # four n x n arrays per scanned kernel
     kernels = [StochasticMatrix(P) for _, Ps, _ in chunks for P in Ps]
-    prop3 = [(T, prop3_check(pair, T)) for T in PROP3_HORIZONS]
+    prop3 = [(T, *prop3_check(pair, T)) for T in PROP3_HORIZONS]
 
     for eps in eps_values:
         sup = sup_mixing_time(pair, eps / 2.0, grid_points)

@@ -100,12 +100,15 @@ def _cases() -> dict[str, list[str]]:
         "eps.adiabatic-inf": ["adiabatic", *lazy, "--epsilon", "inf"],
         "validation.missing-file": ["validate", "--chain", "nope.json"],
         "validation.not-json": ["validate", "--chain", "not-json.json"],
+        "validation.not-utf8": ["validate", "--chain", "not-utf8.json"],
         "validation.generate-family": ["generate", "--p0", "mystery:n=3"],
         "validation.generate-key": ["generate", "--p0", "two_state:p=0.2,r=0.1"],
         "validation.generate-no-equals": ["generate", "--p0", "two_state:p"],
         "validation.generate-range": ["generate", "--p0", "two_state:p=1.5,q=0.2"],
         "validation.generate-float": ["generate", "--p0", "two_state:p=abc,q=0.2"],
         "validation.generate-int": ["generate", "--p0", "lazy_cycle:n=2.5,alpha=0.5"],
+        "validation.generate-unused-key": ["generate", "--p0", "two_state:p=0.2,q=0.3,n=7"],
+        "validation.generate-repeated-key": ["generate", "--p0", "two_state:p=0.2,q=0.3,p=0.9"],
         "validation.s-out-of-range": ["stationary", *lazy, "--s", "1.5"],
     })
     for path in BAD_FILES:
@@ -120,13 +123,14 @@ CASES = _cases()
 
 
 def write_inputs(directory: Path) -> None:
-    """The two suite pair files, the bad chain files and a file that is not JSON."""
+    """The two suite pair files, the bad chain files, a file that is not JSON and one not UTF-8."""
     pairs = build_suite_pairs()
     for name in PAIRS:
         save_pair(directory / f"{name}.json", name, pairs[name])
     for path, payload in BAD_FILES.items():
         (directory / path).write_text(json.dumps(payload), encoding="utf-8")
     (directory / "not-json.json").write_text("{not json", encoding="utf-8")
+    (directory / "not-utf8.json").write_bytes(b"\xff\xfe{}")
 
 
 def run(argv: list[str]) -> dict:

@@ -86,10 +86,10 @@ def test_criterion_3_corridor_drift_bound(pairs):
         assert len(pairs) == 10
         for name, pair in pairs.items():
             for T in (10, 50, 200):
-                rows = prop3_check(pair, T)
-                assert len(rows) == T
-                for row in rows:
-                    assert row.lhs <= row.rhs + 1e-10, (name, T, row.k)
+                gaps, bounds = prop3_check(pair, T)
+                assert len(gaps) == len(bounds) == T
+                for k in range(1, T + 1):
+                    assert gaps[k - 1] <= bounds[k - 1] + 1e-10, (name, T, k)
 
 
 def test_criterion_4_continuity_radii(pairs):

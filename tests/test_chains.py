@@ -19,7 +19,6 @@ from markovmix import (
     OutOfRangeError,
     RowSumError,
     StochasticMatrix,
-    evolve,
     interpolate,
     stationary,
     structure,
@@ -62,22 +61,22 @@ def graphs(draw):
 class TestValidateStochastic:
     def test_exact_matrix_accepted_unchanged(self):
         raw = np.array([[0.75, 0.25], [0.25, 0.75]])
-        P = validate_stochastic(raw, tolerance=1e-9)
+        P = validate_stochastic(raw)
         np.testing.assert_array_equal(P.entries, raw)
 
     def test_row_sum_violation(self):
         with pytest.raises(RowSumError, match="row 0"):
-            validate_stochastic([[0.5, 0.6], [0.5, 0.5]], tolerance=1e-9)
+            validate_stochastic([[0.5, 0.6], [0.5, 0.5]])
 
     def test_within_tolerance_clamped_and_renormalized(self):
         raw = [[1.0 + 5e-10, -5e-10], [0.5, 0.5]]
-        P = validate_stochastic(raw, tolerance=1e-9)
+        P = validate_stochastic(raw)
         np.testing.assert_array_equal(P.entries[0], [1.0, 0.0])
         np.testing.assert_array_equal(P.entries[1], [0.5, 0.5])
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError):
-            validate_stochastic([[1.001, -0.001], [0.5, 0.5]], tolerance=1e-9)
+            validate_stochastic([[1.001, -0.001], [0.5, 0.5]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -114,7 +113,7 @@ class TestValidateStochastic:
             raw = rng.random((n, n))
             raw /= raw.sum(axis=1, keepdims=True)
             raw += rng.uniform(-1e-10, 1e-10, size=(n, n))
-            P = validate_stochastic(raw, tolerance=1e-9)
+            P = validate_stochastic(raw)
             assert np.all(np.abs(P.entries.sum(axis=1) - 1.0) <= 1e-15)
             assert np.all(P.entries >= 0.0)
             assert np.all(P.entries <= 1.0)
@@ -240,7 +239,7 @@ class TestStationary:
         for name, P in suite_chains.items():
             pi = stationary(P)
             assert np.abs(pi.mass @ P.entries - pi.mass).sum() <= 1e-12, name
-            assert tv_distance(evolve(pi, P), pi) <= 1e-12, name
+            assert tv_distance(Distribution(pi.mass @ P.entries), pi) <= 1e-12, name
 
     def test_not_ergodic_rejected(self):
         with pytest.raises(NotErgodicError):
@@ -342,7 +341,7 @@ class TestEvolveAndContraction:
         for P in suite_chains.values():
             for _ in range(20):
                 nu = validate_distribution(rng.dirichlet(np.ones(P.n)))
-                out = evolve(nu, P)
+                out = Distribution(nu.mass @ P.entries)
                 assert np.all(out.mass >= 0.0)
                 assert abs(out.mass.sum() - 1.0) <= 1e-12
 
@@ -352,11 +351,8 @@ class TestEvolveAndContraction:
             for _ in range(20):
                 mu = validate_distribution(rng.dirichlet(np.ones(P.n)))
                 nu = validate_distribution(rng.dirichlet(np.ones(P.n)))
-                assert tv_distance(evolve(mu, P), evolve(nu, P)) <= tv_distance(mu, nu) + 1e-12
-
-    def test_dimension_mismatch(self, lazy):
-        with pytest.raises(DimensionMismatchError):
-            evolve(Distribution([0.2, 0.3, 0.5]), lazy)
+                mu_P, nu_P = Distribution(mu.mass @ P.entries), Distribution(nu.mass @ P.entries)
+                assert tv_distance(mu_P, nu_P) <= tv_distance(mu, nu) + 1e-12
 
 
 class TestDistributionValidation:
@@ -376,7 +372,7 @@ class TestDistributionValidation:
             Distribution([1.0, bad])
 
     def test_tiny_negative_clamped(self):
-        d = validate_distribution([1.0 + 5e-13, -5e-13], tolerance=1e-12)
+        d = validate_distribution([1.0 + 5e-13, -5e-13])
         np.testing.assert_array_equal(d.mass, [1.0, 0.0])
 
     def test_mass_readonly(self):
@@ -404,6 +400,19 @@ class TestChainPair:
         np.testing.assert_allclose(
             lazy_asym_pair.pi1.mass, two_state_stationary(0.2, 0.4), atol=1e-14
         )
+
+    def test_ergodicity_checked_once(self, suite_chains, monkeypatch):
+        # building the pair checks both kernels; solving pi0 and pi1 checks nothing again
+        P0, P1 = suite_chains["complete5"], suite_chains["lazy_cycle5"]
+        want = stationary(P0).mass, stationary(P1).mass
+        calls = []
+        real = chains.structure
+        monkeypatch.setattr(chains, "structure", lambda P: calls.append(P) or real(P))
+        pair = ChainPair(P0, P1)
+        got = pair.pi0.mass, pair.pi1.mass
+        assert calls == [P0, P1]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestStackBudget:

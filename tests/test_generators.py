@@ -131,3 +131,9 @@ class TestGenerateDispatch:
     def test_missing_params(self):
         with pytest.raises(BadParamsError):
             generate(GeneratorParams(family="two_state", p=0.25))
+
+    def test_param_the_family_does_not_take(self):
+        with pytest.raises(BadParamsError, match="two_state takes p, q, not 'n'"):
+            generate(GeneratorParams(family="two_state", p=0.25, q=0.25, n=7))
+        with pytest.raises(BadParamsError, match="random_dense takes n, seed, not 'alpha'"):
+            generate(GeneratorParams(family="random_dense", n=3, seed=7, alpha=0.5))

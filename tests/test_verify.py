@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import markovmix.chains as chains
@@ -18,6 +19,7 @@ from markovmix import (
     random_dense,
     verify_all,
 )
+from markovmix.adiabatic import BOUND_SLACK
 from markovmix.chains import _stationary_stack
 from markovmix.mixing import _mixing_scans
 from markovmix.verify import BOUND_IDS
@@ -102,6 +104,13 @@ class TestVerifyAll:
         for eps in (math.nan, math.inf):
             with pytest.raises(NonFiniteError):
                 verify_all(lazy_asym_pair, [0.1, eps])
+
+    def test_prop3_reports_first_worst_step(self):
+        # gap - bound peaks at k = 2 and k = 3 alike; the first of them is reported
+        gaps, bounds = np.array([0.1, 0.2, 0.2]), np.array([0.5, 0.3, 0.3])
+        assert verify._prop3(None, 3, gaps, bounds) == (0.2, 0.3, True, "T=3 worst_k=2")
+        bounds[0] = 0.1 - 2 * BOUND_SLACK
+        assert verify._prop3(None, 3, gaps, bounds) == (0.1, bounds[0], False, "T=3 worst_k=1")
 
     def test_prop2_sweep_covers_endpoints_and_grid(self, forward_report):
         details = [e.detail for e in forward_report.entries if e.bound_id == "PROP2" and e.eps == 0.2]
