@@ -26,7 +26,14 @@ from .errors import (
     OutOfRangeError,
     _check_eps,
 )
-from .mixing import PASS_SLACK, MixingResult, SupMixingResult, mixing_time, sup_mixing_time
+from .mixing import (
+    DEFAULT_MIXING_CAP,
+    PASS_SLACK,
+    MixingResult,
+    SupMixingResult,
+    _mixing_scans,
+    sup_mixing_time,
+)
 
 BOUND_SLACK = 1e-10
 DEFAULT_STABLE_CAP = 10_000
@@ -169,8 +176,8 @@ class AdiabaticResult:
 
 
 def _certified_horizon(pair: ChainPair, eps: float) -> tuple[MixingResult, int]:
-    """(t_mix(P1, eps/2) result, ceil(2 t_mix^2 / eps)), the PROP1 horizon."""
-    mix = mixing_time(pair.p1, eps / 2.0)
+    """(t_mix(P1, eps/2) result, ceil(2 t_mix^2 / eps)), the PROP1 horizon, from the pair's pi1."""
+    mix = _mixing_scans(pair.p1.entries[None], pair.pi1.mass[None], eps / 2, DEFAULT_MIXING_CAP)[0]
     return mix, ceil_int(2.0 * mix.tmix * mix.tmix / eps)
 
 
@@ -355,7 +362,7 @@ def theorem2_check(
     m = sup_result.sup_tmix
     T = ceil_int(2.0 * m * m / (eps * delta))
     if T > corridor_cap:
-        raise CapExceededError(
+        raise HorizonCapError(
             f"required horizon {T} exceeds corridor cap {corridor_cap}", horizon=T
         )
     cor = corridor(pair, T)

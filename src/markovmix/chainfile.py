@@ -52,7 +52,7 @@ def save_pair(path, name: str, pair: ChainPair) -> None:
 def load_pair(path) -> tuple[str, ChainPair]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadParamsError(f"chain file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise BadParamsError(f"chain file {path} must hold a JSON object")

@@ -20,7 +20,7 @@ from .adiabatic import (
 )
 from .chainfile import _json_text, load_pair, pair_to_dict
 from .chains import ChainPair, interpolate, stationary, structure
-from .errors import CapExceededError, ChainError, NoConvergenceError, NumericalBreakdownError
+from .errors import CapExceededError, ChainError, HorizonCapError, NumericalBreakdownError
 from .generators import FAMILIES, GeneratorParams, generate
 from .mixing import DEFAULT_MIXING_CAP, mixing_time, sup_mixing_time
 from .verify import verify_all
@@ -31,8 +31,6 @@ EXIT_BOUND_FAILED = 2
 EXIT_CAP = 3
 EXIT_BREAKDOWN = 4
 EXIT_USAGE = 64
-
-_CAP_ERRORS = (CapExceededError, NoConvergenceError)
 
 # Values such as -1e-3, -inf and -nan are numbers, not flags, so that every
 # spelling of a bad eps meets the eps rule instead of a usage error.
@@ -95,9 +93,9 @@ def _validate(args, pair, name):
 def _stationary(args, pair, name):
     payload: dict = {"n": pair.n}
     if args.which in ("P0", "both"):
-        payload["pi0"] = stationary(pair.p0).mass.tolist()
+        payload["pi0"] = pair.pi0.mass.tolist()
     if args.which in ("P1", "both"):
-        payload["pi1"] = stationary(pair.p1).mass.tolist()
+        payload["pi1"] = pair.pi1.mass.tolist()
     if args.s is not None:
         payload["s"] = args.s
         payload["pi_s"] = stationary(interpolate(pair, args.s)).mass.tolist()
@@ -131,7 +129,7 @@ def _stable(args, pair, name):
 
 def _corridor(args, pair, name):
     if args.steps > args.cap:
-        raise CapExceededError(f"T = {args.steps} exceeds cap {args.cap}")
+        raise HorizonCapError(f"T = {args.steps} exceeds cap {args.cap}", horizon=args.steps)
     cor = corridor(pair, args.steps)
     worst_k, worst_gap = cor.worst
     return {"T": cor.T, "max_gap": worst_gap, "worst_k": worst_k, "gaps": cor.gaps.tolist()}
@@ -245,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except _CAP_ERRORS as exc:
+    except CapExceededError as exc:
         print(f"markovmix: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except NumericalBreakdownError as exc:

@@ -35,10 +35,6 @@ class NotErgodicError(ChainError):
     """The chain is not irreducible and aperiodic."""
 
 
-class NoConvergenceError(ChainError):
-    """Iterative stationary solver exceeded its iteration cap."""
-
-
 class NumericalBreakdownError(ChainError):
     """Floating point results broke a property that holds in exact arithmetic."""
 
@@ -64,7 +60,7 @@ class EpsTooLargeError(ChainError):
 
 
 class CapExceededError(ChainError):
-    """A scan hit its cap before finishing.
+    """A scan, a solve or a horizon hit its cap; the base of every cap error.
 
     ``trace`` holds a (T, gap) pair for every horizon scanned so far, for
     diagnosis. From the stable adiabatic scan the gap is the one that ruled
@@ -84,8 +80,12 @@ class IterationCapError(CapExceededError):
     """Mixing-time search exceeded its iteration cap."""
 
 
+class NoConvergenceError(CapExceededError):
+    """Iterative stationary solver exceeded its iteration cap."""
+
+
 class HorizonCapError(CapExceededError):
-    """Certified adiabatic horizon exceeds the configured cap."""
+    """A derived or requested horizon above its cap; ``horizon`` holds it."""
 
 
 class BadParamsError(ChainError):

@@ -25,13 +25,7 @@ from .adiabatic import (
 )
 from .chainfile import _json_text
 from .chains import ChainPair, StochasticMatrix, _family, _row_tv
-from .errors import (
-    CapExceededError,
-    EpsTooLargeError,
-    HorizonCapError,
-    NonPositiveEpsError,
-    _check_eps,
-)
+from .errors import EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps
 from .mixing import DEFAULT_MIXING_CAP, SupMixingResult, _mixing_scans, sup_mixing_time
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound
 
@@ -183,7 +177,7 @@ def _thm2(c: _Inputs, delta: float):
     """Tail-corridor guarantee at the derived horizon."""
     try:
         rep = theorem2_check(c.pair, c.eps, delta, corridor_cap=c.corridor_cap, sup_result=c.sup)
-    except CapExceededError as exc:
+    except HorizonCapError as exc:
         detail = f"SKIPPED: delta={delta} needs T={exc.horizon}, above corridor cap {c.corridor_cap}"
         raise _Skip(detail, f"delta={delta}:T={exc.horizon}")
     detail = f"delta={delta} T={rep.T} violations={len(rep.violations)}"
@@ -231,10 +225,10 @@ def verify_all(
 ) -> BoundReport:
     """Run every bound check for every epsilon and assemble the report.
 
-    Caps are recorded in ``caps_hit`` and turn the affected entry into a
-    skip; they never abort the run. Entries appear in a fixed order:
-    PROP1, PROP2 over the kernel sweep, PROP3 per horizon, PROP4, COR1,
-    THM2 per delta, THM3, repeated per epsilon in the order given.
+    A horizon cap (PROP1, THM2, THM3) becomes a skip listed in ``caps_hit``; a
+    mixing scan or stationary solve at its cap aborts the run. Entries appear
+    in a fixed order: PROP1, PROP2 over the kernel sweep, PROP3 per horizon,
+    PROP4, COR1, THM2 per delta, THM3, repeated per epsilon in the order given.
     """
     eps_values = [float(e) for e in eps_list]
     if not eps_values:

@@ -661,7 +661,7 @@ class TestTheorem2Check:
 
     def test_corridor_cap_carries_the_derived_horizon(self, lazy_asym_pair):
         T = theorem2_check(lazy_asym_pair, 0.2, 0.5).T
-        with pytest.raises(CapExceededError) as excinfo:
+        with pytest.raises(HorizonCapError) as excinfo:
             theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=T - 1)
         assert excinfo.value.horizon == T
 

@@ -234,7 +234,7 @@ class TestExitCodes:
     def test_cap_errors_form_one_family(self, pair_file, capsys):
         assert issubclass(HorizonCapError, CapExceededError)
         assert issubclass(IterationCapError, CapExceededError)
-        assert cli._CAP_ERRORS == (CapExceededError, NoConvergenceError)
+        assert issubclass(NoConvergenceError, CapExceededError)
         adiabatic = ["adiabatic", "--chain", str(pair_file), "--epsilon", "0.05"]
         assert main([*adiabatic, "--cap", "1"]) == EXIT_CAP
         mixing = ["mixing", "--chain", str(pair_file), "--epsilon", "0.0001"]
@@ -242,10 +242,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("cap exceeded") == 2
 
     def test_corridor_over_cap(self, pair_file):
-        code = main(
-            ["corridor", "--chain", str(pair_file), "--steps", "50", "--cap", "10"]
-        )
+        argv = ["corridor", "--chain", str(pair_file), "--steps", "50", "--cap", "10"]
+        code = main(argv)
         assert code == EXIT_CAP
+        name, pair = load_pair(pair_file)
+        with pytest.raises(HorizonCapError) as excinfo:
+            cli._corridor(cli.build_parser().parse_args(argv), pair, name)
+        assert excinfo.value.horizon == 50
+
+    def test_verify_exits_3_when_a_mixing_scan_hits_its_cap(self, pair_file, monkeypatch, capsys):
+        # only horizon caps become skips; the sup mixing scan's cap aborts the run
+        monkeypatch.setattr("markovmix.mixing.DEFAULT_MIXING_CAP", 1)
+        assert main(["verify", "--chain", str(pair_file), "--epsilon", "0.2"]) == EXIT_CAP
+        assert "cap exceeded" in capsys.readouterr().err
+
+    def test_deeply_nested_file_is_validation_failure(self, tmp_path, capsys):
+        # deeper than Python's recursion limit; the message's wording varies by version
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", "--chain", str(deep)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("markovmix: ")
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import markovmix.chains as chains
+import markovmix.mixing as mixing
 import markovmix.verify as verify
 from markovmix import (
     BoundEntry,
     BoundReport,
     ChainPair,
+    IterationCapError,
+    NoConvergenceError,
     NonFiniteError,
     NonPositiveEpsError,
     random_dense,
@@ -95,6 +98,19 @@ class TestVerifyAll:
         assert report.all_passed()
         for suffix, text in render("capped", lazy_asym_pair, **CAPPED).items():
             assert text.encode() == (GOLDEN_DIR / f"capped.{suffix}").read_bytes(), suffix
+
+    def test_solver_cap_inside_thm2_is_not_a_skip(self, lazy_asym_pair, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergenceError("power iteration did not reach tol 1e-14 in 1 steps")
+
+        monkeypatch.setattr(verify, "theorem2_check", no_convergence)
+        with pytest.raises(NoConvergenceError):
+            verify_all(lazy_asym_pair, [0.2])
+
+    def test_mixing_cap_aborts_the_run(self, lazy_asym_pair, monkeypatch):
+        monkeypatch.setattr(mixing, "DEFAULT_MIXING_CAP", 1)
+        with pytest.raises(IterationCapError):
+            verify_all(lazy_asym_pair, [0.2])
 
     def test_eps_list_validation(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
@@ -218,6 +234,31 @@ class TestVerifyOnSuite:
             for suffix, text in render(name, suite_pairs[name], eps_list).items():
                 golden = GOLDEN_DIR / f"{name}{tag}.{suffix}"
                 assert text.encode() == golden.read_bytes(), golden.name
+
+    def test_built_pairs_are_not_checked_again(self, suite_pairs, monkeypatch):
+        # each pair checked P0 and P1 when it was built, and its interpolants are
+        # ergodic too, so verify_all needs no further check nor mixing_time's
+        calls = []
+
+        def counted(real):
+            def spy(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return spy
+
+        reals = (chains.structure, mixing.mixing_time)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "markovmix":
+                for attr, value in list(vars(module).items()):
+                    if any(value is real for real in reals):
+                        monkeypatch.setattr(module, attr, counted(value))
+        for eps_list in GOLDEN_EPS_SETS.values():
+            for name, pair in suite_pairs.items():
+                verify_all(pair, eps_list, name=name)
+        assert calls == []
+        chains.stationary(suite_pairs["lazy-to-asym"].p1)
+        assert calls == ["structure"]
 
     def test_three_state_pair_passes(self, suite_pairs):
         report = verify_all(
