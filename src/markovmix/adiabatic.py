@@ -25,6 +25,7 @@ from .errors import (
     NumericalBreakdownError,
     OutOfRangeError,
     _check_eps,
+    _check_horizon,
 )
 from .mixing import (
     DEFAULT_MIXING_CAP,
@@ -39,6 +40,12 @@ BOUND_SLACK = 1e-10
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
 DEFAULT_HORIZON_CAP = 10**5
+
+
+def _step_radius(n: int) -> float:
+    """(n + 2) u, the l1 drift of one float step: gamma_n a product (Higham 3.5), 2u the rescale."""
+    return (n + 2) * 2.0**-53
+
 
 def ceil_int(x: float) -> int:
     """Ceiling, at least 1, that snaps to the nearest integer within rounding noise.
@@ -83,30 +90,59 @@ class Corridor:
         return k + 1, float(self.gaps[k])
 
 
+def _block_steps(n: int, T: int) -> int:
+    """Steps per corridor block, from n and T alone so that no float depends on the chunk.
+
+    A block product costs 2 n^3 flops a step, more than the Python step it
+    saves once n^2 > 512, where K = 1; isqrt(T) keeps many blocks a chunk.
+    """
+    return max(1, min(1024 // (n * n), math.isqrt(T)))
+
+
 def corridor(pair: ChainPair, T: int) -> Corridor:
     """Compute the full corridor at horizon T.
 
-    O(T) matrix-vector products plus T stationary solves, batched over
-    chunks of steps whose kernel stacks fit the stack budget, so memory is
-    O(chunk n^2 + T n) whatever the horizon.
+    A blocked two-pass scan (Blelloch, CMU-CS-90-190) over blocks of K steps
+    aligned to multiples of K. Per chunk of whole blocks it forms each block's
+    product P_{bK+1} ... P_{bK+K} in K - 1 batched matmuls, carries mu across
+    the block ends one block at a time, and advances the interior steps of all
+    blocks in K - 1 batched steps. A block's floats come from its own rows, so
+    no result depends on the chunking; with K = 1 this is the per-step loop.
+    Kernels, t values and the T stationary solves go chunk by chunk, so
+    memory is O(chunk n^2 + T n) whatever the horizon.
     """
-    if T < 1:
-        raise OutOfRangeError(f"T must be >= 1, got {T}")
+    T = _check_horizon(T)
     n = pair.n
+    K = _block_steps(n, T)
     mu = np.array(pair.pi0.mass)
-    # per step: the kernel and the solve's working copies, plus mu, target and t
-    for lo, Ps, pis in _family(pair, np.arange(1, T + 1) / T, 3 * n * n + 4 * n):
+    # per step: the kernel and the solve's working copies, which the block
+    # products reuse once the solve is done, plus mu, target and t
+    for lo, Ps, pis in _family(pair, T, 3 * n * n + 4 * n, block=K):
         hi = lo + len(Ps)
         if lo == 0:
             # after the first solve, so that a one-chunk corridor peaks no higher
             mus, targets, gaps = np.empty((T, n)), np.empty((T, n)), np.empty(T)
         targets[lo:hi] = pis
-        for k in range(hi - lo):
-            mu = mu @ Ps[k]
+        # each full block's product, then mu carried across the block ends
+        full = len(Ps) // K
+        Q = Ps[: full * K : K]
+        for j in range(1, K):
+            Q = np.matmul(Q, Ps[j : full * K : K])
+        first = mu
+        for b in range(full):
+            mu = mu @ Q[b]
             s = mu.sum()
             if s != 1.0:
                 mu /= s
-            mus[lo + k] = mu
+            mus[lo + b * K + K - 1] = mu
+        # every block's interior steps at once, each from its block's start
+        if K > 1:
+            cur = np.vstack([first, mus[lo + K - 1 : hi - 1 : K]])
+            for j in range(1, K):
+                Pj = Ps[j - 1 :: K]
+                cur = np.matmul(cur[: len(Pj), None, :], Pj)[:, 0, :]
+                cur /= cur.sum(axis=1, keepdims=True)
+                mus[lo + j - 1 : hi : K] = cur
         gaps[lo:hi] = _row_tv(mus[lo:hi], targets[lo:hi])
     return Corridor(T=T, mus=mus, targets=targets, gaps=gaps)
 
@@ -117,9 +153,7 @@ def adiabatic_distance(pair: ChainPair, T: int) -> float:
     The maximum over starting distributions is attained at a Dirac start,
     so this is the max over rows of the (T + 1)-factor product.
     """
-    if T < 1:
-        raise OutOfRangeError(f"T must be >= 1, got {T}")
-    return float(_adiabatic_gaps(pair, [T])[0])
+    return float(_adiabatic_gaps(pair, [_check_horizon(T)])[0])
 
 
 def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
@@ -191,7 +225,7 @@ def _tail_from(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> 
     """
     m = mix.tmix
     L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
-    radius = 2 * (horizon + 1) * (pair.n + 2) * 2.0**-53
+    radius = 2 * (horizon + 1) * _step_radius(pair.n)
     room = eps - mix.final_gap - radius
     if room <= 0.0:
         return horizon
@@ -276,11 +310,14 @@ def stable_adiabatic_time(
     it survived to the reference. Either is at least eps.
     """
     _check_eps(eps)
-    if cap < 1:
-        raise OutOfRangeError(f"cap must be >= 1, got {cap}")
+    cap = _check_horizon(cap, "cap")
     n = pair.n
-    # per step and side a gap drifts <= (n + 2)u: gamma_n per product (Higham 3.5) + 2u rescale
-    margin = 2 * (n + 2) * 2.0**-53
+    # Drops are final, so a gap drops T at step k only if corridor's gap is
+    # surely >= eps too. Both use the same targets; only mu rounds apart. The
+    # scan's mu passes through k products, corridor's through at most
+    # k + ceil(k/K) <= 2k, each adding _step_radius(n) at most: 3(k + 1) of
+    # them cover both.
+    margin = 3 * _step_radius(n)
     trace: list[tuple[int, float]] = []
     lo = 1
     while lo <= cap:

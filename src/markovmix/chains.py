@@ -333,15 +333,21 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
     return pis
 
 
-def _family(pair: ChainPair, ts: np.ndarray, floats: int):
+def _family(pair: ChainPair, ts, floats: int, block: int = 1):
     """Yield ``(lo, kernels, pis)``, the P_t of ``ts[lo : lo + len(kernels)]`` solved, per chunk.
 
-    Chunks hold ``_chunk(floats)`` kernels, solved with no structure check:
-    the interpolants of an ergodic pair are ergodic (see ChainPair).
+    ``ts`` is an array of t values, or a horizon T for the steps t = k / T,
+    k = 1..T, whose t values are made chunk by chunk, so they take no O(T)
+    memory. Chunks hold a whole number of ``block``s, as many as fit
+    ``_chunk(floats)`` kernels and at least one, solved with no structure
+    check: the interpolants of an ergodic pair are ergodic (see ChainPair).
     """
-    size = _chunk(floats)
-    for lo in range(0, len(ts), size):
-        Ps = _interp_stack(pair, ts[lo : lo + size])
+    steps = isinstance(ts, int)
+    count = ts if steps else len(ts)
+    size = max(1, _chunk(floats) // block) * block
+    for lo in range(0, count, size):
+        hi = min(count, lo + size)
+        Ps = _interp_stack(pair, np.arange(lo + 1, hi + 1) / count if steps else ts[lo:hi])
         yield lo, Ps, _stationary_stack(Ps)
 
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the eps rule that raises two of them."""
+"""Exception types shared across the package, and the eps and horizon rules that raise them."""
 
 import math
+import numbers
 
 
 class ChainError(Exception):
@@ -53,6 +54,15 @@ def _check_eps(eps: float) -> None:
         raise NonFiniteError(f"eps must be finite, got {eps!r}")
     if eps <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+
+
+def _check_horizon(T, name: str = "T") -> int:
+    """The one horizon rule: an integer >= 1, returned as an int; bools and floats are not."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
+        raise OutOfRangeError(f"{name} must be an integer >= 1, got {T!r}")
+    if T < 1:
+        raise OutOfRangeError(f"{name} must be >= 1, got {T}")
+    return int(T)
 
 
 class EpsTooLargeError(ChainError):

@@ -215,3 +215,27 @@ def sup_mixing_reference(pair, eps: float, grid_points: int = 101, refine_depth:
         grid_resolution=max([resolution, *widths]) if refined else float(base[1] - base[0]),
         per_s_samples=ordered,
     )
+
+
+def corridor_reference(pair, T: int):
+    """The per-step corridor: mu advanced by one vector-matrix product per step k.
+
+    The reference for the blocked scan in ``corridor``, which must agree
+    with it within rounding, and bit for bit where its blocks are one step
+    long. The targets are the library's, solved chunk by chunk as there.
+    """
+    from markovmix import Corridor
+    from markovmix.chains import _family, _row_tv
+
+    n = pair.n
+    mu = np.array(pair.pi0.mass)
+    mus, targets = np.empty((T, n)), np.empty((T, n))
+    for lo, Ps, pis in _family(pair, T, 3 * n * n + 4 * n):
+        targets[lo : lo + len(Ps)] = pis
+        for k, P in enumerate(Ps, lo):
+            mu = mu @ P
+            s = mu.sum()
+            if s != 1.0:
+                mu /= s
+            mus[k] = mu
+    return Corridor(T=T, mus=mus, targets=targets, gaps=_row_tv(mus, targets))

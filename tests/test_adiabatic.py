@@ -34,13 +34,14 @@ from markovmix import (
     two_state,
     validate_stochastic,
 )
-from markovmix.adiabatic import BOUND_SLACK, _adiabatic_gaps, _tail_from, ceil_int
+from markovmix.adiabatic import BOUND_SLACK, _adiabatic_gaps, _block_steps, _tail_from, ceil_int
 from markovmix.mixing import PASS_SLACK
 
 from oracles import (
     adiabatic_distance_oracle,
     adiabatic_distance_reference,
     corridor_oracle,
+    corridor_reference,
     stable_scan_reference,
     two_state_stationary,
     two_state_worst_gap,
@@ -121,19 +122,104 @@ class TestCorridor:
                     )
 
     def test_memory_streams_as_T_grows(self):
-        pair = ChainPair(random_dense(40, seed=0), random_dense(40, seed=1))
-        pair.pi0  # solve the cached endpoint outside the trace
-        excess = []
-        for T in (2000, 8000):
-            tracemalloc.start()
-            try:
-                cor = corridor(pair, T)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # beyond the (T, n) results, only the chunked kernel stacks
-            excess.append(peak - (cor.mus.nbytes + cor.targets.nbytes + cor.gaps.nbytes))
-        assert excess[1] - excess[0] <= 64 * 1024, excess
+        # n = 40 scans one step per block, n = 2 blocks of 256 steps; each
+        # horizon spans several full chunks, so that one runs beside the results
+        for n, horizons in ((40, (2000, 8000)), (2, (2 * 10**4, 2 * 10**5))):
+            pair = ChainPair(random_dense(n, seed=0), random_dense(n, seed=1))
+            pair.pi0  # solve the cached endpoint outside the trace
+            excess = []
+            for T in horizons:
+                tracemalloc.start()
+                try:
+                    cor = corridor(pair, T)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # beyond the (T, n) results, only the chunked kernel stacks
+                excess.append(peak - (cor.mus.nbytes + cor.targets.nbytes + cor.gaps.nbytes))
+            assert excess[1] - excess[0] <= 64 * 1024, (n, excess)
+
+
+corridor_pairs = st.builds(
+    lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _assert_near_reference(cor, ref):
+    """The blocked corridor against the per-step loop: same targets, mu and gaps within 1e-12."""
+    np.testing.assert_array_equal(cor.targets, ref.targets)
+    assert np.abs(cor.mus - ref.mus).max() <= 1e-12
+    assert np.abs(cor.gaps - ref.gaps).max() <= 1e-12
+    top = np.sort(ref.gaps)[-2:]
+    # the worst step is decided wherever rounding cannot swap the top two gaps
+    if top.size == 1 or top[1] - top[0] > 1e-12:
+        assert cor.worst[0] == ref.worst[0]
+
+
+class TestBlockedCorridor:
+    """The blocked two-pass scan against the per-step reference loop."""
+
+    def test_block_steps(self):
+        assert [_block_steps(2, T) for T in (1, 3, 4, 10, 10**5, 10**6)] == [1, 1, 2, 3, 256, 256]
+        assert _block_steps(5, 5408) == 40
+        # one step per block once a block product costs more than the step it saves
+        assert [_block_steps(n, 10**6) for n in (22, 23, 32, 40, 200)] == [2, 1, 1, 1, 1]
+
+    @settings(max_examples=40)
+    @given(pair=corridor_pairs, T=st.integers(1, 3000))
+    def test_matches_reference(self, pair, T):
+        _assert_near_reference(corridor(pair, T), corridor_reference(pair, T))
+
+    @pytest.mark.parametrize("name", ["lazy-to-asym", "dense6-to-dense6"])
+    def test_long_horizon_matches_reference(self, suite_pairs, name):
+        pair = suite_pairs[name]
+        _assert_near_reference(corridor(pair, 10**5), corridor_reference(pair, 10**5))
+
+    def test_one_step_blocks_are_the_loop_bit_for_bit(self):
+        for n in (32, 40):
+            pair = ChainPair(random_dense(n, seed=n), random_dense(n, seed=n + 1))
+            for T in (1, 7, 300):
+                assert _block_steps(n, T) == 1
+                cor, ref = corridor(pair, T), corridor_reference(pair, T)
+                for field in ("mus", "targets", "gaps"):
+                    np.testing.assert_array_equal(getattr(cor, field), getattr(ref, field))
+
+
+class TestHorizonRule:
+    """A horizon is an integer of at least 1; numpy integers count, bools and floats do not."""
+
+    def test_fractional_horizons_raise(self, lazy_asym_pair):
+        for fn in (adiabatic_distance, corridor, prop3_check):
+            for T in (2.5, 2.9, 2.0, math.nan):
+                with pytest.raises(OutOfRangeError):
+                    fn(lazy_asym_pair, T)
+
+    def test_horizons_below_one_raise(self, lazy_asym_pair):
+        for fn in (adiabatic_distance, corridor, prop3_check):
+            for T in (0, -3, np.int64(0)):
+                with pytest.raises(OutOfRangeError):
+                    fn(lazy_asym_pair, T)
+        with pytest.raises(OutOfRangeError):
+            stable_adiabatic_time(lazy_asym_pair, 0.05, cap=0)
+
+    def test_bools_raise(self, lazy_asym_pair):
+        with pytest.raises(OutOfRangeError):
+            stable_adiabatic_time(lazy_asym_pair, 0.05, cap=True)
+        for fn in (adiabatic_distance, corridor, prop3_check):
+            with pytest.raises(OutOfRangeError):
+                fn(lazy_asym_pair, True)
+
+    def test_numpy_integers_are_horizons(self, lazy_asym_pair):
+        pair = lazy_asym_pair
+        assert adiabatic_distance(pair, np.int32(3)) == adiabatic_distance(pair, 3)
+        cor = corridor(pair, np.int64(5))
+        assert type(cor.T) is int and cor.T == 5
+        np.testing.assert_array_equal(cor.gaps, corridor(pair, 5).gaps)
+        np.testing.assert_array_equal(prop3_check(pair, np.int64(5))[1], prop3_check(pair, 5)[1])
+        assert stable_adiabatic_time(pair, 0.05, cap=np.int64(2)).t_sad == 2
 
 
 class TestAdiabaticDistance:

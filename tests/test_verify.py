@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import markovmix.adiabatic as adiabatic
 import markovmix.chains as chains
 import markovmix.mixing as mixing
 import markovmix.verify as verify
@@ -28,6 +30,7 @@ from markovmix.mixing import _mixing_scans
 from markovmix.verify import BOUND_IDS
 
 from conftest import build_suite_pairs
+from oracles import corridor_reference
 from record_verify_golden import CAPPED, GOLDEN_DIR, GOLDEN_EPS_SETS, render
 
 
@@ -235,6 +238,23 @@ class TestVerifyOnSuite:
                 golden = GOLDEN_DIR / f"{name}{tag}.{suffix}"
                 assert text.encode() == golden.read_bytes(), golden.name
 
+    def test_reference_corridor_meets_the_goldens(self, suite_pairs, monkeypatch):
+        # The goldens come from the blocked corridor. With the per-step
+        # reference in its place, every flag, int and cap must be the same
+        # and every float, in the details too, within 1e-12.
+        monkeypatch.setattr(adiabatic, "corridor", corridor_reference)
+        monkeypatch.setattr(verify, "corridor", corridor_reference)
+        runs = [
+            (f"{name}{tag}", name, name, {"eps_list": eps_list})
+            for tag, eps_list in GOLDEN_EPS_SETS.items()
+            for name in suite_pairs
+        ]
+        runs.append(("capped", "capped", "lazy-to-asym", CAPPED))
+        for stem, label, name, kwargs in runs:
+            got = json.loads(render(label, suite_pairs[name], **kwargs)["json"])
+            want = json.loads((GOLDEN_DIR / f"{stem}.json").read_bytes())
+            _assert_same_within(got, want, 1e-12, stem)
+
     def test_built_pairs_are_not_checked_again(self, suite_pairs, monkeypatch):
         # each pair checked P0 and P1 when it was built, and its interpolants are
         # ergodic too, so verify_all needs no further check nor mixing_time's
@@ -269,3 +289,30 @@ class TestVerifyOnSuite:
         assert 0.2 < 1 / math.sqrt(3)
         cor1 = [e for e in report.entries if e.bound_id == "COR1"]
         assert cor1[0].passed is True
+
+
+_NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:e[-+]?\d+)?)")
+
+
+def _assert_same_within(got, want, tol, where):
+    """Equal JSON values, except that floats, and decimals in strings, may differ by ``tol``."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same_within(got[key], want[key], tol, (where, key))
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_within(g, w, tol, (where, i))
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= tol, (where, got, want)
+    elif isinstance(want, str):
+        g, w = _NUMBER.split(got), _NUMBER.split(want)
+        assert len(g) == len(w) and g[::2] == w[::2], (where, got, want)
+        for a, b in zip(g[1::2], w[1::2]):
+            if re.fullmatch(r"-?\d+", b):
+                assert a == b, (where, got, want)
+            else:
+                assert abs(float(a) - float(b)) <= tol, (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
