@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adiabatic import (
-    BOUND_SLACK,
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
     adiabatic_time,
@@ -32,6 +31,7 @@ from .spectral import cor1_delta, continuity_delta, mixing_lower_bound
 PROP3_HORIZONS = (10, 50, 200)
 THM2_DELTAS = (0.5, 0.25)
 GRID_CHECK_POINTS = 200
+BOUND_SLACK = 1e-10
 GRID_SLACK = 1e-12
 
 
@@ -176,12 +176,13 @@ def _cor1(c: _Inputs):
 def _thm2(c: _Inputs, delta: float):
     """Tail-corridor guarantee at the derived horizon."""
     try:
-        rep = theorem2_check(c.pair, c.eps, delta, corridor_cap=c.corridor_cap, sup_result=c.sup)
+        T, tail = theorem2_check(c.pair, c.eps, delta, c.corridor_cap, c.sup)
     except HorizonCapError as exc:
         detail = f"SKIPPED: delta={delta} needs T={exc.horizon}, above corridor cap {c.corridor_cap}"
         raise _Skip(detail, f"delta={delta}:T={exc.horizon}")
-    detail = f"delta={delta} T={rep.T} violations={len(rep.violations)}"
-    return rep.max_gap, c.eps, rep.passed, detail
+    violations = int(np.count_nonzero(tail > c.eps + BOUND_SLACK))
+    detail = f"delta={delta} T={T} violations={violations}"
+    return float(tail.max()), c.eps, violations == 0, detail
 
 
 def _thm3(c: _Inputs):

@@ -32,6 +32,7 @@ from markovmix import (
 )
 from markovmix.adiabatic import ceil_int, _interp_stack, _stationary_stack
 from markovmix.spectral import cor1_delta, continuity_delta
+from markovmix.verify import BOUND_SLACK
 
 from conftest import build_suite_chains, build_suite_pairs
 from oracles import two_state_tmix
@@ -134,11 +135,11 @@ def test_criterion_6_tail_corridor_guarantee(pairs):
             for eps in (0.2, 0.1):
                 sup = sup_mixing_time(pair, eps / 2.0)
                 for delta in (0.5, 0.25):
-                    rep = theorem2_check(
+                    T, tail = theorem2_check(
                         pair, eps, delta, corridor_cap=10**5, sup_result=sup
                     )
-                    assert rep.passed, (name, eps, delta)
-                    assert rep.violations == (), (name, eps, delta)
+                    assert len(tail) == T - ceil_int(delta * T) + 1, (name, eps, delta)
+                    assert np.count_nonzero(tail > eps + BOUND_SLACK) == 0, (name, eps, delta)
 
 
 def test_criterion_7_full_corridor_at_quartic_horizon(pairs):

@@ -34,8 +34,9 @@ from markovmix import (
     two_state,
     validate_stochastic,
 )
-from markovmix.adiabatic import BOUND_SLACK, _adiabatic_gaps, _block_steps, _tail_from, ceil_int
+from markovmix.adiabatic import _adiabatic_gaps, _block_steps, _tail_from, ceil_int
 from markovmix.mixing import PASS_SLACK
+from markovmix.verify import BOUND_SLACK
 
 from oracles import (
     adiabatic_distance_oracle,
@@ -719,22 +720,30 @@ class TestProp3Check:
 
 class TestTheorem2Check:
     def test_constant_lazy_values(self, lazy):
-        rep = theorem2_check(ChainPair(lazy, lazy), 0.2, 0.5)
+        pair = ChainPair(lazy, lazy)
+        T, tail = theorem2_check(pair, 0.2, 0.5)
         # sup mixing at 0.1 is 3, so T = ceil(2 * 9 / (0.2 * 0.5)) = 180
-        assert rep.sup_tmix == 3
-        assert rep.T == 180
-        assert rep.passed and not rep.violations
-        assert rep.max_gap <= 1e-12
+        assert sup_mixing_time(pair, 0.1).sup_tmix == 3
+        assert T == 180
+        assert np.count_nonzero(tail > 0.2 + BOUND_SLACK) == 0
+        assert tail.max() <= 1e-12
 
     def test_forward_pair_passes(self, lazy_asym_pair):
-        rep = theorem2_check(lazy_asym_pair, 0.2, 0.5)
-        assert rep.passed
-        assert rep.max_gap <= 0.2
+        _, tail = theorem2_check(lazy_asym_pair, 0.2, 0.5)
+        assert np.count_nonzero(tail > 0.2 + BOUND_SLACK) == 0
+        assert tail.max() <= 0.2
 
     def test_tail_window_indexing(self, lazy_asym_pair):
-        rep = theorem2_check(lazy_asym_pair, 0.2, 0.25)
-        assert rep.k_min == ceil_int(0.25 * rep.T)
-        assert rep.k_min / rep.T >= 0.25 - 1e-12
+        T, tail = theorem2_check(lazy_asym_pair, 0.2, 0.25)
+        k_min = T - len(tail) + 1
+        assert k_min == ceil_int(0.25 * T)
+        assert k_min / T >= 0.25 - 1e-12
+
+    def test_tail_is_the_corridor_suffix(self, suite_pairs):
+        for name, pair in suite_pairs.items():
+            T, tail = theorem2_check(pair, 0.2, 0.5)
+            want = corridor(pair, T).gaps[ceil_int(0.5 * T) - 1 :]
+            assert tail.tobytes() == want.tobytes(), name
 
     def test_delta_domain(self, lazy_asym_pair):
         for delta in (0.0, -0.5, 1.5):
@@ -746,7 +755,7 @@ class TestTheorem2Check:
             theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=10)
 
     def test_corridor_cap_carries_the_derived_horizon(self, lazy_asym_pair):
-        T = theorem2_check(lazy_asym_pair, 0.2, 0.5).T
+        T, _ = theorem2_check(lazy_asym_pair, 0.2, 0.5)
         with pytest.raises(HorizonCapError) as excinfo:
             theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=T - 1)
         assert excinfo.value.horizon == T

@@ -1,9 +1,17 @@
-"""The package namespace: every exported name resolves and is listed once."""
+"""The package namespace and imports, and the names the benchmark tracer reaches in it."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import types
 from pathlib import Path
 
+import pytest
+
 import markovmix
+
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_all_names_exist_once():
@@ -28,3 +36,41 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def _traced(key):
+    module_name, func_name = key.split(".")
+    return getattr(importlib.import_module(f"markovmix.{module_name}"), func_name, None)
+
+
+def _reads(lam, name):
+    """The constant keys (``name["x"]``) and attributes (``name.x``) that a lambda reads."""
+    nodes = [n for n in ast.walk(lam) if isinstance(getattr(n, "value", None), ast.Name)]
+    keys = {n.slice.value for n in nodes if isinstance(n, ast.Subscript) and n.value.id == name}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute) and n.value.id == name}
+    return keys | attrs
+
+
+def test_bench_tracer_resolves_every_traced_name():
+    # the tracer lists a name it cannot resolve as absent and drops its
+    # metrics without failing, so a moved or renamed function must fail here
+    if not BENCH_TRACING.exists():
+        pytest.skip("bench/ is not part of this checkout")
+    source = BENCH_TRACING.read_text(encoding="utf-8")
+    tracing = types.ModuleType("tracing")  # exec'd, so no bytecode cache is written
+    exec(compile(source, str(BENCH_TRACING), "exec"), tracing.__dict__)
+    assert [key for key in tracing.TIMED if not callable(_traced(key))] == []
+
+    computed = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "COMPUTED"
+    )
+    for key_node, value_node in zip(computed.keys, computed.values):
+        key, counter = key_node.value, value_node.elts[1]
+        signature = inspect.signature(_traced(key))
+        assert _reads(counter, "args") <= set(signature.parameters), key
+        fields = _reads(counter, "res")
+        if fields:
+            result_fields = {f.name for f in dataclasses.fields(signature.return_annotation)}
+            assert fields <= result_fields, key

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,10 +25,9 @@ from markovmix import (
     random_dense,
     verify_all,
 )
-from markovmix.adiabatic import BOUND_SLACK
 from markovmix.chains import _stationary_stack
 from markovmix.mixing import _mixing_scans
-from markovmix.verify import BOUND_IDS
+from markovmix.verify import BOUND_IDS, BOUND_SLACK
 
 from conftest import build_suite_pairs
 from oracles import corridor_reference
@@ -130,6 +130,16 @@ class TestVerifyAll:
         assert verify._prop3(None, 3, gaps, bounds) == (0.2, 0.3, True, "T=3 worst_k=2")
         bounds[0] = 0.1 - 2 * BOUND_SLACK
         assert verify._prop3(None, 3, gaps, bounds) == (0.1, bounds[0], False, "T=3 worst_k=1")
+
+    def test_thm2_counts_tail_steps_above_the_slack(self, monkeypatch):
+        # a gap of exactly eps + BOUND_SLACK passes; only the step above it is a violation
+        tail = np.array([0.1, 0.2 + BOUND_SLACK, 0.2 + 2 * BOUND_SLACK])
+        monkeypatch.setattr(verify, "theorem2_check", lambda *args: (8, tail))
+        c = types.SimpleNamespace(pair=None, eps=0.2, corridor_cap=10, sup=None)
+        got = verify._thm2(c, 0.5)
+        assert got == (tail[2], 0.2, False, "delta=0.5 T=8 violations=1")
+        # a numpy scalar would print as np.float64(...) in the CSV report
+        assert type(got[0]) is float
 
     def test_prop2_sweep_covers_endpoints_and_grid(self, forward_report):
         details = [e.detail for e in forward_report.entries if e.bound_id == "PROP2" and e.eps == 0.2]
