@@ -27,14 +27,7 @@ from .errors import (
     _check_eps,
     _check_horizon,
 )
-from .mixing import (
-    DEFAULT_MIXING_CAP,
-    PASS_SLACK,
-    MixingResult,
-    SupMixingResult,
-    _mixing_scans,
-    sup_mixing_time,
-)
+from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, MixingResult, _mixing_scans
 
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
@@ -46,13 +39,16 @@ def _step_radius(n: int) -> float:
     return (n + 2) * 2.0**-53
 
 
-def ceil_int(x: float) -> int:
+def ceil_int(x: float) -> int | float:
     """Ceiling, at least 1, that snaps to the nearest integer within rounding noise.
 
     Formulas like 2 m^2 / eps are integer-valued for many inputs but land a
     few ulp away in floats; a raw ceil would overshoot by one. A formula that
-    is nearly 0 at a huge eps still names a horizon of one step.
+    is nearly 0 at a huge eps still names a horizon of one step, and one too
+    large for a float at a tiny eps stays inf, a horizon above every cap.
     """
+    if x == math.inf:
+        return x
     r = round(x)
     if abs(x - r) <= 1e-12 * max(1.0, abs(x)):
         return max(1, int(r))
@@ -87,6 +83,11 @@ class Corridor:
         """(k, gap) at the largest gap, smallest such k first."""
         k = int(np.argmax(self.gaps))
         return k + 1, float(self.gaps[k])
+
+
+def _over(num: float, den: float) -> float:
+    """num / den for num > 0 and a den > 0 that may have underflowed to 0, where it is inf."""
+    return num / den if den else math.inf
 
 
 def _block_steps(n: int, T: int) -> int:
@@ -243,6 +244,7 @@ def adiabatic_time(
     the bound certifies, is a numerical breakdown.
     """
     _check_eps(eps)
+    horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
     mix, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
@@ -361,26 +363,21 @@ def prop3_check(pair: ChainPair, T: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theorem2_check(
-    pair: ChainPair,
-    eps: float,
-    delta: float,
-    corridor_cap: int = DEFAULT_CORRIDOR_CAP,
-    sup_result: SupMixingResult | None = None,
+    pair: ChainPair, eps: float, delta: float, m: int, corridor_cap: int = DEFAULT_CORRIDOR_CAP
 ) -> tuple[int, np.ndarray]:
     """The derived horizon T = ceil(2 m^2 / (eps delta)) and the corridor gaps on its tail.
 
-    ``m`` is the sup mixing time at eps / 2 (a grid estimate). ``tail[i]`` is
-    the gap at step k_min + i, with k_min = ceil_int(delta T), so the tail
-    covers every k with delta <= k/T <= 1; Theorem 2 bounds each by eps, up to
-    ``verify.BOUND_SLACK``.
+    ``m`` is the sup mixing time at eps / 2, as ``sup_mixing_time`` estimates
+    it. ``tail[i]`` is the gap at step k_min + i, with k_min = ceil_int(delta
+    T), so the tail covers every k with delta <= k/T <= 1; Theorem 2 bounds
+    each by eps, up to ``verify.BOUND_SLACK``.
     """
     _check_eps(eps)
     if not 0.0 < delta <= 1.0:
         raise OutOfRangeError(f"delta = {delta!r} is outside (0, 1]")
-    if sup_result is None:
-        sup_result = sup_mixing_time(pair, eps / 2.0)
-    m = sup_result.sup_tmix
-    T = ceil_int(2.0 * m * m / (eps * delta))
+    m = _check_horizon(m, "m")
+    corridor_cap = _check_horizon(corridor_cap, "corridor_cap")
+    T = ceil_int(_over(2.0 * m * m, eps * delta))
     if T > corridor_cap:
         raise HorizonCapError(
             f"required horizon {T} exceeds corridor cap {corridor_cap}", horizon=T
@@ -388,17 +385,15 @@ def theorem2_check(
     return T, corridor(pair, T).gaps[ceil_int(delta * T) - 1 :]
 
 
-def theorem3_horizon(n: int, eps: float, sup_tmix_half_eps: int) -> int:
+def theorem3_horizon(n: int, eps: float, sup_tmix_half_eps: int) -> int | float:
     """Horizon ceil(4 m^4 / eps^3 + 4 m^2 / eps^2 + 1 / eps) for the full corridor.
 
     With m the sup mixing time at eps / 2, a corridor at this horizon keeps
     every gap within eps, provided eps < 1/sqrt(n) and the derived radius
-    sqrt(eps/T) - 1/T falls inside the continuity radius at eps.
+    sqrt(eps/T) - 1/T falls inside the continuity radius at eps. At a tiny
+    eps the horizon is too large for a float, and is inf.
     """
-    if n < 2:
-        raise OutOfRangeError(f"n must be >= 2, got {n}")
+    _check_horizon(n, "n", 2)
     _check_eps(eps)
-    if sup_tmix_half_eps < 1:
-        raise ValueError(f"sup_tmix_half_eps must be >= 1, got {sup_tmix_half_eps!r}")
-    m = float(sup_tmix_half_eps)
-    return ceil_int(4.0 * m**4 / eps**3 + 4.0 * m**2 / eps**2 + 1.0 / eps)
+    m = float(_check_horizon(sup_tmix_half_eps, "sup_tmix_half_eps"))
+    return ceil_int(_over(4.0 * m**4, eps**3) + _over(4.0 * m**2, eps**2) + 1.0 / eps)

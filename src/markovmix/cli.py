@@ -20,7 +20,9 @@ from .adiabatic import (
 )
 from .chainfile import _json_text, load_pair, pair_to_dict
 from .chains import ChainPair, interpolate, stationary, structure
-from .errors import CapExceededError, ChainError, HorizonCapError, NumericalBreakdownError
+from .errors import (
+    CapExceededError, ChainError, HorizonCapError, NumericalBreakdownError, _check_horizon
+)
 from .generators import FAMILIES, GeneratorParams, generate
 from .mixing import DEFAULT_MIXING_CAP, mixing_time, sup_mixing_time
 from .verify import verify_all
@@ -128,7 +130,7 @@ def _stable(args, pair, name):
 
 
 def _corridor(args, pair, name):
-    if args.steps > args.cap:
+    if args.steps > _check_horizon(args.cap, "cap"):
         raise HorizonCapError(f"T = {args.steps} exceeds cap {args.cap}", horizon=args.steps)
     cor = corridor(pair, args.steps)
     worst_k, worst_gap = cor.worst

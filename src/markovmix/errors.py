@@ -56,12 +56,12 @@ def _check_eps(eps: float) -> None:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
 
 
-def _check_horizon(T, name: str = "T") -> int:
-    """The one horizon rule: an integer >= 1, returned as an int; bools and floats are not."""
+def _check_horizon(T, name: str = "T", low: int = 1) -> int:
+    """The one integer rule, for horizons, caps, m and counts: an int >= low; no bool, no float."""
     if isinstance(T, bool) or not isinstance(T, numbers.Integral):
-        raise OutOfRangeError(f"{name} must be an integer >= 1, got {T!r}")
-    if T < 1:
-        raise OutOfRangeError(f"{name} must be >= 1, got {T}")
+        raise OutOfRangeError(f"{name} must be an integer >= {low}, got {T!r}")
+    if T < low:
+        raise OutOfRangeError(f"{name} must be >= {low}, got {T}")
     return int(T)
 
 

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainPair, StochasticMatrix, _family, stationary
-from .errors import (
-    IterationCapError,
-    NumericalBreakdownError,
-    OutOfRangeError,
-    _check_eps,
-)
+from .errors import IterationCapError, NumericalBreakdownError, _check_eps, _check_horizon
 
 PASS_SLACK = 1e-12
 DEFAULT_MIXING_CAP = 10**6
@@ -103,6 +98,7 @@ def _mixing_scans(
 def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) -> MixingResult:
     """Least T >= 1 with max Dirac-start TV gap at most eps, by a scan up to cap."""
     _check_eps(eps)
+    cap = _check_horizon(cap, "cap")
     pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
     return _mixing_scans(P.entries[None], pi[None], eps, cap)[0]
 
@@ -117,10 +113,8 @@ def sup_mixing_time(
     an end (one ulp wide, from depth 16 on). Ties for the max prefer the
     endpoints s = 0 then s = 1, then the smallest sampled s.
     """
-    if grid_points < 2:
-        raise OutOfRangeError(f"grid_points must be >= 2, got {grid_points}")
-    if refine_depth < 0:
-        raise OutOfRangeError(f"refine_depth must be >= 0, got {refine_depth}")
+    grid_points = _check_horizon(grid_points, "grid_points", 2)
+    refine_depth = _check_horizon(refine_depth, "refine_depth", 0)
     _check_eps(eps)
 
     samples: dict[float, int] = {}

@@ -2,7 +2,8 @@
 
 The smallest nonzero singular value sigma of I - P lower-bounds how slowly
 the chain can mix, and controls how far the stationary distribution of the
-interpolated family can move for small interpolation parameters.
+interpolated family can move for small interpolation parameters. The bound
+and the radii take sigma and m as numbers; spectral_summary computes sigma.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import StochasticMatrix
-from .errors import EpsTooLargeError, RankDefectError, _check_eps
+from .errors import EpsTooLargeError, OutOfRangeError, RankDefectError, _check_eps, _check_horizon
 
 ZERO_THRESHOLD_FACTOR = 1e-12
 
@@ -20,14 +21,12 @@ ZERO_THRESHOLD_FACTOR = 1e-12
 class SpectralSummary:
     """Singular values of I - P, largest first.
 
-    For an ergodic kernel exactly one singular value is numerically zero
-    (``rank_defect == 1``) and ``sigma`` is the smallest nonzero one, i.e.
-    the (n-1)-th largest.
+    For an ergodic kernel exactly one singular value is numerically zero,
+    and ``sigma`` is the smallest nonzero one, i.e. the (n-1)-th largest.
     """
 
     sigma: float
     singular_values: tuple[float, ...]
-    rank_defect: int
 
 
 def spectral_summary(P: StochasticMatrix) -> SpectralSummary:
@@ -47,33 +46,37 @@ def spectral_summary(P: StochasticMatrix) -> SpectralSummary:
             f"I - P has {zeros} singular values at or below {cutoff!r}, expected 1"
         )
     return SpectralSummary(
-        sigma=float(svals[n - 2]),
-        singular_values=tuple(float(s) for s in svals),
-        rank_defect=1,
+        sigma=float(svals[n - 2]), singular_values=tuple(float(s) for s in svals)
     )
 
 
-def mixing_lower_bound(P: StochasticMatrix, eps: float) -> float:
-    """Lower bound (1 - 2 sqrt(n) eps) / sigma on the mixing time at eps.
+def _check_formula(n: int, eps: float, sigma: float) -> None:
+    """The rules for a formula's inputs: n an integer >= 2, eps and sigma finite and > 0."""
+    _check_horizon(n, "n", 2)
+    _check_eps(eps)
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise OutOfRangeError(f"sigma must be finite and > 0, got {sigma!r}")
 
-    May be nonpositive (vacuous) for large eps; it is informative only when
+
+def mixing_lower_bound(n: int, eps: float, sigma: float) -> float:
+    """Lower bound (1 - 2 sqrt(n) eps) / sigma on the mixing time at eps of an n-state kernel.
+
+    ``sigma`` is the kernel's :func:`spectral_summary` sigma. May be
+    nonpositive (vacuous) for large eps; it is informative only when
     eps < 1 / (2 sqrt(n)).
     """
-    _check_eps(eps)
-    sigma = spectral_summary(P).sigma
-    return (1.0 - 2.0 * math.sqrt(P.n) * eps) / sigma
+    _check_formula(n, eps, sigma)
+    return (1.0 - 2.0 * math.sqrt(n) * eps) / sigma
 
 
-def continuity_delta(P0: StochasticMatrix, eps: float) -> float:
-    """Radius delta = eps * sigma / (2 n^{3/2}), clamped to [0, 1].
+def continuity_delta(n: int, eps: float, sigma: float) -> float:
+    """Radius delta = eps * sigma / (2 n^{3/2}), clamped to [0, 1], with sigma that of P0.
 
     Guarantee: for every s <= delta the stationary distribution of the
     interpolant P_s stays within eps of that of P0 in total variation.
     """
-    _check_eps(eps)
-    sigma = spectral_summary(P0).sigma
-    delta = eps * sigma / (2.0 * P0.n ** 1.5)
-    return min(delta, 1.0)
+    _check_formula(n, eps, sigma)
+    return min(eps * sigma / (2.0 * n ** 1.5), 1.0)
 
 
 def cor1_delta(n: int, eps: float, tmix_half_eps: int) -> float:
@@ -83,10 +86,10 @@ def cor1_delta(n: int, eps: float, tmix_half_eps: int) -> float:
     Guarantee: for every s <= delta the stationary distribution of P_s stays
     within eps / 2 of that of P0. Requires eps < 1 / sqrt(n).
     """
+    _check_horizon(n, "n", 2)
     _check_eps(eps)
     if eps >= 1.0 / math.sqrt(n):
         raise EpsTooLargeError(f"eps = {eps!r} is >= 1/sqrt({n})")
-    if tmix_half_eps < 1:
-        raise ValueError(f"tmix_half_eps must be >= 1, got {tmix_half_eps!r}")
+    tmix_half_eps = _check_horizon(tmix_half_eps, "tmix_half_eps")
     delta = eps * (1.0 - math.sqrt(n) * eps) / (4.0 * n ** 1.5 * tmix_half_eps)
     return min(delta, 1.0)

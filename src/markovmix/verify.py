@@ -24,9 +24,11 @@ from .adiabatic import (
 )
 from .chainfile import _json_text
 from .chains import ChainPair, StochasticMatrix, _family, _row_tv
-from .errors import EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps
-from .mixing import DEFAULT_MIXING_CAP, SupMixingResult, _mixing_scans, sup_mixing_time
-from .spectral import cor1_delta, continuity_delta, mixing_lower_bound
+from .errors import (
+    EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
+)
+from .mixing import DEFAULT_MIXING_CAP, _mixing_scans, sup_mixing_time
+from .spectral import cor1_delta, continuity_delta, mixing_lower_bound, spectral_summary
 
 PROP3_HORIZONS = (10, 50, 200)
 THM2_DELTAS = (0.5, 0.25)
@@ -118,14 +120,15 @@ class _Skip(Exception):
 class _Inputs:
     """What the checks read at one eps; ``cor1`` is None when eps >= 1/sqrt(n).
 
-    ``sweep`` holds the PROP2 kernels as (label, kernel, mixing time at eps).
+    ``sweep`` holds the PROP2 kernels as (label, sigma, mixing time at eps),
+    P0 first; ``m`` is the sup mixing time at eps / 2.
     """
 
     pair: ChainPair
     eps: float
     sweep: list
     prop3: list
-    sup: SupMixingResult
+    m: int
     cor1: float | None
     corridor_cap: int
     horizon_cap: int
@@ -142,9 +145,9 @@ def _prop1(c: _Inputs):
     return float(res.t_ad), float(res.certified_horizon), res.t_ad <= res.certified_horizon, detail
 
 
-def _prop2(c: _Inputs, label: str, kernel, t: int):
+def _prop2(c: _Inputs, label: str, sigma: float, t: int):
     """Spectral lower bound on the mixing time of one kernel of the sweep."""
-    bound = mixing_lower_bound(kernel, c.eps)
+    bound = mixing_lower_bound(c.pair.n, c.eps, sigma)
     if bound <= 0.0:
         return float(t), bound, True, f"kernel={label} (vacuous)"
     return float(t), bound, bound <= t + 1e-9, f"kernel={label}"
@@ -158,8 +161,8 @@ def _prop3(c: _Inputs, T: int, gaps: np.ndarray, bounds: np.ndarray):
 
 
 def _prop4(c: _Inputs):
-    """Stationary continuity within the sigma-based radius."""
-    delta = continuity_delta(c.pair.p0, c.eps)
+    """Stationary continuity within the sigma-based radius, from P0's sigma in the sweep."""
+    delta = continuity_delta(c.pair.n, c.eps, c.sweep[0][1])
     max_tv = _grid_max_tv(c.pair, delta)
     return max_tv, c.eps, max_tv <= c.eps + GRID_SLACK, f"delta={delta!r} grid={GRID_CHECK_POINTS}"
 
@@ -169,14 +172,14 @@ def _cor1(c: _Inputs):
     if c.cor1 is None:
         raise _Skip(f"SKIPPED: eps >= 1/sqrt({c.pair.n})")
     max_tv = _grid_max_tv(c.pair, c.cor1)
-    detail = f"delta={c.cor1!r} sup_tmix={c.sup.sup_tmix} grid={GRID_CHECK_POINTS}"
+    detail = f"delta={c.cor1!r} sup_tmix={c.m} grid={GRID_CHECK_POINTS}"
     return max_tv, c.eps / 2.0, max_tv <= c.eps / 2.0 + GRID_SLACK, detail
 
 
 def _thm2(c: _Inputs, delta: float):
     """Tail-corridor guarantee at the derived horizon."""
     try:
-        T, tail = theorem2_check(c.pair, c.eps, delta, c.corridor_cap, c.sup)
+        T, tail = theorem2_check(c.pair, c.eps, delta, c.m, c.corridor_cap)
     except HorizonCapError as exc:
         detail = f"SKIPPED: delta={delta} needs T={exc.horizon}, above corridor cap {c.corridor_cap}"
         raise _Skip(detail, f"delta={delta}:T={exc.horizon}")
@@ -187,7 +190,7 @@ def _thm2(c: _Inputs, delta: float):
 
 def _thm3(c: _Inputs):
     """Full corridor at the quartic horizon, when caps and preconditions allow."""
-    horizon = theorem3_horizon(c.pair.n, c.eps, c.sup.sup_tmix)
+    horizon = theorem3_horizon(c.pair.n, c.eps, c.m)
     if horizon > c.horizon_cap:
         detail = f"SKIPPED: horizon {horizon} exceeds cap {c.horizon_cap}"
         raise _Skip(detail, f"horizon={horizon}")
@@ -200,7 +203,7 @@ def _thm3(c: _Inputs):
             f"continuity radius at T={horizon}"
         )
     max_gap = corridor(c.pair, horizon).max_gap
-    return max_gap, c.eps, max_gap <= c.eps + GRID_SLACK, f"T={horizon} sup_tmix={c.sup.sup_tmix}"
+    return max_gap, c.eps, max_gap <= c.eps + GRID_SLACK, f"T={horizon} sup_tmix={c.m}"
 
 
 # Report order: (bound id, check, the argument tuples it runs on at one eps).
@@ -236,6 +239,8 @@ def verify_all(
         raise NonPositiveEpsError("eps_list must be nonempty")
     for eps in eps_values:
         _check_eps(eps)
+    corridor_cap = _check_horizon(corridor_cap, "corridor_cap")
+    horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
 
     entries: list[BoundEntry] = []
     caps_hit: list[str] = []
@@ -244,7 +249,8 @@ def verify_all(
     ss = np.linspace(0.0, 1.0, 11)
     labels = [f"s={s:.1f}" for s in ss]
     chunks = list(_family(pair, ss, 4 * pair.n * pair.n))  # four n x n arrays per scanned kernel
-    kernels = [StochasticMatrix(P) for _, Ps, _ in chunks for P in Ps]
+    # sigma does not depend on eps: one SVD per sweep kernel, and PROP4 reads s = 0.0's
+    sigmas = [spectral_summary(StochasticMatrix(P)).sigma for _, Ps, _ in chunks for P in Ps]
     prop3 = [(T, *prop3_check(pair, T)) for T in PROP3_HORIZONS]
 
     for eps in eps_values:
@@ -260,9 +266,9 @@ def verify_all(
             for res in _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP, labels[lo : lo + len(Ps)])
         ]
         # the grid's s = 0 and s = 1 kernels are P0 and P1 bit for bit
-        ends = [("P0", kernels[0], tmix[0]), ("P1", kernels[-1], tmix[-1])]
-        sweep = ends + list(zip(labels, kernels, tmix))
-        c = _Inputs(pair, eps, sweep, prop3, sup, cor1, corridor_cap, horizon_cap)
+        ends = [("P0", sigmas[0], tmix[0]), ("P1", sigmas[-1], tmix[-1])]
+        sweep = ends + list(zip(labels, sigmas, tmix))
+        c = _Inputs(pair, eps, sweep, prop3, sup.sup_tmix, cor1, corridor_cap, horizon_cap)
         for bound_id, check, cases in _CHECKS:
             for args in cases(c):
                 try:

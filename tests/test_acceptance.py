@@ -76,8 +76,9 @@ def test_criterion_1_two_state_closed_form_mixing():
 def test_criterion_2_spectral_lower_bound(chains):
     with criterion(2, "sigma lower bound on every suite chain", 10.0):
         for name, P in chains.items():
+            sigma = spectral_summary(P).sigma
             for eps in (0.2, 0.1, 0.05):
-                bound = mixing_lower_bound(P, eps)
+                bound = mixing_lower_bound(P.n, eps, sigma)
                 tmix = mixing_time(P, eps).tmix
                 assert bound <= tmix + 1e-9, (name, eps)
 
@@ -98,8 +99,9 @@ def test_criterion_4_continuity_radii(pairs):
         points = 200
         for name, pair in pairs.items():
             pi0 = pair.pi0.mass
+            sigma0 = spectral_summary(pair.p0).sigma
             for eps in (0.2, 0.1):
-                delta = continuity_delta(pair.p0, eps)
+                delta = continuity_delta(pair.n, eps, sigma0)
                 ss = np.linspace(0.0, delta, points)
                 pis = _stationary_stack(_interp_stack(pair, ss))
                 worst = (0.5 * np.abs(pis - pi0).sum(axis=1)).max()
@@ -133,11 +135,9 @@ def test_criterion_6_tail_corridor_guarantee(pairs):
     with criterion(6, "tail corridor clean at every derived horizon", 60.0):
         for name, pair in pairs.items():
             for eps in (0.2, 0.1):
-                sup = sup_mixing_time(pair, eps / 2.0)
+                m = sup_mixing_time(pair, eps / 2.0).sup_tmix
                 for delta in (0.5, 0.25):
-                    T, tail = theorem2_check(
-                        pair, eps, delta, corridor_cap=10**5, sup_result=sup
-                    )
+                    T, tail = theorem2_check(pair, eps, delta, m, corridor_cap=10**5)
                     assert len(tail) == T - ceil_int(delta * T) + 1, (name, eps, delta)
                     assert np.count_nonzero(tail > eps + BOUND_SLACK) == 0, (name, eps, delta)
 

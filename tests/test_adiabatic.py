@@ -64,6 +64,10 @@ class TestCeilInt:
         assert ceil_int(1e-13) == 1
         assert ceil_int(0.3) == 1
 
+    def test_overflowed_formula_stays_inf(self):
+        assert ceil_int(math.inf) == math.inf
+        assert ceil_int(1e300) == int(1e300)
+
 
 class TestCorridor:
     def test_constant_family_all_zero(self, suite_chains):
@@ -301,6 +305,17 @@ class TestAdiabaticTime:
         with pytest.raises(HorizonCapError) as excinfo:
             adiabatic_time(lazy_asym_pair, 0.1, horizon_cap=horizon - 1)
         assert excinfo.value.horizon == horizon
+
+    def test_horizon_cap_is_an_integer_of_at_least_one(self, lazy_asym_pair):
+        for cap in (0, True, 2.5, 1e5):
+            with pytest.raises(OutOfRangeError):
+                adiabatic_time(lazy_asym_pair, 0.1, horizon_cap=cap)
+
+    def test_horizon_too_large_for_a_float_is_above_every_cap(self):
+        P = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(HorizonCapError) as excinfo:
+            adiabatic_time(ChainPair(P, P), 1e-320, horizon_cap=10**300)
+        assert excinfo.value.horizon == math.inf
 
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
@@ -718,54 +733,76 @@ class TestProp3Check:
                 assert np.all(gaps <= bounds + BOUND_SLACK), (name, T)
 
 
+def _sup_half(pair, eps):
+    """m = sup_mixing_time(pair, eps / 2).sup_tmix, the m of theorem2_check at eps."""
+    return sup_mixing_time(pair, eps / 2.0).sup_tmix
+
+
 class TestTheorem2Check:
     def test_constant_lazy_values(self, lazy):
         pair = ChainPair(lazy, lazy)
-        T, tail = theorem2_check(pair, 0.2, 0.5)
+        m = _sup_half(pair, 0.2)
+        T, tail = theorem2_check(pair, 0.2, 0.5, m)
         # sup mixing at 0.1 is 3, so T = ceil(2 * 9 / (0.2 * 0.5)) = 180
-        assert sup_mixing_time(pair, 0.1).sup_tmix == 3
+        assert m == 3
         assert T == 180
         assert np.count_nonzero(tail > 0.2 + BOUND_SLACK) == 0
         assert tail.max() <= 1e-12
 
     def test_forward_pair_passes(self, lazy_asym_pair):
-        _, tail = theorem2_check(lazy_asym_pair, 0.2, 0.5)
+        _, tail = theorem2_check(lazy_asym_pair, 0.2, 0.5, _sup_half(lazy_asym_pair, 0.2))
         assert np.count_nonzero(tail > 0.2 + BOUND_SLACK) == 0
         assert tail.max() <= 0.2
 
     def test_tail_window_indexing(self, lazy_asym_pair):
-        T, tail = theorem2_check(lazy_asym_pair, 0.2, 0.25)
+        T, tail = theorem2_check(lazy_asym_pair, 0.2, 0.25, _sup_half(lazy_asym_pair, 0.2))
         k_min = T - len(tail) + 1
         assert k_min == ceil_int(0.25 * T)
         assert k_min / T >= 0.25 - 1e-12
 
     def test_tail_is_the_corridor_suffix(self, suite_pairs):
         for name, pair in suite_pairs.items():
-            T, tail = theorem2_check(pair, 0.2, 0.5)
+            T, tail = theorem2_check(pair, 0.2, 0.5, _sup_half(pair, 0.2))
             want = corridor(pair, T).gaps[ceil_int(0.5 * T) - 1 :]
             assert tail.tobytes() == want.tobytes(), name
 
     def test_delta_domain(self, lazy_asym_pair):
         for delta in (0.0, -0.5, 1.5):
             with pytest.raises(OutOfRangeError):
-                theorem2_check(lazy_asym_pair, 0.2, delta)
+                theorem2_check(lazy_asym_pair, 0.2, delta, 3)
 
     def test_corridor_cap(self, lazy_asym_pair):
         with pytest.raises(CapExceededError):
-            theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=10)
+            theorem2_check(lazy_asym_pair, 0.2, 0.5, 3, corridor_cap=10)
 
     def test_corridor_cap_carries_the_derived_horizon(self, lazy_asym_pair):
-        T, _ = theorem2_check(lazy_asym_pair, 0.2, 0.5)
+        T, _ = theorem2_check(lazy_asym_pair, 0.2, 0.5, 3)
         with pytest.raises(HorizonCapError) as excinfo:
-            theorem2_check(lazy_asym_pair, 0.2, 0.5, corridor_cap=T - 1)
+            theorem2_check(lazy_asym_pair, 0.2, 0.5, 3, corridor_cap=T - 1)
         assert excinfo.value.horizon == T
+
+    def test_m_and_cap_are_integers_of_at_least_one(self, lazy_asym_pair):
+        for m in (0, -1, True, 2.5, 3.0):
+            with pytest.raises(OutOfRangeError):
+                theorem2_check(lazy_asym_pair, 0.2, 0.5, m)
+        for cap in (0, True, 1e5):
+            with pytest.raises(OutOfRangeError):
+                theorem2_check(lazy_asym_pair, 0.2, 0.5, 3, corridor_cap=cap)
+        assert theorem2_check(lazy_asym_pair, 0.2, 0.5, np.int64(3))[0] == 180
+
+    def test_horizon_too_large_for_a_float_is_above_every_cap(self, lazy_asym_pair):
+        # 2 m^2 / (eps delta) overflows at 1e-320; eps delta underflows to 0 at 5e-324
+        for eps, delta in ((1e-320, 0.5), (5e-324, 0.25)):
+            with pytest.raises(HorizonCapError) as excinfo:
+                theorem2_check(lazy_asym_pair, eps, delta, 1, corridor_cap=10**18)
+            assert excinfo.value.horizon == math.inf
 
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
-            theorem2_check(lazy_asym_pair, -0.2, 0.5)
+            theorem2_check(lazy_asym_pair, -0.2, 0.5, 3)
         for eps in (math.nan, math.inf):
             with pytest.raises(NonFiniteError):
-                theorem2_check(lazy_asym_pair, eps, 0.5)
+                theorem2_check(lazy_asym_pair, eps, 0.5, 3)
 
 
 class TestTheorem3Horizon:
@@ -780,10 +817,21 @@ class TestTheorem3Horizon:
         for eps in (math.nan, math.inf):
             with pytest.raises(NonFiniteError):
                 theorem3_horizon(2, eps, 3)
-        with pytest.raises(ValueError):
-            theorem3_horizon(2, 0.1, 0)
         with pytest.raises(OutOfRangeError):
-            theorem3_horizon(1, 0.1, 3)
+            theorem3_horizon(2, 0.1, 0)
+        for n in (1, 0, 2.5, True):
+            with pytest.raises(OutOfRangeError):
+                theorem3_horizon(n, 0.1, 3)
+        for m in (True, 2.5, 4.0):
+            with pytest.raises(OutOfRangeError):
+                theorem3_horizon(2, 0.1, m)
+
+    def test_horizon_too_large_for_a_float_is_inf(self):
+        # eps^3 underflows to 0 at 1e-110; at 1e-105 it does not, but 4 / eps^3 overflows
+        assert theorem3_horizon(2, 1e-110, 1) == math.inf
+        assert theorem3_horizon(2, 1e-105, 1) == math.inf
+        # a finite horizon is still an int
+        assert type(theorem3_horizon(2, 1e-100, 1)) is int
 
     def test_corridor_at_horizon_small_case(self, lazy):
         # constant family at eps = 0.5: the gap at T = 1 is exactly 0.25,

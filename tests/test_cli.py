@@ -241,6 +241,34 @@ class TestExitCodes:
         assert main([*mixing, "--cap", "1"]) == EXIT_CAP
         assert capsys.readouterr().err.count("cap exceeded") == 2
 
+    def test_cap_below_one_is_a_validation_failure(self, pair_file, capsys):
+        chain = ["--chain", str(pair_file)]
+        for argv in (
+            ["mixing", *chain, "--epsilon", "0.1", "--cap", "0"],
+            ["adiabatic", *chain, "--epsilon", "0.1", "--cap", "0"],
+            ["stable", *chain, "--epsilon", "0.1", "--cap", "0"],
+            ["corridor", *chain, "--steps", "5", "--cap", "0"],
+            ["verify", *chain, "--epsilon", "0.1", "--cap", "0"],
+            ["verify", *chain, "--epsilon", "0.1", "--horizon-cap", "0"],
+        ):
+            assert main(argv) == EXIT_VALIDATION, argv
+            assert "must be >= 1, got 0" in capsys.readouterr().err, argv
+
+    def test_horizon_too_large_for_a_float_exits_3_or_skips(self, tmp_path, capsys):
+        path = tmp_path / "mixer.json"
+        mixer = [[0.5, 0.5], [0.5, 0.5]]
+        path.write_text(json.dumps({"name": "mixer", "n": 2, "P0": mixer, "P1": mixer}))
+        # 2 / eps is a finite horizon above the cap at 1e-110 and overflows to inf at 1e-320
+        cases = (("1e-110", "certified horizon 2000"), ("1e-320", "certified horizon inf"))
+        for eps, horizon in cases:
+            assert main(["adiabatic", "--chain", str(path), "--epsilon", eps]) == EXIT_CAP
+            assert horizon in capsys.readouterr().err
+            code, report = run_json(capsys, ["verify", "--chain", str(path), "--epsilon", eps])
+            assert code == EXIT_OK
+            assert [e["bound_id"] for e in report["entries"] if e["pass"] is None] == [
+                "PROP1", "THM2", "THM2", "THM3"
+            ]
+
     def test_corridor_over_cap(self, pair_file):
         argv = ["corridor", "--chain", str(pair_file), "--steps", "50", "--cap", "10"]
         code = main(argv)

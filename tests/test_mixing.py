@@ -111,6 +111,12 @@ class TestMixingTime:
         with pytest.raises(IterationCapError):
             mixing_time(lazy, 1e-6, cap=3)
 
+    def test_cap_is_an_integer_of_at_least_one(self, lazy):
+        for cap in (0, True, 2.5, 3.0):
+            with pytest.raises(OutOfRangeError):
+                mixing_time(lazy, 0.1, cap=cap)
+        assert mixing_time(lazy, 0.1, cap=np.int64(3)).tmix == 3
+
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
             mixing_time(lazy, 0.0)
@@ -306,6 +312,20 @@ class TestSupMixingTime:
     def test_bad_grid(self, lazy_asym_pair):
         with pytest.raises(OutOfRangeError):
             sup_mixing_time(lazy_asym_pair, 0.05, grid_points=1)
+
+    def test_grid_and_depth_are_integers(self, lazy_asym_pair):
+        # grid_points keeps its floor of 2 and refine_depth its floor of 0
+        for kwargs in (
+            {"grid_points": 2.5},
+            {"grid_points": True},
+            {"refine_depth": 2.5},
+            {"refine_depth": True},
+            {"refine_depth": -1},
+        ):
+            with pytest.raises(OutOfRangeError):
+                sup_mixing_time(lazy_asym_pair, 0.05, **kwargs)
+        res = sup_mixing_time(lazy_asym_pair, 0.05, grid_points=np.int64(2), refine_depth=0)
+        assert [s for s, _ in res.per_s_samples] == [0.0, 1.0]
 
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):

@@ -9,6 +9,7 @@ from markovmix import (
     EpsTooLargeError,
     NonFiniteError,
     NonPositiveEpsError,
+    OutOfRangeError,
     RankDefectError,
     continuity_delta,
     cor1_delta,
@@ -29,7 +30,7 @@ class TestSpectralSummary:
         # I - P is symmetric rank one with eigenvalues 1 and 0
         summary = spectral_summary(validate_stochastic([[0.5, 0.5], [0.5, 0.5]]))
         assert summary.sigma == pytest.approx(1.0, abs=1e-12)
-        assert summary.rank_defect == 1
+        assert sum(s <= 1e-12 for s in summary.singular_values) == 1
         np.testing.assert_allclose(summary.singular_values, [1.0, 0.0], atol=1e-12)
 
     def test_lazy_chain(self, lazy):
@@ -65,62 +66,78 @@ class TestSpectralSummary:
             np.testing.assert_allclose(got**2, eigvals, atol=1e-10)
 
 
+def _sigma(P):
+    return spectral_summary(P).sigma
+
+
 class TestMixingLowerBound:
     def test_lazy_value(self, lazy):
         expected = (1.0 - 2.0 * math.sqrt(2) * 0.05) / 0.5
-        got = mixing_lower_bound(lazy, 0.05)
+        got = mixing_lower_bound(2, 0.05, _sigma(lazy))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(1.717157, abs=1e-6)
 
     def test_vanishes_at_threshold(self, lazy):
-        assert mixing_lower_bound(lazy, 1.0 / (2.0 * math.sqrt(2))) == pytest.approx(0.0, abs=1e-12)
+        bound = mixing_lower_bound(2, 1.0 / (2.0 * math.sqrt(2)), _sigma(lazy))
+        assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_one_step_mixer_bound_below_tmix(self):
         P = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
-        bound = mixing_lower_bound(P, 0.1)
+        bound = mixing_lower_bound(2, 0.1, _sigma(P))
         assert bound == pytest.approx(1.0 - 0.2 * math.sqrt(2), abs=1e-12)
         assert mixing_time(P, 0.1).tmix == 1 >= bound
 
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
-            mixing_lower_bound(lazy, 0.0)
+            mixing_lower_bound(2, 0.0, _sigma(lazy))
         for eps in (math.nan, math.inf):
             with pytest.raises(NonFiniteError):
-                mixing_lower_bound(lazy, eps)
+                mixing_lower_bound(2, eps, _sigma(lazy))
 
     def test_holds_on_suite(self, suite_chains):
         for name, P in suite_chains.items():
+            sigma = _sigma(P)
             for eps in (0.2, 0.1, 0.05):
-                bound = mixing_lower_bound(P, eps)
+                bound = mixing_lower_bound(P.n, eps, sigma)
                 tmix = mixing_time(P, eps).tmix
                 assert bound <= tmix + 1e-9, (name, eps)
 
 
 class TestContinuityDelta:
     def test_lazy_value(self, lazy):
-        got = continuity_delta(lazy, 0.1)
+        got = continuity_delta(2, 0.1, _sigma(lazy))
         assert got == pytest.approx(0.1 * 0.5 / (2.0 * 2**1.5), abs=1e-15)
         assert got == pytest.approx(0.00883883, abs=1e-8)
 
     def test_uniform_value(self):
         P = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
-        assert continuity_delta(P, 0.1) == pytest.approx(0.01767767, abs=1e-8)
+        assert continuity_delta(2, 0.1, _sigma(P)) == pytest.approx(0.01767767, abs=1e-8)
 
     def test_linear_in_eps(self, suite_chains):
         for P in suite_chains.values():
-            assert continuity_delta(P, 0.2) == pytest.approx(
-                2.0 * continuity_delta(P, 0.1), rel=1e-12
+            sigma = _sigma(P)
+            assert continuity_delta(P.n, 0.2, sigma) == pytest.approx(
+                2.0 * continuity_delta(P.n, 0.1, sigma), rel=1e-12
             )
 
     def test_clamped_to_one(self, lazy):
-        assert continuity_delta(lazy, 1e9) == 1.0
+        assert continuity_delta(2, 1e9, _sigma(lazy)) == 1.0
 
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
-            continuity_delta(lazy, -0.1)
+            continuity_delta(2, -0.1, _sigma(lazy))
         for eps in (math.nan, math.inf):
             with pytest.raises(NonFiniteError):
-                continuity_delta(lazy, eps)
+                continuity_delta(2, eps, _sigma(lazy))
+
+
+def test_n_and_sigma_rules():
+    # n is a state count of at least 2; sigma is finite and > 0
+    for n, sigma in ((2, 0.0), (2, -0.5), (2, math.nan), (2, math.inf), (1, 0.5), (2.0, 0.5)):
+        with pytest.raises(OutOfRangeError):
+            mixing_lower_bound(n, 0.1, sigma)
+        with pytest.raises(OutOfRangeError):
+            continuity_delta(n, 0.1, sigma)
 
 
 class TestCor1Delta:
@@ -144,9 +161,17 @@ class TestCor1Delta:
             with pytest.raises(NonFiniteError):
                 cor1_delta(2, eps, 3)
 
+    def test_n_is_a_state_count(self):
+        for n in (0, 1, 2.5, True):
+            with pytest.raises(OutOfRangeError):
+                cor1_delta(n, 0.1, 4)
+
     def test_bad_tmix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError):
             cor1_delta(2, 0.1, 0)
+        for m in (True, 2.5, 4.0):
+            with pytest.raises(OutOfRangeError):
+                cor1_delta(2, 0.1, m)
 
 
 def _max_tv_on_grid(pair, delta, points=200):
@@ -158,12 +183,13 @@ def _max_tv_on_grid(pair, delta, points=200):
 class TestContinuityGuarantees:
     def test_radius_guarantee_on_suite(self, suite_pairs):
         for name, pair in suite_pairs.items():
+            sigma0 = _sigma(pair.p0)
             for eps in (0.2, 0.1):
-                delta = continuity_delta(pair.p0, eps)
+                delta = continuity_delta(pair.n, eps, sigma0)
                 assert _max_tv_on_grid(pair, delta) <= eps + 1e-12, (name, eps)
 
     def test_grid_agrees_with_pointwise_stationary(self, lazy_asym_pair):
-        delta = continuity_delta(lazy_asym_pair.p0, 0.1)
+        delta = continuity_delta(2, 0.1, _sigma(lazy_asym_pair.p0))
         for s in np.linspace(0.0, delta, 20):
             pi_s = stationary(interpolate(lazy_asym_pair, float(s)))
             assert tv_distance(pi_s, lazy_asym_pair.pi0) <= 0.1 + 1e-12

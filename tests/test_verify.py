@@ -22,11 +22,14 @@ from markovmix import (
     NoConvergenceError,
     NonFiniteError,
     NonPositiveEpsError,
+    OutOfRangeError,
     random_dense,
+    validate_stochastic,
     verify_all,
 )
 from markovmix.chains import _stationary_stack
 from markovmix.mixing import _mixing_scans
+from markovmix.spectral import spectral_summary
 from markovmix.verify import BOUND_IDS, BOUND_SLACK
 
 from conftest import build_suite_pairs
@@ -115,6 +118,24 @@ class TestVerifyAll:
         with pytest.raises(IterationCapError):
             verify_all(lazy_asym_pair, [0.2])
 
+    def test_caps_are_integers_of_at_least_one(self, lazy_asym_pair):
+        for caps in ({"corridor_cap": True}, {"corridor_cap": 0}, {"horizon_cap": 2.5}):
+            with pytest.raises(OutOfRangeError):
+                verify_all(lazy_asym_pair, [0.2], **caps)
+
+    @pytest.mark.parametrize("eps", [1e-110, 1e-320])
+    def test_horizon_too_large_for_a_float_is_a_cap_skip(self, eps):
+        # t_mix is 1 at any eps; 2 / eps overflows at 1e-320 and eps^3 underflows at 1e-110
+        mixer = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
+        report = verify_all(ChainPair(mixer, mixer), [eps], name="mixer")
+        skipped = {e.bound_id for e in report.entries if e.passed is None}
+        assert skipped == {"PROP1", "THM2", "THM3"}
+        assert report.all_passed()
+        thm3 = [e for e in report.entries if e.bound_id == "THM3"]
+        assert thm3[0].detail == "SKIPPED: horizon inf exceeds cap 100000"
+        assert f"THM3:eps={eps!r}:horizon=inf" in report.caps_hit
+        assert len(report.caps_hit) == 4
+
     def test_eps_list_validation(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
             verify_all(lazy_asym_pair, [])
@@ -135,7 +156,7 @@ class TestVerifyAll:
         # a gap of exactly eps + BOUND_SLACK passes; only the step above it is a violation
         tail = np.array([0.1, 0.2 + BOUND_SLACK, 0.2 + 2 * BOUND_SLACK])
         monkeypatch.setattr(verify, "theorem2_check", lambda *args: (8, tail))
-        c = types.SimpleNamespace(pair=None, eps=0.2, corridor_cap=10, sup=None)
+        c = types.SimpleNamespace(pair=None, eps=0.2, corridor_cap=10, m=None)
         got = verify._thm2(c, 0.5)
         assert got == (tail[2], 0.2, False, "delta=0.5 T=8 violations=1")
         # a numpy scalar would print as np.float64(...) in the CSV report
@@ -185,6 +206,44 @@ class TestVerifyAll:
         report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
         assert report.to_json() == forward_report.to_json()
         assert sum(kernels) == 22
+
+    def test_one_svd_per_sweep_kernel_for_any_number_of_eps(self, lazy_asym_pair, monkeypatch):
+        # sigma is computed once per grid kernel, before the eps loop; PROP4
+        # reads the s = 0.0 kernel's, and no other check runs an SVD
+        calls = []
+
+        def counted(P):
+            calls.append(P)
+            return spectral_summary(P)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "markovmix":
+                for attr, value in list(vars(module).items()):
+                    if value is spectral_summary:
+                        monkeypatch.setattr(module, attr, counted)
+        for eps_list in ([0.2], [0.2, 0.1], [0.3, 0.25, 0.2, 0.1]):
+            calls.clear()
+            verify_all(lazy_asym_pair, eps_list)
+            assert len(calls) == 11, eps_list
+
+    def test_sweep_sigma_at_s0_is_p0s(self, suite_pairs, monkeypatch):
+        # the first sweep kernel is s = 0.0, and PROP4's radius is built from its sigma
+        sigmas = []
+
+        def spy(P):
+            summary = spectral_summary(P)
+            sigmas.append(summary.sigma)
+            return summary
+
+        monkeypatch.setattr(verify, "spectral_summary", spy)
+        for name, pair in suite_pairs.items():
+            sigmas.clear()
+            report = verify_all(pair, [0.3])
+            want = spectral_summary(pair.p0).sigma
+            assert sigmas[0] == want, name
+            prop4 = [e for e in report.entries if e.bound_id == "PROP4"]
+            delta = min(0.3 * want / (2.0 * pair.n**1.5), 1.0)
+            assert prop4[0].detail == f"delta={delta!r} grid=200", name
 
     def test_grid_check_stays_within_stack_budget(self):
         # PROP4 and COR1 solve 200 grid points; at n = 100 they fit 1 MiB only in chunks
