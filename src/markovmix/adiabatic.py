@@ -32,6 +32,8 @@ from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, MixingResult, _mixing_scans
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
 DEFAULT_HORIZON_CAP = 10**5
+# The stable scan checks horizon T every max(1, T // _STABLE_CHECKS) steps.
+_STABLE_CHECKS = 64
 
 
 def _step_radius(n: int) -> float:
@@ -53,6 +55,15 @@ def ceil_int(x: float) -> int | float:
     if abs(x - r) <= 1e-12 * max(1.0, abs(x)):
         return max(1, int(r))
     return max(1, math.ceil(x))
+
+
+def _horizon_text(h: int | float) -> str:
+    """A horizon as printed: exact below 2**53, above that (and inf) the float it came from.
+
+    ``ceil_int`` of a huge float is an exact int whose low digits are float
+    noise; its float repr keeps only the digits that mean something.
+    """
+    return str(h) if h < 2**53 else repr(float(h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +259,7 @@ def adiabatic_time(
     mix, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
-            f"certified horizon {horizon} exceeds cap {horizon_cap}; "
+            f"certified horizon {_horizon_text(horizon)} exceeds cap {horizon_cap}; "
             "raise the cap or relax eps",
             horizon=horizon,
         )
@@ -297,16 +308,20 @@ def stable_adiabatic_time(
     T is checked in order. Horizons go in blocks, about half as many as
     already scanned and at least 32, within the stack budget; every live
     horizon of a block advances one step k at a time, with its kernel and
-    target built from the same floats as :func:`corridor`, and is dropped at
-    its first gap that reaches eps by more than the rounding margin. A
-    horizon that survives all its steps is decided by the reference
-    ``corridor(pair, T)``, whose worst step the result reports, so the
-    strict comparison ``gap < eps`` is exact: adding slack would admit gaps
-    equal to eps.
+    target built from the same floats as :func:`corridor`. The scan is a
+    filter: horizon T is checked only at the steps k that are multiples of
+    max(1, T // 64), about 64 evenly spaced steps and every step below
+    T = 128, and is dropped at a checked gap that reaches eps by more than
+    the rounding margin. A horizon that survives all its steps, including
+    one whose failing steps all fall between its checks, is decided by the
+    reference ``corridor(pair, T)``, whose worst step the result reports,
+    so the strict comparison ``gap < eps`` is exact: adding slack would
+    admit gaps equal to eps.
 
     On :class:`CapExceededError` the trace holds, for every T, the gap that
-    ruled T out: the gap at its dropping step, or its corridor's maximum if
-    it survived to the reference. Either is at least eps.
+    ruled T out: the gap at the checked step that dropped it, or its
+    corridor's maximum if it survived to the reference. Either is at least
+    eps.
     """
     _check_eps(eps)
     cap = _check_horizon(cap, "cap")
@@ -322,15 +337,23 @@ def stable_adiabatic_time(
     while lo <= cap:
         size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
         hs = np.arange(lo, lo + size)
+        strides = np.maximum(1, hs // _STABLE_CHECKS)
+        every = strides[-1] == 1  # every row at every step: no gather, which short scans feel
         ruled_out = np.empty(size)
         live = np.arange(size)  # positions in hs, ascending
         mus = np.tile(pair.pi0.mass, (size, 1))
         for k in range(1, lo + size):
             Ps = _interp_stack(pair, k / hs[live])
-            targets = _stationary_stack(Ps)
             mus = np.matmul(mus[:, None, :], Ps)[:, 0, :]
             mus /= mus.sum(axis=1, keepdims=True)
-            gaps = _row_tv(mus, targets)
+            if every:
+                gaps = _row_tv(mus, _stationary_stack(Ps))
+            else:
+                # a row not checked at k keeps gap 0, below every eps
+                at = np.flatnonzero(k % strides[live] == 0)
+                gaps = np.zeros(live.size)
+                if at.size:
+                    gaps[at] = _row_tv(mus[at], _stationary_stack(Ps[at]))
             out = gaps >= eps + (k + 1) * margin
             ruled_out[live[out]] = gaps[out]
             live, mus = live[~out], mus[~out]
@@ -380,7 +403,7 @@ def theorem2_check(
     T = ceil_int(_over(2.0 * m * m, eps * delta))
     if T > corridor_cap:
         raise HorizonCapError(
-            f"required horizon {T} exceeds corridor cap {corridor_cap}", horizon=T
+            f"required horizon {_horizon_text(T)} exceeds corridor cap {corridor_cap}", horizon=T
         )
     return T, corridor(pair, T).gaps[ceil_int(delta * T) - 1 :]
 

@@ -74,8 +74,8 @@ class CapExceededError(ChainError):
 
     ``trace`` holds a (T, gap) pair for every horizon scanned so far, for
     diagnosis. From the stable adiabatic scan the gap is the one that ruled
-    T out, at least eps: the gap at the first step where T was dropped, or
-    the corridor's maximum for a horizon that survived to the reference
+    T out, at least eps: the gap at the checked step where T was dropped,
+    or the corridor's maximum for a horizon that survived to the reference
     corridor. ``horizon`` is the horizon the scan needed, when it was derived
     before the cap stopped it, and None otherwise.
     """

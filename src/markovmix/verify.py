@@ -16,6 +16,7 @@ import numpy as np
 from .adiabatic import (
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
+    _horizon_text,
     adiabatic_time,
     corridor,
     prop3_check,
@@ -139,8 +140,8 @@ def _prop1(c: _Inputs):
     try:
         res = adiabatic_time(c.pair, c.eps, horizon_cap=c.horizon_cap)
     except HorizonCapError as exc:
-        detail = f"SKIPPED: horizon {exc.horizon} exceeds cap {c.horizon_cap}"
-        raise _Skip(detail, f"horizon={exc.horizon}")
+        text = _horizon_text(exc.horizon)
+        raise _Skip(f"SKIPPED: horizon {text} exceeds cap {c.horizon_cap}", f"horizon={text}")
     detail = f"tmix_half={res.tmix_half} horizon={res.certified_horizon}"
     return float(res.t_ad), float(res.certified_horizon), res.t_ad <= res.certified_horizon, detail
 
@@ -181,8 +182,9 @@ def _thm2(c: _Inputs, delta: float):
     try:
         T, tail = theorem2_check(c.pair, c.eps, delta, c.m, c.corridor_cap)
     except HorizonCapError as exc:
-        detail = f"SKIPPED: delta={delta} needs T={exc.horizon}, above corridor cap {c.corridor_cap}"
-        raise _Skip(detail, f"delta={delta}:T={exc.horizon}")
+        text = _horizon_text(exc.horizon)
+        detail = f"SKIPPED: delta={delta} needs T={text}, above corridor cap {c.corridor_cap}"
+        raise _Skip(detail, f"delta={delta}:T={text}")
     violations = int(np.count_nonzero(tail > c.eps + BOUND_SLACK))
     detail = f"delta={delta} T={T} violations={violations}"
     return float(tail.max()), c.eps, violations == 0, detail
@@ -192,15 +194,15 @@ def _thm3(c: _Inputs):
     """Full corridor at the quartic horizon, when caps and preconditions allow."""
     horizon = theorem3_horizon(c.pair.n, c.eps, c.m)
     if horizon > c.horizon_cap:
-        detail = f"SKIPPED: horizon {horizon} exceeds cap {c.horizon_cap}"
-        raise _Skip(detail, f"horizon={horizon}")
+        text = _horizon_text(horizon)
+        raise _Skip(f"SKIPPED: horizon {text} exceeds cap {c.horizon_cap}", f"horizon={text}")
     if c.cor1 is None:
         raise _Skip(f"PRECONDITION_UNMET: eps >= 1/sqrt({c.pair.n})")
     derived = math.sqrt(c.eps / horizon) - 1.0 / horizon
     if derived > c.cor1:
         raise _Skip(
             f"PRECONDITION_UNMET: derived radius {derived!r} exceeds "
-            f"continuity radius at T={horizon}"
+            f"continuity radius at T={_horizon_text(horizon)}"
         )
     max_gap = corridor(c.pair, horizon).max_gap
     return max_gap, c.eps, max_gap <= c.eps + GRID_SLACK, f"T={horizon} sup_tmix={c.m}"

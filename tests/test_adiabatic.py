@@ -22,6 +22,7 @@ from markovmix import (
     OutOfRangeError,
     adiabatic_distance,
     adiabatic_time,
+    birth_death,
     corridor,
     mixing_time,
     prop3_check,
@@ -34,7 +35,14 @@ from markovmix import (
     two_state,
     validate_stochastic,
 )
-from markovmix.adiabatic import _adiabatic_gaps, _block_steps, _tail_from, ceil_int
+from markovmix.adiabatic import (
+    _adiabatic_gaps,
+    _block_steps,
+    _horizon_text,
+    _step_radius,
+    _tail_from,
+    ceil_int,
+)
 from markovmix.mixing import PASS_SLACK
 from markovmix.verify import BOUND_SLACK
 
@@ -67,6 +75,14 @@ class TestCeilInt:
     def test_overflowed_formula_stays_inf(self):
         assert ceil_int(math.inf) == math.inf
         assert ceil_int(1e300) == int(1e300)
+
+    def test_huge_horizons_print_as_their_float(self):
+        # below 2**53 every integer is a float, so the exact digits mean something
+        assert _horizon_text(3078404) == "3078404"
+        assert _horizon_text(2**53 - 1) == "9007199254740991"
+        assert _horizon_text(2**53) == "9007199254740992.0"
+        assert _horizon_text(ceil_int(2e110)) == "2e+110"
+        assert _horizon_text(math.inf) == "inf"
 
 
 class TestCorridor:
@@ -607,6 +623,10 @@ def _assert_same_scan(pair, eps, cap):
         assert str(got) == str(want)
         assert [T for T, _ in got.trace] == [T for T, _ in want.trace]
         assert all(gap >= eps for _, gap in got.trace)
+        # each gap is one of T's corridor gaps, up to the scan's rounding margin
+        for T, gap in got.trace:
+            margin = 3 * (T + 1) * _step_radius(pair.n)
+            assert np.abs(corridor(pair, T).gaps - gap).min() <= margin, T
     else:
         assert (got.t_sad, got.worst_k) == (want.t_sad, want.worst_k)
         assert got.worst_gap.hex() == want.worst_gap.hex()
@@ -614,7 +634,7 @@ def _assert_same_scan(pair, eps, cap):
 
 
 class TestBatchedStableScan:
-    """Blocks of horizons dropped at their first failing step, against the loop."""
+    """Blocks of horizons dropped at a failing checked step, against the loop."""
 
     @settings(max_examples=30)
     @given(
@@ -640,6 +660,51 @@ class TestBatchedStableScan:
                 )
             for eps in (0.05, 0.02):
                 _assert_same_scan(pair, eps, 400)
+
+    @settings(max_examples=30)
+    @given(
+        pair=st.builds(
+            lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
+            st.integers(2, 8),
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 2**32 - 1),
+        ),
+        eps=st.sampled_from([0.1, 0.05, 0.02]),
+        checks=st.sampled_from([1, 2, 8]),
+    )
+    def test_coarse_grid_matches_reference_loop(self, pair, eps, checks):
+        # a few checks per horizon, so that most horizons skip most of their
+        # failing steps and many reach the reference corridor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adiabatic, "_STABLE_CHECKS", checks)
+            _assert_same_scan(pair, eps, 60)
+
+    @pytest.mark.parametrize("checks", [1, 2, 8])
+    def test_suite_pairs_match_reference_on_a_coarse_grid(self, suite_pairs, monkeypatch, checks):
+        monkeypatch.setattr(adiabatic, "_STABLE_CHECKS", checks)
+        for name, pair in suite_pairs.items():
+            for eps in (0.05, 0.02, 0.01):
+                _assert_same_scan(pair, eps, 300)
+
+    def test_long_horizons_are_checked_at_about_64_steps(self, monkeypatch):
+        pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
+        real_stack, real_corridor = adiabatic._stationary_stack, adiabatic.corridor
+        kernels, decided = [], []
+
+        def counting_stack(Ps):
+            kernels.append(len(Ps))
+            return real_stack(Ps)
+
+        def recording(pair, T):
+            decided.append(T)
+            return real_corridor(pair, T)
+
+        monkeypatch.setattr(adiabatic, "_stationary_stack", counting_stack)
+        monkeypatch.setattr(adiabatic, "corridor", recording)
+        assert stable_adiabatic_time(pair, 0.03).t_sad == 688
+        # a target for every live horizon at every step took 78,180 solves
+        assert sum(kernels) <= 12_000
+        assert decided == [688]
 
     def test_eps_at_the_gap_itself(self, suite_pairs):
         pair = suite_pairs["complete5-to-bd5"]

@@ -39,6 +39,15 @@ def pair_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def mixer_file(tmp_path):
+    """A pair with t_mix 1 at any eps, so its horizons are 2 / eps and beyond."""
+    path = tmp_path / "mixer.json"
+    mixer = [[0.5, 0.5], [0.5, 0.5]]
+    path.write_text(json.dumps({"name": "mixer", "n": 2, "P0": mixer, "P1": mixer}))
+    return path
+
+
 @pytest.fixture(scope="module")
 def golden_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli-inputs")
@@ -254,20 +263,36 @@ class TestExitCodes:
             assert main(argv) == EXIT_VALIDATION, argv
             assert "must be >= 1, got 0" in capsys.readouterr().err, argv
 
-    def test_horizon_too_large_for_a_float_exits_3_or_skips(self, tmp_path, capsys):
-        path = tmp_path / "mixer.json"
-        mixer = [[0.5, 0.5], [0.5, 0.5]]
-        path.write_text(json.dumps({"name": "mixer", "n": 2, "P0": mixer, "P1": mixer}))
+    def test_horizon_too_large_for_a_float_exits_3_or_skips(self, mixer_file, capsys):
         # 2 / eps is a finite horizon above the cap at 1e-110 and overflows to inf at 1e-320
-        cases = (("1e-110", "certified horizon 2000"), ("1e-320", "certified horizon inf"))
+        cases = (("1e-110", "certified horizon 2e+110 "), ("1e-320", "certified horizon inf "))
         for eps, horizon in cases:
-            assert main(["adiabatic", "--chain", str(path), "--epsilon", eps]) == EXIT_CAP
+            assert main(["adiabatic", "--chain", str(mixer_file), "--epsilon", eps]) == EXIT_CAP
             assert horizon in capsys.readouterr().err
-            code, report = run_json(capsys, ["verify", "--chain", str(path), "--epsilon", eps])
+            argv = ["verify", "--chain", str(mixer_file), "--epsilon", eps]
+            code, report = run_json(capsys, argv)
             assert code == EXIT_OK
             assert [e["bound_id"] for e in report["entries"] if e["pass"] is None] == [
                 "PROP1", "THM2", "THM2", "THM3"
             ]
+
+    def test_huge_horizons_print_as_floats(self, mixer_file, capsys):
+        # ceil_int(2e110) is an exact 111-digit int; only its float's digits mean anything
+        argv = ["verify", "--chain", str(mixer_file), "--epsilon", "1e-110"]
+        code, report = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert report["caps_hit"] == [
+            "PROP1:eps=1e-110:horizon=2e+110",
+            "THM2:eps=1e-110:delta=0.5:T=4e+110",
+            "THM2:eps=1e-110:delta=0.25:T=8e+110",
+            "THM3:eps=1e-110:horizon=inf",
+        ]
+        assert [e["detail"] for e in report["entries"] if e["pass"] is None] == [
+            "SKIPPED: horizon 2e+110 exceeds cap 100000",
+            "SKIPPED: delta=0.5 needs T=4e+110, above corridor cap 100000",
+            "SKIPPED: delta=0.25 needs T=8e+110, above corridor cap 100000",
+            "SKIPPED: horizon inf exceeds cap 100000",
+        ]
 
     def test_corridor_over_cap(self, pair_file):
         argv = ["corridor", "--chain", str(pair_file), "--steps", "50", "--cap", "10"]
