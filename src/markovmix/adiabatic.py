@@ -32,7 +32,7 @@ from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, MixingResult, _mixing_scans
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
 DEFAULT_HORIZON_CAP = 10**5
-# The stable scan checks horizon T every max(1, T // _STABLE_CHECKS) steps.
+# The stable scan checks a block of horizons up to H every max(1, H // _STABLE_CHECKS) steps.
 _STABLE_CHECKS = 64
 
 
@@ -309,19 +309,20 @@ def stable_adiabatic_time(
     already scanned and at least 32, within the stack budget; every live
     horizon of a block advances one step k at a time, with its kernel and
     target built from the same floats as :func:`corridor`. The scan is a
-    filter: horizon T is checked only at the steps k that are multiples of
-    max(1, T // 64), about 64 evenly spaced steps and every step below
-    T = 128, and is dropped at a checked gap that reaches eps by more than
-    the rounding margin. A horizon that survives all its steps, including
-    one whose failing steps all fall between its checks, is decided by the
+    filter: a block whose largest horizon is H checks its live horizons
+    only at the steps k that are multiples of max(1, H // 64), about 43 to
+    64 evenly spaced steps per horizon and every step while H is below 128,
+    and drops a horizon at a checked gap that reaches eps by more than the
+    rounding margin. A horizon that survives all its steps, including one
+    whose failing steps all fall between the checks, is decided by the
     reference ``corridor(pair, T)``, whose worst step the result reports,
     so the strict comparison ``gap < eps`` is exact: adding slack would
     admit gaps equal to eps.
 
-    On :class:`CapExceededError` the trace holds, for every T, the gap that
-    ruled T out: the gap at the checked step that dropped it, or its
-    corridor's maximum if it survived to the reference. Either is at least
-    eps.
+    On :class:`CapExceededError` the trace holds, for every T in ascending
+    order, the gap that ruled T out: the gap at the checked step that
+    dropped it, or its corridor's maximum if it survived to the reference.
+    Either is at least eps.
     """
     _check_eps(eps)
     cap = _check_horizon(cap, "cap")
@@ -336,39 +337,29 @@ def stable_adiabatic_time(
     lo = 1
     while lo <= cap:
         size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
-        hs = np.arange(lo, lo + size)
-        strides = np.maximum(1, hs // _STABLE_CHECKS)
-        every = strides[-1] == 1  # every row at every step: no gather, which short scans feel
-        ruled_out = np.empty(size)
-        live = np.arange(size)  # positions in hs, ascending
+        live = np.arange(lo, lo + size)  # the live horizons, ascending
+        stride = max(1, (lo + size - 1) // _STABLE_CHECKS)
         mus = np.tile(pair.pi0.mass, (size, 1))
         for k in range(1, lo + size):
-            Ps = _interp_stack(pair, k / hs[live])
+            Ps = _interp_stack(pair, k / live)
             mus = np.matmul(mus[:, None, :], Ps)[:, 0, :]
             mus /= mus.sum(axis=1, keepdims=True)
-            if every:
+            if k % stride == 0:
                 gaps = _row_tv(mus, _stationary_stack(Ps))
-            else:
-                # a row not checked at k keeps gap 0, below every eps
-                at = np.flatnonzero(k % strides[live] == 0)
-                gaps = np.zeros(live.size)
-                if at.size:
-                    gaps[at] = _row_tv(mus[at], _stationary_stack(Ps[at]))
-            out = gaps >= eps + (k + 1) * margin
-            ruled_out[live[out]] = gaps[out]
-            live, mus = live[~out], mus[~out]
-            if live.size and hs[live[0]] == k:
+                out = gaps >= eps + (k + 1) * margin
+                trace.extend(zip(live[out].tolist(), gaps[out].tolist()))
+                live, mus = live[~out], mus[~out]
+            if live.size and live[0] == k:
                 k_worst, gap = corridor(pair, k).worst
                 if gap < eps:
                     return StableAdiabaticResult(t_sad=k, eps=eps, worst_k=k_worst, worst_gap=gap)
-                ruled_out[live[0]] = gap
+                trace.append((k, gap))
                 live, mus = live[1:], mus[1:]
             if not live.size:
                 break
-        trace.extend(zip(hs.tolist(), ruled_out.tolist()))
         lo += size
     raise CapExceededError(
-        f"no T <= {cap} kept the corridor strictly below eps = {eps!r}", trace=trace
+        f"no T <= {cap} kept the corridor strictly below eps = {eps!r}", trace=sorted(trace)
     )
 
 

@@ -73,11 +73,11 @@ class CapExceededError(ChainError):
     """A scan, a solve or a horizon hit its cap; the base of every cap error.
 
     ``trace`` holds a (T, gap) pair for every horizon scanned so far, for
-    diagnosis. From the stable adiabatic scan the gap is the one that ruled
-    T out, at least eps: the gap at the checked step where T was dropped,
-    or the corridor's maximum for a horizon that survived to the reference
-    corridor. ``horizon`` is the horizon the scan needed, when it was derived
-    before the cap stopped it, and None otherwise.
+    diagnosis. From the stable adiabatic scan it is sorted by T, and the gap
+    is the one that ruled T out, at least eps: the gap at the checked step
+    where T was dropped, or the corridor's maximum for a horizon that
+    survived to the reference corridor. ``horizon`` is the horizon the scan
+    needed, when it was derived before the cap stopped it, and None otherwise.
     """
 
     def __init__(self, message, trace=None, horizon=None):

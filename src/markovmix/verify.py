@@ -243,6 +243,7 @@ def verify_all(
         _check_eps(eps)
     corridor_cap = _check_horizon(corridor_cap, "corridor_cap")
     horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
+    grid_points = _check_horizon(grid_points, "grid_points", 2)
 
     entries: list[BoundEntry] = []
     caps_hit: list[str] = []

@@ -123,6 +123,14 @@ class TestVerifyAll:
             with pytest.raises(OutOfRangeError):
                 verify_all(lazy_asym_pair, [0.2], **caps)
 
+    def test_grid_points_are_checked_before_any_work(self, lazy_asym_pair, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "prop3_check", lambda *args: calls.append(args))
+        for grid_points in (1, 0, 2.5, True):
+            with pytest.raises(OutOfRangeError):
+                verify_all(lazy_asym_pair, [0.2], grid_points=grid_points)
+        assert calls == []
+
     @pytest.mark.parametrize("eps", [1e-110, 1e-320])
     def test_horizon_too_large_for_a_float_is_a_cap_skip(self, eps):
         # t_mix is 1 at any eps; 2 / eps overflows at 1e-320 and eps^3 underflows at 1e-110
