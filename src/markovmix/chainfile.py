@@ -36,6 +36,8 @@ def pair_from_dict(payload: dict) -> tuple[str, ChainPair]:
     if not isinstance(name, str):
         raise BadParamsError(f"chain name must be a string, got {name!r}")
     n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise BadParamsError(f"declared n must be an integer, got {n!r}")
     p0 = validate_stochastic(payload["P0"])
     p1 = validate_stochastic(payload["P1"])
     if p0.n != n or p1.n != n:

@@ -76,22 +76,37 @@ def _float_array(raw) -> np.ndarray:
         raise BadParamsError(f"expected an array of numbers: {exc}") from None
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    """Reject NaN and infinite entries, which every tolerance comparison lets pass."""
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        where = idx[0] if len(idx) == 1 else idx
-        raise NonFiniteError(f"entry {where} = {float(arr[idx])!r} is non-finite")
+def _entry(arr: np.ndarray, flat: int) -> str:
+    """``entry (i, j) = x`` for a matrix, ``entry i = x`` for a vector, at flat index ``flat``."""
+    idx = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
+    return f"entry {idx[0] if len(idx) == 1 else idx} = {float(arr[idx])!r}"
+
+
+def _check_rows(arr: np.ndarray, low: float, tol: float) -> None:
+    """The one entry rule: each entry finite and >= ``low``, each row sum within ``tol`` of 1.
+
+    Rows run along the last axis, so a vector is one row. NaN is caught first: it passes every comparison.
+    """
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NonFiniteError(f"{_entry(arr, int(np.argmin(finite)))} is non-finite")
+    if arr.min() < low:
+        raise NegativeEntryError(f"{_entry(arr, int(np.argmin(arr)))} is below {low!r}")
+    sums = np.atleast_1d(arr.sum(axis=-1))
+    off = np.abs(sums - 1.0)
+    if off.max() > tol:
+        bad = int(np.argmax(off))
+        raise RowSumError(f"row {bad} sums to {float(sums[bad])!r}, outside tolerance {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """A validated row-stochastic n x n matrix (one-step kernel of a chain).
 
-    Every entry lies in [0, 1] and every row sums to 1.0 (bit-exact in almost
-    all cases, always within a couple of ulp; rows are renormalized on
-    ingestion). Construct via :func:`validate_stochastic`.
+    Every entry is nonnegative and every row sums to 1 within ROW_SUM_TOLERANCE.
+    Ingested kernels (:func:`validate_stochastic`) are renormalized to row sums
+    of 1.0, bit-exact in almost all cases and always within a couple of ulp;
+    interpolants (:func:`interpolate`) are the rounded convex combination.
     """
 
     entries: np.ndarray
@@ -100,13 +115,7 @@ class StochasticMatrix:
         e = np.array(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 2:
             raise NotSquareError(f"expected a square matrix with n >= 2, got shape {e.shape}")
-        _require_finite(e)
-        if np.any(e < 0.0):
-            raise NegativeEntryError("entries must be nonnegative")
-        sums = e.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise RowSumError(f"row {bad} sums to {float(sums[bad])!r}")
+        _check_rows(e, 0.0, ROW_SUM_TOLERANCE)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -125,12 +134,7 @@ class Distribution:
         m = np.array(self.mass, dtype=float)
         if m.ndim != 1 or m.shape[0] < 1:
             raise DimensionMismatchError(f"expected a 1-d vector, got shape {m.shape}")
-        _require_finite(m)
-        if np.any(m < 0.0):
-            raise NegativeEntryError("mass must be nonnegative")
-        s = m.sum()
-        if abs(s - 1.0) > DISTRIBUTION_TOLERANCE:
-            raise RowSumError(f"mass sums to {float(s)!r}, not 1")
+        _check_rows(m, 0.0, DISTRIBUTION_TOLERANCE)
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 
@@ -199,19 +203,7 @@ def validate_stochastic(raw) -> StochasticMatrix:
     arr = _float_array(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise NotSquareError(f"expected a square matrix with n >= 2, got shape {arr.shape}")
-    _require_finite(arr)
-    if np.any(arr < -ROW_SUM_TOLERANCE):
-        i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise NegativeEntryError(
-            f"entry ({i}, {j}) = {float(arr[i, j])!r} is below -{ROW_SUM_TOLERANCE!r}"
-        )
-    sums = arr.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if np.any(off > ROW_SUM_TOLERANCE):
-        bad = int(np.argmax(off))
-        raise RowSumError(
-            f"row {bad} sums to {float(sums[bad])!r}, outside tolerance {ROW_SUM_TOLERANCE!r}"
-        )
+    _check_rows(arr, -ROW_SUM_TOLERANCE, ROW_SUM_TOLERANCE)
     fixed = np.clip(arr, 0.0, None)
     for i in range(fixed.shape[0]):
         _exact_simplex(fixed[i])
@@ -221,17 +213,10 @@ def validate_stochastic(raw) -> StochasticMatrix:
 def validate_distribution(raw) -> Distribution:
     """Validate a raw probability vector, renormalizing to exact sum 1."""
     vec = _float_array(raw)
-    if vec.ndim != 1:
+    if vec.ndim != 1 or vec.shape[0] < 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {vec.shape}")
-    _require_finite(vec)
-    if np.any(vec < -DISTRIBUTION_TOLERANCE):
-        raise NegativeEntryError("vector has an entry below the tolerance")
-    if abs(vec.sum() - 1.0) > DISTRIBUTION_TOLERANCE:
-        raise RowSumError(
-            f"vector sums to {float(vec.sum())!r}, outside tolerance {DISTRIBUTION_TOLERANCE!r}"
-        )
-    _exact_simplex(np.clip(vec, 0.0, None, out=vec))
-    return Distribution(vec)
+    _check_rows(vec, -DISTRIBUTION_TOLERANCE, DISTRIBUTION_TOLERANCE)
+    return Distribution(_exact_simplex(np.clip(vec, 0.0, None, out=vec)))
 
 
 def _bfs_levels(adj: np.ndarray, start: int) -> np.ndarray:
@@ -281,10 +266,13 @@ def _interp_stack(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
 
 
 def interpolate(pair: ChainPair, t: float) -> StochasticMatrix:
-    """The convex combination (1 - t) P0 + t P1, revalidated."""
+    """The convex combination (1 - t) P0 + t P1, built through the constructor, not renormalized.
+
+    It is the kernel the batched scans take from :func:`_interp_stack`, bit for bit.
+    """
     if not 0.0 <= t <= 1.0:
         raise OutOfRangeError(f"t = {t!r} is outside [0, 1]")
-    return validate_stochastic(_interp_stack(pair, np.array([t]))[0])
+    return StochasticMatrix(_interp_stack(pair, np.array([t]))[0])
 
 
 def _stationary_power(P: np.ndarray, tol: float = 1e-14, cap: int = 10**6) -> np.ndarray:

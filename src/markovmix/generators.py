@@ -12,6 +12,7 @@ exactly so regression values survive reimplementation:
 """
 
 import inspect
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,7 +40,7 @@ def _check_prob(name: str, value) -> float:
 
 
 def _check_states(n) -> int:
-    if n is None or int(n) != n or n < 2:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise BadParamsError(f"n must be an integer >= 2, got {n!r}")
     return int(n)
 
@@ -96,7 +97,7 @@ def birth_death(n: int, p: float, q: float) -> StochasticMatrix:
 def random_dense(n: int, seed: int) -> StochasticMatrix:
     """Rows drawn uniformly from the simplex via the pinned PCG64 stream."""
     n = _check_states(n)
-    if seed is None or int(seed) != seed:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise BadParamsError(f"seed must be an integer, got {seed!r}")
     rng = np.random.Generator(np.random.PCG64(int(seed) % 2**64))
     u = rng.random((n, n))

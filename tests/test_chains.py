@@ -20,13 +20,19 @@ from markovmix import (
     RowSumError,
     StochasticMatrix,
     interpolate,
+    random_dense,
     stationary,
     structure,
     tv_distance,
     validate_distribution,
     validate_stochastic,
 )
-from markovmix.chains import _stationary_power, _stationary_stack
+from markovmix.chains import (
+    DISTRIBUTION_TOLERANCE,
+    ROW_SUM_TOLERANCE,
+    _stationary_power,
+    _stationary_stack,
+)
 
 from oracles import (
     period_oracle,
@@ -196,12 +202,17 @@ class TestInterpolate:
                 interpolate(lazy_asym_pair, t)
 
     def test_equals_the_raw_stack_bit_for_bit(self, suite_pairs):
-        # revalidation changes no entry, so the batched scans, which use the
-        # raw stack, see the same kernels as interpolate at every s checked,
-        # the PROP2 sweep's 11 points included
+        # interpolate builds the raw stack's kernel through the constructor,
+        # so the batched scans see the same kernels as interpolate at every s
+        # checked, the PROP2 sweep's 11 points included, on the suite pairs
+        # and on random_dense pairs up to n = 200
         ss = np.concatenate((np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 11)))
-        for name, pair in suite_pairs.items():
-            for s in ss:
+        dense = {
+            f"dense{n}": ChainPair(random_dense(n, seed=n), random_dense(n, seed=n + 1))
+            for n in (6, 20, 50, 100, 200)
+        }
+        for name, pair in [*suite_pairs.items(), *dense.items()]:
+            for s in ss if name in suite_pairs else np.linspace(0.0, 1.0, 101):
                 raw = chains._interp_stack(pair, np.array([s]))[0]
                 checked = interpolate(pair, float(s)).entries
                 np.testing.assert_array_equal(checked, raw, err_msg=(name, s))
@@ -379,6 +390,106 @@ class TestDistributionValidation:
         d = Distribution([0.5, 0.5])
         with pytest.raises(ValueError):
             d.mass[0] = 0.7
+
+
+@st.composite
+def near_stochastic(draw):
+    """A stochastic matrix or a probability vector (n 2-6) with up to three entries nudged.
+
+    A nudge shifts an entry up or down by 0.5, 0.99, 1.01 or 3 tolerances;
+    or it sets the entry that far below 0, moving its mass onto the next
+    entry of the row so the row sum stays 1; or it makes the entry NaN or
+    +-inf. Returns the array, whether it is a vector, and its tolerance.
+    """
+    n = draw(st.integers(2, 6))
+    vector = draw(st.booleans())
+    tol = DISTRIBUTION_TOLERANCE if vector else ROW_SUM_TOLERANCE
+    shape = (n,) if vector else (n, n)
+    arr = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    arr /= arr.sum(axis=-1, keepdims=True)
+    for _ in range(draw(st.integers(0, 3))):
+        idx = tuple(draw(st.integers(0, n - 1)) for _ in shape)
+        kind = draw(st.sampled_from(["shift", "below zero", "non-finite"]))
+        size = draw(st.sampled_from([0.5, 0.99, 1.01, 3.0])) * tol
+        if kind == "shift":
+            arr[idx] += draw(st.sampled_from([-size, size]))
+        elif kind == "below zero":
+            arr[(*idx[:-1], (idx[-1] + 1) % n)] += arr[idx] + size
+            arr[idx] = -size
+        else:
+            arr[idx] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return arr, vector, tol
+
+
+def _passes(arr, low, tol):
+    """The entry rule spelled out: finite entries >= low, each row sum within tol of 1."""
+    if not np.isfinite(arr).all():
+        return False
+    sums = arr.reshape(-1, arr.shape[-1]).sum(axis=1)
+    return bool((arr >= low).all() and (np.abs(sums - 1.0) <= tol).all())
+
+
+def _accepts(build, arr):
+    try:
+        return build(arr.copy())
+    except (NonFiniteError, NegativeEntryError, RowSumError):
+        return None
+
+
+class TestEntryRule:
+    """One rule decides every kernel and distribution: floor 0 to construct, -tol to ingest."""
+
+    @given(near_stochastic())
+    @settings(max_examples=300)
+    def test_constructor_and_ingestion_accept_exactly_the_rule(self, case):
+        arr, vector, tol = case
+        construct, ingest = (
+            (Distribution, validate_distribution) if vector else (StochasticMatrix, validate_stochastic)
+        )
+        assert (_accepts(construct, arr) is not None) == _passes(arr, 0.0, tol)
+        ingested = _accepts(ingest, arr)
+        assert (ingested is not None) == _passes(arr, -tol, tol)
+        if ingested is not None:
+            out = ingested.mass if vector else ingested.entries
+            again = ingest(out)
+            assert (again.mass if vector else again.entries).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize(
+        "build, raw, error, message",
+        [
+            (StochasticMatrix, [[1.0, -1e-10], [0.5, 0.5]], NegativeEntryError,
+             r"^entry \(0, 1\) = -1e-10 is below 0.0$"),
+            (StochasticMatrix, [[0.5, 0.5], [0.5, 0.6]], RowSumError,
+             r"^row 1 sums to 1.1, outside tolerance 1e-09$"),
+            (validate_stochastic, [[1.001, -0.001], [0.5, 0.5]], NegativeEntryError,
+             r"^entry \(0, 1\) = -0.001 is below -1e-09$"),
+            (validate_stochastic, [[0.5, 0.6], [0.5, 0.5]], RowSumError,
+             r"^row 0 sums to 1.1, outside tolerance 1e-09$"),
+            (Distribution, [1.0, -1e-13], NegativeEntryError,
+             r"^entry 1 = -1e-13 is below 0.0$"),
+            (Distribution, [0.5, 0.6], RowSumError,
+             r"^row 0 sums to 1.1, outside tolerance 1e-12$"),
+            (validate_distribution, [0.6, 0.5, -0.1], NegativeEntryError,
+             r"^entry 2 = -0.1 is below -1e-12$"),
+            (validate_distribution, [0.6, 0.5], RowSumError,
+             r"^row 0 sums to 1.1, outside tolerance 1e-12$"),
+        ],
+        ids=[
+            f"{build}-{kind}"
+            for build in ("matrix", "validate_stochastic", "distribution", "validate_distribution")
+            for kind in ("entry", "row")
+        ],
+    )
+    def test_one_message_form(self, build, raw, error, message):
+        with pytest.raises(error, match=message):
+            build(raw)
+
+    @pytest.mark.parametrize("raw", [[], [[0.5, 0.5]], 1.0], ids=["empty", "matrix", "scalar"])
+    def test_a_vector_is_one_dimensional_and_not_empty(self, raw):
+        with pytest.raises(DimensionMismatchError):
+            validate_distribution(raw)
+        with pytest.raises(DimensionMismatchError):
+            Distribution(raw)
 
 
 class TestChainPair:

@@ -9,11 +9,13 @@ import pytest
 import markovmix.adiabatic as adiabatic
 import markovmix.cli as cli
 from markovmix import (
+    BadParamsError,
     CapExceededError,
     HorizonCapError,
     IterationCapError,
     NoConvergenceError,
     load_pair,
+    pair_from_dict,
 )
 from markovmix.cli import (
     EXIT_BOUND_FAILED,
@@ -223,6 +225,18 @@ class TestExitCodes:
         assert "NaN" in bad.read_text()
         assert main(["validate", "--chain", str(bad)]) == EXIT_VALIDATION
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_declared_n_must_be_an_integer(self, tmp_path, capsys, n):
+        half = [[0.5, 0.5], [0.5, 0.5]]
+        payload = {"name": "n", "n": n, "P0": half, "P1": half}
+        with pytest.raises(BadParamsError, match=r"^declared n must be an integer, got "):
+            pair_from_dict(payload)
+        bad = tmp_path / "n.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["validate", "--chain", str(bad)]) == EXIT_VALIDATION
+        assert "declared n must be an integer" in capsys.readouterr().err
+        assert pair_from_dict({**payload, "n": 2})[1].n == 2
 
     def test_not_ergodic_is_validation_failure(self, tmp_path):
         bad = tmp_path / "cycle.json"

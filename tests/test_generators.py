@@ -137,3 +137,36 @@ class TestGenerateDispatch:
             generate(GeneratorParams(family="two_state", p=0.25, q=0.25, n=7))
         with pytest.raises(BadParamsError, match="random_dense takes n, seed, not 'alpha'"):
             generate(GeneratorParams(family="random_dense", n=3, seed=7, alpha=0.5))
+
+
+class TestIntegerRule:
+    """n and seed are integers, as every horizon and cap is: no bool, no float; numpy integers count."""
+
+    @pytest.mark.parametrize("n", [True, 4.0, np.float64(5), 2.5, "4", None])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: lazy_cycle(n, 0.5),
+            lambda n: complete_graph(n, 0.5),
+            lambda n: birth_death(n, 0.3, 0.4),
+            lambda n: random_dense(n, seed=1),
+        ],
+        ids=["lazy_cycle", "complete_graph", "birth_death", "random_dense"],
+    )
+    def test_n_must_be_an_integer(self, make, n):
+        with pytest.raises(BadParamsError, match="n must be an integer >= 2"):
+            make(n)
+
+    @pytest.mark.parametrize("seed", [True, False, 2.0, np.float64(3), "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(BadParamsError, match="seed must be an integer"):
+            random_dense(3, seed=seed)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(np.int64(4), np.int32(-5)), (np.uint8(3), np.uint64(2**64 - 1))]
+    )
+    def test_numpy_integers_accepted(self, n, seed):
+        np.testing.assert_array_equal(
+            random_dense(n, seed=seed).entries, random_dense(int(n), seed=int(seed)).entries
+        )
+        np.testing.assert_array_equal(lazy_cycle(n, 0.5).entries, lazy_cycle(int(n), 0.5).entries)

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import markovmix
 
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+PACKAGE = Path(markovmix.__file__).parent
 
 
 def test_all_names_exist_once():
@@ -23,7 +25,7 @@ def test_all_names_exist_once():
 def test_every_imported_name_is_used():
     # the unused-import rule of a linter, for every module but the re-exporting __init__
     unused = []
-    for path in sorted(Path(markovmix.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -36,6 +38,38 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_private_name_is_used():
+    # the dead-code rule: every module-level name with a leading underscore
+    # is read somewhere in the package outside its own definition
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    everywhere = Counter(name for tree in trees for name in reads(tree))
+    dead = []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = Counter(reads(stmt))
+            dead += [
+                name
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and everywhere[name] == own[name]
+            ]
+    assert sorted(dead) == []
 
 
 def _traced(key):
