@@ -40,7 +40,6 @@ from .errors import (
     HorizonCapError,
     IterationCapError,
     NegativeEntryError,
-    NoConvergenceError,
     NonFiniteError,
     NonPositiveEpsError,
     NotErgodicError,
@@ -88,7 +87,6 @@ __all__ = [
     "IterationCapError",
     "MixingResult",
     "NegativeEntryError",
-    "NoConvergenceError",
     "NonFiniteError",
     "NonPositiveEpsError",
     "NotErgodicError",

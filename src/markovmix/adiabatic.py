@@ -26,6 +26,7 @@ from .errors import (
     OutOfRangeError,
     _check_eps,
     _check_horizon,
+    _check_real,
 )
 from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, MixingResult, _mixing_scans
 
@@ -387,7 +388,7 @@ def theorem2_check(
     each by eps, up to ``verify.BOUND_SLACK``.
     """
     _check_eps(eps)
-    if not 0.0 < delta <= 1.0:
+    if not 0.0 < _check_real(delta, "delta") <= 1.0:
         raise OutOfRangeError(f"delta = {delta!r} is outside (0, 1]")
     m = _check_horizon(m, "m")
     corridor_cap = _check_horizon(corridor_cap, "corridor_cap")

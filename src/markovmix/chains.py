@@ -21,12 +21,13 @@ from .errors import (
     BadParamsError,
     DimensionMismatchError,
     NegativeEntryError,
-    NoConvergenceError,
     NonFiniteError,
     NotErgodicError,
     NotSquareError,
+    NumericalBreakdownError,
     OutOfRangeError,
     RowSumError,
+    _check_real,
 )
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -270,22 +271,9 @@ def interpolate(pair: ChainPair, t: float) -> StochasticMatrix:
 
     It is the kernel the batched scans take from :func:`_interp_stack`, bit for bit.
     """
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= _check_real(t, "t") <= 1.0:
         raise OutOfRangeError(f"t = {t!r} is outside [0, 1]")
     return StochasticMatrix(_interp_stack(pair, np.array([t]))[0])
-
-
-def _stationary_power(P: np.ndarray, tol: float = 1e-14, cap: int = 10**6) -> np.ndarray:
-    """Power iteration fallback; raises NoConvergenceError at the cap."""
-    n = P.shape[0]
-    mu = np.full(n, 1.0 / n)
-    for _ in range(cap):
-        nxt = mu @ P
-        nxt /= nxt.sum()
-        if np.abs(nxt - mu).sum() <= tol:
-            return _exact_simplex(nxt)
-        mu = nxt
-    raise NoConvergenceError(f"power iteration did not reach tol {tol!r} in {cap} steps")
 
 
 def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
@@ -293,9 +281,10 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
 
     Solves (I - P^T) pi = 0 with the last equation replaced by sum(pi) = 1
     (the discarded equation is redundant: columns of I - P^T sum to zero),
-    batched over the stack, with a per-row check; rows whose residual
-    ``l1(pi P - pi)`` exceeds ``STATIONARY_RESIDUAL_TOL`` or whose sign
-    pattern is off fall back to power iteration individually.
+    batched over the stack, then checks every row. A singular solve, a
+    non-finite entry, an entry below -1e-12 or a residual ``l1(pi P - pi)``
+    above ``STATIONARY_RESIDUAL_TOL`` raises NumericalBreakdownError naming
+    the first such stack row, the failed check and its value.
     """
     T, n, _ = Ps.shape
     A = -np.transpose(Ps, (0, 2, 1)).copy()
@@ -306,16 +295,22 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
     b[:, -1] = 1.0
     try:
         pis = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        pis = np.full((T, n), np.nan)
+    except np.linalg.LinAlgError as exc:
+        # slogdet runs the solve's LU; its sign is 0 where that LU meets an exactly zero pivot
+        i = int(np.argmin(np.linalg.slogdet(A)[0] != 0))
+        raise NumericalBreakdownError(
+            f"stationary solve, stack row {i}: LU solve raised {exc!r}; numerical breakdown"
+        ) from None
     residual = np.abs(np.einsum("ti,tij->tj", pis, Ps) - pis).sum(axis=1)
-    bad = (
-        ~np.isfinite(pis).all(axis=1)
-        | (pis < -1e-12).any(axis=1)
-        | (residual > STATIONARY_RESIDUAL_TOL)
-    )
-    for i in np.flatnonzero(bad):
-        pis[i] = _stationary_power(Ps[i])
+    bad = ~np.isfinite(pis).all(axis=1) | (pis < -1e-12).any(axis=1) | (residual > STATIONARY_RESIDUAL_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        lowest = float(pis[i].min())
+        check = (
+            f"entry {lowest!r} is below -1e-12" if lowest < -1e-12 else
+            f"residual l1(pi P - pi) = {float(residual[i])!r}, tolerance {STATIONARY_RESIDUAL_TOL!r}"
+        )
+        raise NumericalBreakdownError(f"stationary solve, stack row {i}: {check}; numerical breakdown")
     np.clip(pis, 0.0, None, out=pis)
     pis /= pis.sum(axis=1, keepdims=True)
     return pis
@@ -343,8 +338,8 @@ def stationary(P: StochasticMatrix) -> Distribution:
     """Stationary distribution of an ergodic kernel.
 
     Raises :class:`NotErgodicError` for a kernel that is not irreducible
-    and aperiodic, then solves it as a stack of one (see
-    :func:`_stationary_stack`).
+    and aperiodic, then solves it as a stack of one; a solve that fails its
+    check raises :class:`NumericalBreakdownError` (see :func:`_stationary_stack`).
     """
     rep = structure(P)
     if not (rep.irreducible and rep.aperiodic):

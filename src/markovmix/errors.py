@@ -49,11 +49,18 @@ class NonPositiveEpsError(ChainError):
 
 
 def _check_eps(eps: float) -> None:
-    """The one eps rule: finite and strictly positive."""
-    if not math.isfinite(eps):
+    """The one eps rule: a real number, finite and strictly positive."""
+    if not math.isfinite(_check_real(eps, "eps")):
         raise NonFiniteError(f"eps must be finite, got {eps!r}")
     if eps <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+
+
+def _check_real(x, name: str):
+    """The one real-number rule, for eps, t and delta: a ``numbers.Real``, not a bool; returns it."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise OutOfRangeError(f"{name} must be a real number, got {x!r}")
+    return x
 
 
 def _check_horizon(T, name: str = "T", low: int = 1) -> int:
@@ -70,7 +77,7 @@ class EpsTooLargeError(ChainError):
 
 
 class CapExceededError(ChainError):
-    """A scan, a solve or a horizon hit its cap; the base of every cap error.
+    """A scan or a horizon hit its cap; the base of every cap error.
 
     ``trace`` holds a (T, gap) pair for every horizon scanned so far, for
     diagnosis. From the stable adiabatic scan it is sorted by T, and the gap
@@ -88,10 +95,6 @@ class CapExceededError(ChainError):
 
 class IterationCapError(CapExceededError):
     """Mixing-time search exceeded its iteration cap."""
-
-
-class NoConvergenceError(CapExceededError):
-    """Iterative stationary solver exceeded its iteration cap."""
 
 
 class HorizonCapError(CapExceededError):

@@ -26,7 +26,7 @@ from .adiabatic import (
 from .chainfile import _json_text
 from .chains import ChainPair, StochasticMatrix, _family, _row_tv
 from .errors import (
-    EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
+    EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon, _check_real
 )
 from .mixing import DEFAULT_MIXING_CAP, _mixing_scans, sup_mixing_time
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound, spectral_summary
@@ -232,11 +232,12 @@ def verify_all(
     """Run every bound check for every epsilon and assemble the report.
 
     A horizon cap (PROP1, THM2, THM3) becomes a skip listed in ``caps_hit``; a
-    mixing scan or stationary solve at its cap aborts the run. Entries appear
-    in a fixed order: PROP1, PROP2 over the kernel sweep, PROP3 per horizon,
-    PROP4, COR1, THM2 per delta, THM3, repeated per epsilon in the order given.
+    mixing scan at its cap, or a stationary solve that fails its check, aborts
+    the run. Entries appear in a fixed order: PROP1, PROP2 over the kernel
+    sweep, PROP3 per horizon, PROP4, COR1, THM2 per delta, THM3, repeated per
+    epsilon in the order given.
     """
-    eps_values = [float(e) for e in eps_list]
+    eps_values = [float(_check_real(e, "eps")) for e in eps_list]
     if not eps_values:
         raise NonPositiveEpsError("eps_list must be nonempty")
     for eps in eps_values:

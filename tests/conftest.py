@@ -1,5 +1,6 @@
 """Shared fixtures: the canonical suite of chains and pairs."""
 
+import numpy as np
 import pytest
 
 from markovmix import (
@@ -9,6 +10,7 @@ from markovmix import (
     lazy_cycle,
     random_dense,
     two_state,
+    validate_stochastic,
 )
 
 
@@ -44,6 +46,16 @@ def asym():
 @pytest.fixture(scope="session")
 def lazy_asym_pair(lazy, asym):
     return ChainPair(lazy, asym)
+
+
+@pytest.fixture(scope="session")
+def wide_range():
+    """A complete 3-state kernel with entries 10^-E, whose LU stationary solve fails its sign check.
+
+    LU gives pi an entry of -9.9e-10; the exact pi is [0.999999, 1.1e-23, 1.09e-6].
+    """
+    P = 10.0 ** -np.array([[4, 30, 31], [33, 39, 30], [33, 28, 11]], dtype=float)
+    return validate_stochastic(P / P.sum(axis=1, keepdims=True))
 
 
 def build_suite_chains():

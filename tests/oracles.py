@@ -35,6 +35,15 @@ def stationary_eig(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def lu_stationary(P: np.ndarray) -> np.ndarray:
+    """One kernel's bordered LU solve of pi (I - P) = 0 with sum(pi) = 1, clipped at 0 and renormalized."""
+    n = P.shape[0]
+    A = np.eye(n) - P.T
+    A[-1] = 1.0
+    pi = np.clip(np.linalg.solve(A, np.eye(n)[-1]), 0.0, None)
+    return pi / pi.sum()
+
+
 def tv(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(a) - np.asarray(b)).sum())
 

@@ -520,6 +520,11 @@ class TestStableAdiabaticTime:
             with pytest.raises(NonFiniteError):
                 stable_adiabatic_time(lazy_asym_pair, eps)
 
+    @pytest.mark.parametrize("eps", [True, np.True_, "0.1", None])
+    def test_eps_must_be_a_real_number(self, lazy_asym_pair, eps):
+        with pytest.raises(OutOfRangeError, match="^eps must be a real number, got "):
+            stable_adiabatic_time(lazy_asym_pair, eps)
+
     def test_constant_family(self, suite_chains):
         for name in ("lazy", "asym", "complete3"):
             res = stable_adiabatic_time(ChainPair(suite_chains[name], suite_chains[name]), 0.1)
@@ -846,6 +851,11 @@ class TestTheorem2Check:
         for delta in (0.0, -0.5, 1.5):
             with pytest.raises(OutOfRangeError):
                 theorem2_check(lazy_asym_pair, 0.2, delta, 3)
+
+    @pytest.mark.parametrize("delta", [True, np.True_, "0.5", None])
+    def test_delta_must_be_a_real_number(self, lazy_asym_pair, delta):
+        with pytest.raises(OutOfRangeError, match="^delta must be a real number, got "):
+            theorem2_check(lazy_asym_pair, 0.1, delta, 4)
 
     def test_corridor_cap(self, lazy_asym_pair):
         with pytest.raises(CapExceededError):

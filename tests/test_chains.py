@@ -12,13 +12,14 @@ from markovmix import (
     DimensionMismatchError,
     Distribution,
     NegativeEntryError,
-    NoConvergenceError,
     NonFiniteError,
     NotErgodicError,
     NotSquareError,
+    NumericalBreakdownError,
     OutOfRangeError,
     RowSumError,
     StochasticMatrix,
+    complete_graph,
     interpolate,
     random_dense,
     stationary,
@@ -30,11 +31,11 @@ from markovmix import (
 from markovmix.chains import (
     DISTRIBUTION_TOLERANCE,
     ROW_SUM_TOLERANCE,
-    _stationary_power,
     _stationary_stack,
 )
 
 from oracles import (
+    lu_stationary,
     period_oracle,
     stationary_eig,
     strongly_connected,
@@ -201,6 +202,18 @@ class TestInterpolate:
             with pytest.raises(OutOfRangeError):
                 interpolate(lazy_asym_pair, t)
 
+    @pytest.mark.parametrize("t", [True, False, np.True_, "0.5", None, [0.5]])
+    def test_t_must_be_a_real_number(self, lazy_asym_pair, t):
+        with pytest.raises(OutOfRangeError, match="^t must be a real number, got "):
+            interpolate(lazy_asym_pair, t)
+
+    def test_any_real_number_type_is_a_t(self, lazy_asym_pair, asym):
+        np.testing.assert_array_equal(interpolate(lazy_asym_pair, 1).entries, asym.entries)
+        for t in (np.float64(0.5), np.float32(0.5)):
+            np.testing.assert_array_equal(
+                interpolate(lazy_asym_pair, t).entries, interpolate(lazy_asym_pair, 0.5).entries
+            )
+
     def test_equals_the_raw_stack_bit_for_bit(self, suite_pairs):
         # interpolate builds the raw stack's kernel through the constructor,
         # so the batched scans see the same kernels as interpolate at every s
@@ -256,54 +269,58 @@ class TestStationary:
         with pytest.raises(NotErgodicError):
             stationary(validate_stochastic([[0.0, 1.0], [1.0, 0.0]]))
 
-    def test_power_fallback_agrees(self, asym):
-        pi = _stationary_power(np.array(asym.entries))
-        np.testing.assert_allclose(pi, two_state_stationary(0.2, 0.4), atol=1e-12)
-
     @pytest.mark.parametrize("failure", ["singular", "residual"])
-    def test_falls_back_when_the_solve_fails(self, asym, monkeypatch, failure):
+    def test_a_failed_solve_is_a_breakdown(self, asym, monkeypatch, failure):
         real = np.linalg.solve
-        calls = []
 
         def bad_solve(A, b):
-            calls.append(len(A))
             if failure == "singular":
-                raise np.linalg.LinAlgError("singular matrix")
+                raise np.linalg.LinAlgError("Singular matrix")
             return real(A, b) + 1e-6
 
         monkeypatch.setattr(np.linalg, "solve", bad_solve)
-        pi = stationary(asym)
-        assert calls == [1]
-        np.testing.assert_allclose(pi.mass, two_state_stationary(0.2, 0.4), atol=1e-12)
+        check = "LU solve raised" if failure == "singular" else "residual"
+        with pytest.raises(NumericalBreakdownError, match=f"stack row 0: {check}"):
+            stationary(asym)
 
-    def test_bad_row_falls_back_alone(self, suite_pairs, monkeypatch):
+    def test_a_singular_row_is_named(self, asym):
+        # I - P^T is singular for the identity kernel, which is not ergodic
+        Ps = np.stack([asym.entries] * 2 + [np.eye(2)] + [asym.entries] * 2)
+        with pytest.raises(NumericalBreakdownError, match="stack row 2: LU solve raised"):
+            _stationary_stack(Ps)
+
+    def test_one_bad_row_breaks_the_stack(self, suite_pairs, monkeypatch):
         pair = suite_pairs["dense6-to-dense6"]
         Ps = chains._interp_stack(pair, np.linspace(0.0, 1.0, 5))
-        direct = _stationary_stack(Ps)
-        real_solve, real_power = np.linalg.solve, chains._stationary_power
-        powered = []
+        real_solve = np.linalg.solve
 
         def solve_with_bad_row(A, b):
             x = real_solve(A, b)
             x[2] = -x[2]
             return x
 
-        def spy_power(P):
-            powered.append(P)
-            return real_power(P)
-
         monkeypatch.setattr(np.linalg, "solve", solve_with_bad_row)
-        monkeypatch.setattr(chains, "_stationary_power", spy_power)
-        pis = _stationary_stack(Ps)
-        assert len(powered) == 1 and np.array_equal(powered[0], Ps[2])
-        keep = [0, 1, 3, 4]
-        np.testing.assert_array_equal(pis[keep], direct[keep])
-        np.testing.assert_allclose(pis[2], direct[2], rtol=0.0, atol=1e-12)
+        with pytest.raises(NumericalBreakdownError, match=r"stack row 2: entry -0\.\d+ is below -1e-12"):
+            _stationary_stack(Ps)
 
-    def test_power_fallback_cap(self, asym):
-        # uniform start is one step away from (2/3, 1/3), so cap 1 cannot land
-        with pytest.raises(NoConvergenceError):
-            _stationary_power(np.array(asym.entries), tol=1e-14, cap=1)
+    def test_wide_range_kernel_is_a_breakdown(self, wide_range):
+        with pytest.raises(NumericalBreakdownError, match="stack row 0: entry"):
+            stationary(wide_range)
+        with pytest.raises(NumericalBreakdownError, match="stack row 0: entry"):
+            ChainPair(wide_range, complete_graph(3, 0.5)).pi0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lu_answer_or_breakdown(self, data):
+        n = data.draw(st.integers(2, 5))
+        exps = data.draw(st.lists(st.integers(0, 40), min_size=n * n, max_size=n * n))
+        P = 10.0 ** -np.array(exps, dtype=float).reshape(n, n)
+        K = validate_stochastic(P / P.sum(axis=1, keepdims=True))
+        try:
+            pi = stationary(K).mass
+        except NumericalBreakdownError:
+            return
+        np.testing.assert_array_equal(pi, lu_stationary(K.entries))
 
 
 class TestTvDistance:
@@ -494,8 +511,6 @@ class TestEntryRule:
 
 class TestChainPair:
     def test_dimension_mismatch(self, lazy):
-        from markovmix import complete_graph
-
         with pytest.raises(DimensionMismatchError):
             ChainPair(lazy, complete_graph(3, 0.5))
 

@@ -11,11 +11,13 @@ import markovmix.cli as cli
 from markovmix import (
     BadParamsError,
     CapExceededError,
+    ChainPair,
     HorizonCapError,
     IterationCapError,
-    NoConvergenceError,
+    complete_graph,
     load_pair,
     pair_from_dict,
+    save_pair,
 )
 from markovmix.cli import (
     EXIT_BOUND_FAILED,
@@ -71,8 +73,6 @@ class TestGenerate:
         np.testing.assert_array_equal(pair.p1.entries, [[0.8, 0.2], [0.4, 0.6]])
 
     def test_reload_is_bitwise_stable(self, pair_file, tmp_path):
-        from markovmix import save_pair
-
         name, pair = load_pair(pair_file)
         other = tmp_path / "copy.json"
         save_pair(other, name, pair)
@@ -257,7 +257,6 @@ class TestExitCodes:
     def test_cap_errors_form_one_family(self, pair_file, capsys):
         assert issubclass(HorizonCapError, CapExceededError)
         assert issubclass(IterationCapError, CapExceededError)
-        assert issubclass(NoConvergenceError, CapExceededError)
         adiabatic = ["adiabatic", "--chain", str(pair_file), "--epsilon", "0.05"]
         assert main([*adiabatic, "--cap", "1"]) == EXIT_CAP
         mixing = ["mixing", "--chain", str(pair_file), "--epsilon", "0.0001"]
@@ -393,12 +392,20 @@ class TestExitCodes:
         assert "numerical breakdown" in capsys.readouterr().err
 
     def test_mixing_breakdown_exit(self, pair_file, monkeypatch, capsys):
-        # a kernel whose rows sum to 1.5 gains mass, so its scan's gap rises
+        # a kernel whose rows sum to 1.5 gains mass, so its scan's gap rises; its
+        # own stationary solve would break first, so the scan is given P0's pi
         grown = lambda args, pair: ("P0", SimpleNamespace(entries=1.5 * pair.p0.entries))
         monkeypatch.setattr(cli, "_kernel_for", grown)
+        monkeypatch.setattr("markovmix.mixing.stationary", lambda P: load_pair(pair_file)[1].pi0)
         code = main(["mixing", "--chain", str(pair_file), "--epsilon", "0.01"])
         assert code == EXIT_BREAKDOWN
         assert "kernel 0: max TV gap increased" in capsys.readouterr().err
+
+    def test_stationary_breakdown_exit(self, tmp_path, wide_range, capsys):
+        path = tmp_path / "wide.json"
+        save_pair(path, "wide-range", ChainPair(wide_range, complete_graph(3, 0.5)))
+        assert main(["stationary", "--chain", str(path), "--which", "P0"]) == EXIT_BREAKDOWN
+        assert "stationary solve, stack row 0: entry" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--chain", str(tmp_path / "nope.json")]) == EXIT_VALIDATION

@@ -195,14 +195,16 @@ class TestBatchedMixingScan:
             mixing_scan_reference(Ps[2], pis[2], 0.01, DEFAULT_MIXING_CAP)
 
     def test_sup_breakdown_names_s(self, lazy_asym_pair, monkeypatch):
-        interp = chains._interp_stack
+        interp, solve = chains._interp_stack, chains._stationary_stack
 
         def broken_at_half(pair, ss):
             Ps = interp(pair, ss)
             Ps[ss == 0.5] *= 1.5
             return Ps
 
+        # the grown kernel's own solve would break first: solve the kernel it grew from
         monkeypatch.setattr(chains, "_interp_stack", broken_at_half)
+        monkeypatch.setattr(chains, "_stationary_stack", lambda Ps: solve(Ps / Ps.sum(axis=2, keepdims=True)))
         with pytest.raises(NumericalBreakdownError, match="^kernel s=0.5: "):
             sup_mixing_time(lazy_asym_pair, 0.05)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import markovmix
+import markovmix.errors
 
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 PACKAGE = Path(markovmix.__file__).parent
@@ -70,6 +71,29 @@ def test_every_private_name_is_used():
                 if name.startswith("_") and not name.startswith("__") and everywhere[name] == own[name]
             ]
     assert sorted(dead) == []
+
+
+def test_every_error_class_is_raised():
+    # an error type goes with its last raise site: each class in errors.py is
+    # raised somewhere in the package, or is the base class of one that is
+    def callee(exc):
+        target = exc.func if isinstance(exc, ast.Call) else exc
+        return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+    raised = {
+        callee(node.exc)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    errors = {
+        name: cls
+        for name, cls in vars(markovmix.errors).items()
+        if isinstance(cls, type) and cls.__module__ == "markovmix.errors"
+    }
+    raised_classes = [errors[name] for name in raised if name in errors]
+    orphans = [name for name, cls in errors.items() if not any(issubclass(r, cls) for r in raised_classes)]
+    assert len(errors) > 10 and orphans == []
 
 
 def _traced(key):

@@ -19,7 +19,6 @@ from markovmix import (
     BoundReport,
     ChainPair,
     IterationCapError,
-    NoConvergenceError,
     NonFiniteError,
     NonPositiveEpsError,
     OutOfRangeError,
@@ -106,11 +105,11 @@ class TestVerifyAll:
             assert text.encode() == (GOLDEN_DIR / f"capped.{suffix}").read_bytes(), suffix
 
     def test_solver_cap_inside_thm2_is_not_a_skip(self, lazy_asym_pair, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise NoConvergenceError("power iteration did not reach tol 1e-14 in 1 steps")
+        def iteration_cap(*args, **kwargs):
+            raise IterationCapError("mixing time exceeds cap 1")
 
-        monkeypatch.setattr(verify, "theorem2_check", no_convergence)
-        with pytest.raises(NoConvergenceError):
+        monkeypatch.setattr(verify, "theorem2_check", iteration_cap)
+        with pytest.raises(IterationCapError):
             verify_all(lazy_asym_pair, [0.2])
 
     def test_mixing_cap_aborts_the_run(self, lazy_asym_pair, monkeypatch):
@@ -152,6 +151,11 @@ class TestVerifyAll:
         for eps in (math.nan, math.inf):
             with pytest.raises(NonFiniteError):
                 verify_all(lazy_asym_pair, [0.1, eps])
+
+    @pytest.mark.parametrize("eps", [True, np.True_, "0.2", None])
+    def test_each_eps_must_be_a_real_number(self, lazy_asym_pair, eps):
+        with pytest.raises(OutOfRangeError, match="^eps must be a real number, got "):
+            verify_all(lazy_asym_pair, [0.1, eps])
 
     def test_prop3_reports_first_worst_step(self):
         # gap - bound peaks at k = 2 and k = 3 alike; the first of them is reported
