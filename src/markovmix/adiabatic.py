@@ -106,9 +106,10 @@ def _block_steps(n: int, T: int) -> int:
     """Steps per corridor block, from n and T alone so that no float depends on the chunk.
 
     A block product costs 2 n^3 flops a step, more than the Python step it
-    saves once n^2 > 512, where K = 1; isqrt(T) keeps many blocks a chunk.
+    saves once n^2 > 512, where K = 1; isqrt(T) keeps many blocks a chunk, and
+    64 caps K near sqrt(C / 2), where a chunk's C / K carries balance its 2K steps.
     """
-    return max(1, min(1024 // (n * n), math.isqrt(T)))
+    return max(1, min(1024 // (n * n), 64, math.isqrt(T)))
 
 
 def corridor(pair: ChainPair, T: int) -> Corridor:
@@ -307,18 +308,19 @@ def stable_adiabatic_time(
     The definition takes a plain infimum over T (no requirement on larger
     T), and corridor feasibility is not known to be monotone in T, so every
     T is checked in order. Horizons go in blocks, about half as many as
-    already scanned and at least 32, within the stack budget; every live
-    horizon of a block advances one step k at a time, with its kernel and
-    target built from the same floats as :func:`corridor`. The scan is a
-    filter: a block whose largest horizon is H checks its live horizons
-    only at the steps k that are multiples of max(1, H // 64), about 43 to
-    64 evenly spaced steps per horizon and every step while H is below 128,
-    and drops a horizon at a checked gap that reaches eps by more than the
-    rounding margin. A horizon that survives all its steps, including one
-    whose failing steps all fall between the checks, is decided by the
-    reference ``corridor(pair, T)``, whose worst step the result reports,
-    so the strict comparison ``gap < eps`` is exact: adding slack would
-    admit gaps equal to eps.
+    already scanned and at least 32, within the stack budget. Every live mu
+    of a block advances one step k at a time by one product with [P0 | P1],
+    as (1 - t) mu P0 + t mu P1 with t = k / T. The scan is a filter: a block
+    whose largest horizon is H checks its live horizons only at the steps k
+    that are multiples of max(1, H // 64), about 43 to 64 evenly spaced
+    steps per horizon and every step while H is below 128. Only there are
+    kernels and targets built, the floats of :func:`corridor`, and a horizon
+    dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u,
+    the most that the two mu can round apart. A horizon that survives all
+    its steps, including one whose failing steps all fall between the
+    checks, is decided by the reference ``corridor(pair, T)``, whose worst
+    step the result reports, so the strict comparison ``gap < eps`` is
+    exact: adding slack would admit gaps equal to eps.
 
     On :class:`CapExceededError` the trace holds, for every T in ascending
     order, the gap that ruled T out: the gap at the checked step that
@@ -329,11 +331,13 @@ def stable_adiabatic_time(
     cap = _check_horizon(cap, "cap")
     n = pair.n
     # Drops are final, so a gap drops T at step k only if corridor's gap is
-    # surely >= eps too. Both use the same targets; only mu rounds apart. The
-    # scan's mu passes through k products, corridor's through at most
-    # k + ceil(k/K) <= 2k, each adding _step_radius(n) at most: 3(k + 1) of
-    # them cover both.
-    margin = 3 * _step_radius(n)
+    # surely >= eps too. Both use the same targets; only mu rounds apart.
+    # Corridor's mu passes through k + ceil(k/K) <= 2k products with its rounded
+    # kernels P^_t, each adding _step_radius(n). A scan step (1 - t) mu P0 + t mu P1
+    # is mu P^_t up to n u (the products), 2u (scale and add), 2u (P^_t's own
+    # rounding) and 2u (rescale), _step_radius(n) + 4u: (k + 1) margin covers both.
+    margin = 3 * _step_radius(n) + 4 * 2.0**-53
+    W = np.hstack([pair.p0.entries, pair.p1.entries])  # mu @ W is [mu P0 | mu P1]
     trace: list[tuple[int, float]] = []
     lo = 1
     while lo <= cap:
@@ -342,11 +346,12 @@ def stable_adiabatic_time(
         stride = max(1, (lo + size - 1) // _STABLE_CHECKS)
         mus = np.tile(pair.pi0.mass, (size, 1))
         for k in range(1, lo + size):
-            Ps = _interp_stack(pair, k / live)
-            mus = np.matmul(mus[:, None, :], Ps)[:, 0, :]
+            t = (k / live)[:, None]
+            Y = mus @ W
+            mus = (1 - t) * Y[:, :n] + t * Y[:, n:]
             mus /= mus.sum(axis=1, keepdims=True)
             if k % stride == 0:
-                gaps = _row_tv(mus, _stationary_stack(Ps))
+                gaps = _row_tv(mus, _stationary_stack(_interp_stack(pair, t[:, 0])))
                 out = gaps >= eps + (k + 1) * margin
                 trace.extend(zip(live[out].tolist(), gaps[out].tolist()))
                 live, mus = live[~out], mus[~out]

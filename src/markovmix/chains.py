@@ -302,8 +302,9 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
             f"stationary solve, stack row {i}: LU solve raised {exc!r}; numerical breakdown"
         ) from None
     residual = np.abs(np.einsum("ti,tij->tj", pis, Ps) - pis).sum(axis=1)
-    bad = ~np.isfinite(pis).all(axis=1) | (pis < -1e-12).any(axis=1) | (residual > STATIONARY_RESIDUAL_TOL)
-    if bad.any():
+    # a NaN or inf in pi makes its residual NaN or inf, which fails the first test
+    if not (residual.max() <= STATIONARY_RESIDUAL_TOL and pis.min() >= -1e-12):
+        bad = ~np.isfinite(pis).all(axis=1) | (pis < -1e-12).any(axis=1) | ~(residual <= STATIONARY_RESIDUAL_TOL)
         i = int(np.argmax(bad))
         lowest = float(pis[i].min())
         check = (

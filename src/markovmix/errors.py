@@ -48,12 +48,17 @@ class NonPositiveEpsError(ChainError):
     """Epsilon must be strictly positive."""
 
 
-def _check_eps(eps: float) -> None:
-    """The one eps rule: a real number, finite and strictly positive."""
-    if not math.isfinite(_check_real(eps, "eps")):
+def _check_eps(eps: float) -> float:
+    """The one eps rule: a real number, finite and strictly positive as a float; returns that float."""
+    try:
+        value = float(_check_real(eps, "eps"))
+    except OverflowError:
+        raise NonFiniteError("eps must be finite, got a value too large for a float") from None
+    if not math.isfinite(value):
         raise NonFiniteError(f"eps must be finite, got {eps!r}")
-    if eps <= 0.0:
+    if value <= 0.0:
         raise NonPositiveEpsError(f"eps must be > 0, got {eps!r}")
+    return value
 
 
 def _check_real(x, name: str):

@@ -26,7 +26,7 @@ from .adiabatic import (
 from .chainfile import _json_text
 from .chains import ChainPair, StochasticMatrix, _family, _row_tv
 from .errors import (
-    EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon, _check_real
+    EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
 )
 from .mixing import DEFAULT_MIXING_CAP, _mixing_scans, sup_mixing_time
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound, spectral_summary
@@ -237,11 +237,9 @@ def verify_all(
     sweep, PROP3 per horizon, PROP4, COR1, THM2 per delta, THM3, repeated per
     epsilon in the order given.
     """
-    eps_values = [float(_check_real(e, "eps")) for e in eps_list]
+    eps_values = [_check_eps(e) for e in eps_list]
     if not eps_values:
         raise NonPositiveEpsError("eps_list must be nonempty")
-    for eps in eps_values:
-        _check_eps(eps)
     corridor_cap = _check_horizon(corridor_cap, "corridor_cap")
     horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
     grid_points = _check_horizon(grid_points, "grid_points", 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -184,7 +185,7 @@ class TestBlockedCorridor:
     """The blocked two-pass scan against the per-step reference loop."""
 
     def test_block_steps(self):
-        assert [_block_steps(2, T) for T in (1, 3, 4, 10, 10**5, 10**6)] == [1, 1, 2, 3, 256, 256]
+        assert [_block_steps(2, T) for T in (1, 3, 4, 10, 10**5, 10**6)] == [1, 1, 2, 3, 64, 64]
         assert _block_steps(5, 5408) == 40
         # one step per block once a block product costs more than the step it saves
         assert [_block_steps(n, 10**6) for n in (22, 23, 32, 40, 200)] == [2, 1, 1, 1, 1]
@@ -516,7 +517,8 @@ class TestStableAdiabaticTime:
     def test_bad_eps(self, lazy_asym_pair):
         with pytest.raises(NonPositiveEpsError):
             stable_adiabatic_time(lazy_asym_pair, 0.0)
-        for eps in (math.nan, math.inf):
+        # 10**400 is an int with no float
+        for eps in (math.nan, math.inf, 10**400):
             with pytest.raises(NonFiniteError):
                 stable_adiabatic_time(lazy_asym_pair, eps)
 
@@ -638,6 +640,23 @@ def _assert_same_scan(pair, eps, cap):
     return got
 
 
+# random_dense pairs pass within a few steps; birth-death ones take up to 58
+# steps at n = 2 to 6 and reach a cap of 60 from n = 7 up
+scan_pairs = st.one_of(
+    st.builds(
+        lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(
+        lambda n, pq: ChainPair(birth_death(n, *pq), birth_death(n, *pq[::-1])),
+        st.integers(2, 8),
+        st.sampled_from([(0.3, 0.4), (0.2, 0.5), (0.1, 0.3)]),
+    ),
+)
+
+
 class TestBatchedStableScan:
     """Blocks of horizons dropped at a failing checked step, against the loop."""
 
@@ -668,27 +687,14 @@ class TestBatchedStableScan:
 
     @settings(max_examples=30)
     @given(
-        pair=st.one_of(
-            st.builds(
-                lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
-                st.integers(2, 8),
-                st.integers(0, 2**32 - 1),
-                st.integers(0, 2**32 - 1),
-            ),
-            st.builds(
-                lambda n, pq: ChainPair(birth_death(n, *pq), birth_death(n, *pq[::-1])),
-                st.integers(3, 6),
-                st.sampled_from([(0.3, 0.4), (0.2, 0.5), (0.1, 0.3)]),
-            ),
-        ),
+        pair=scan_pairs,
         eps=st.sampled_from([0.1, 0.05, 0.02]),
         checks=st.sampled_from([2, 4, 8]),
     )
     def test_coarse_grid_matches_reference_loop(self, pair, eps, checks):
         # a few checks per horizon, so that most horizons skip most of their
-        # failing steps and many reach the reference corridor; random_dense
-        # pairs pass within a few steps, birth-death ones take up to 58 or
-        # reach the cap, so their horizons are dropped at coarse checks
+        # failing steps and many reach the reference corridor; birth-death
+        # horizons are dropped at coarse checks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adiabatic, "_STABLE_CHECKS", checks)
             _assert_same_scan(pair, eps, 60)
@@ -721,6 +727,50 @@ class TestBatchedStableScan:
         # one stride per block, from its largest horizon, takes 8,715
         assert sum(kernels) <= 9_000
         assert decided == [688]
+
+    def test_kernels_are_built_only_at_check_steps(self, monkeypatch):
+        pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
+        real = adiabatic._interp_stack
+        calls = []
+
+        def counting(pair, ts):
+            calls.append(len(ts))
+            return real(pair, ts)
+
+        monkeypatch.setattr(adiabatic, "_interp_stack", counting)
+        assert stable_adiabatic_time(pair, 0.03).t_sad == 688
+        # mu advances through [P0 | P1]; a kernel stack at each of the 847
+        # steps is now one at each of the 104 check steps
+        assert len(calls) <= 110
+
+    @settings(max_examples=30, deadline=None)
+    @given(pair=scan_pairs, eps=st.sampled_from([0.1, 0.05, 0.02]))
+    def test_every_checked_gap_is_near_the_corridor(self, pair, eps):
+        # The scan's mu at step k of horizon T differs from corridor's by at
+        # most (k + 1) margin, for every gap it computes, not only the gaps
+        # that drop a horizon; the scan's own k and live horizons are read
+        # from its frame when it measures the gaps.
+        real = adiabatic._row_tv
+        checked = []
+
+        def recording(a, b):
+            gaps = real(a, b)
+            scan = sys._getframe(1)
+            if scan.f_code.co_name == "stable_adiabatic_time":
+                checked.append((scan.f_locals["k"], scan.f_locals["live"], gaps))
+            return gaps
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adiabatic, "_row_tv", recording)
+            _stable_or_cap(stable_adiabatic_time, pair, eps, 60)
+        assert checked
+        margin = 3 * _step_radius(pair.n) + 4 * 2.0**-53
+        corridors = {}
+        for k, live, gaps in checked:
+            for T, gap in zip(live.tolist(), gaps.tolist()):
+                if T not in corridors:
+                    corridors[T] = corridor(pair, T).gaps
+                assert abs(gap - corridors[T][k - 1]) <= (k + 1) * margin, (T, k)
 
     def test_eps_at_the_gap_itself(self, suite_pairs):
         pair = suite_pairs["complete5-to-bd5"]

@@ -303,6 +303,23 @@ class TestStationary:
         with pytest.raises(NumericalBreakdownError, match=r"stack row 2: entry -0\.\d+ is below -1e-12"):
             _stationary_stack(Ps)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_row_is_a_breakdown(self, suite_pairs, monkeypatch, value):
+        # the pass test is on the largest residual and the lowest entry; a
+        # NaN or inf row still fails it, and is the row named
+        pair = suite_pairs["dense6-to-dense6"]
+        Ps = chains._interp_stack(pair, np.linspace(0.0, 1.0, 5))
+        real_solve = np.linalg.solve
+
+        def solve_with_bad_row(A, b):
+            x = real_solve(A, b)
+            x[3] = value
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", solve_with_bad_row)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalBreakdownError, match="stack row 3: residual"):
+            _stationary_stack(Ps)
+
     def test_wide_range_kernel_is_a_breakdown(self, wide_range):
         with pytest.raises(NumericalBreakdownError, match="stack row 0: entry"):
             stationary(wide_range)

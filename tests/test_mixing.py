@@ -120,7 +120,7 @@ class TestMixingTime:
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
             mixing_time(lazy, 0.0)
-        for eps in (math.nan, math.inf):
+        for eps in (math.nan, math.inf, 10**400):
             with pytest.raises(NonFiniteError):
                 mixing_time(lazy, eps)
 

@@ -148,7 +148,7 @@ class TestVerifyAll:
             verify_all(lazy_asym_pair, [])
         with pytest.raises(NonPositiveEpsError):
             verify_all(lazy_asym_pair, [0.1, -0.2])
-        for eps in (math.nan, math.inf):
+        for eps in (math.nan, math.inf, 10**400):
             with pytest.raises(NonFiniteError):
                 verify_all(lazy_asym_pair, [0.1, eps])
 
