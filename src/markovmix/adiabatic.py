@@ -198,18 +198,11 @@ def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
 class AdiabaticResult:
     """Least T* from which the adiabatic condition holds up to the horizon.
 
-    The certified horizon comes from the mixing-time bound 2 t_mix(P1,
-    eps/2)^2 / eps, beyond which the condition is guaranteed; ``tmix_half``
-    is that t_mix(P1, eps/2). Every T in [1, tail_from] was evaluated, and
-    ``per_T_gaps`` holds those gaps. Every T in [tail_from, certified_horizon]
-    passes by the perturbation bound for products of stochastic kernels
-    (Mitrophanov, J. Appl. Probab. 42, 2005): for m <= T + 1,
-
-        gap(T) <= d1(m) + L m (m - 1) / (2 T),
-
-    with L the largest row-wise TV distance between P0 and P1 and d1(m) the
-    worst-start gap of P1^m. ``t_ad`` is the least T* with no failure at or
-    beyond it.
+    ``certified_horizon`` is the PROP1 horizon ceil(2 t_mix(P1, eps/2)^2 / eps),
+    and ``tmix_half`` that t_mix. Every T in [1, tail_from] was evaluated, and
+    ``per_T_gaps`` holds those gaps; every T in [tail_from, certified_horizon]
+    is certified (see :func:`adiabatic_time`). ``t_ad`` is the least T* with no
+    failure at or beyond it.
     """
 
     t_ad: int
@@ -226,22 +219,56 @@ def _certified_horizon(pair: ChainPair, eps: float) -> tuple[MixingResult, int]:
     return mix, ceil_int(2.0 * mix.tmix * mix.tmix / eps)
 
 
-def _tail_from(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> int:
-    """Least T_c <= horizon from which the perturbation bound certifies every gap.
+def _drift(L: float, m, lo, hi):
+    """How far the last m factors move in row TV over T in [lo, hi]: factor i from the end by i L (1/lo - 1/T)."""
+    return L * m * (m - 1) / 2.0 * (1.0 / lo - 1.0 / hi)
 
-    With m = t_mix(P1, eps/2) and d1(m) its final gap, every T >= m - 1 with
-    L m (m - 1) / (2 T) <= eps - d1(m) - radius passes; the radius covers the
-    float drift of the products up to the horizon and of L and d1(m). With
-    no room left the bound certifies nothing and T_c is the horizon.
+
+def _tail_from(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> int:
+    """Least T_c <= horizon with d1(m) + ``_drift(L, m, T_c, inf)`` + radius <= eps, m = t_mix(P1, eps/2).
+
+    d1(m), P1^m's worst gap, is the last m factors' as T -> inf (``_suffix_start`` derives
+    the radius); T_c >= m - 1, so that m <= T_c + 1. With no room it is the horizon.
     """
     m = mix.tmix
     L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
-    radius = 2 * (horizon + 1) * _step_radius(pair.n)
-    room = eps - mix.final_gap - radius
+    room = eps - mix.final_gap - 2 * (horizon + 1) * _step_radius(pair.n)
     if room <= 0.0:
         return horizon
     # math.ceil, not ceil_int: snapping down could name an uncertified T
-    return min(horizon, max(1, m - 1, math.ceil(L * m * (m - 1) / (2.0 * room))))
+    return min(horizon, max(1, m - 1, math.ceil(_drift(L, m, 1, math.inf) / room)))
+
+
+def _suffix_start(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> int:
+    """Least rung S of a ladder below T_c = ``_tail_from`` such that [S, T_c] is certified.
+
+    Rungs fall by T -> min(T - 1, floor(0.9 T)). Rung lo below hi advances Q <- P_{(lo-j)/lo} Q
+    from P_1 for j <= min(2 t_mix, lo), all rungs in one batched product; a j with row TV(Q,
+    pi1) + ``_drift(L, j + 1, lo, hi)`` within eps less the radius certifies [lo, hi].
+    """
+    # Radius: against exact products of the same float kernels, the head's T + 1 and a
+    # suffix's j + 1 factors drift by _step_radius(n) a factor (n u the product, 2u the
+    # kernel's rounding, which also bounds its rows' stray from stochastic); T, j <= T_c <= H,
+    # so 2 (H + 1) _step_radius(n) covers both. L, drift and row TV roundings sit in PASS_SLACK.
+    room = eps - 2 * (horizon + 1) * _step_radius(pair.n)
+    L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
+    ladder = [_tail_from(pair, eps, mix, horizon)]
+    while ladder[-1] > 1:
+        ladder.append(min(ladder[-1] - 1, ladder[-1] * 9 // 10))
+    # per rung: the product, its successor and the kernel, plus the t's
+    chunk = _chunk(3 * pair.n * pair.n + 4)
+    for c in range(1, len(ladder), chunk):
+        lo, hi = np.array(ladder[c : c + chunk]), np.array(ladder[c - 1 : c - 1 + chunk])
+        Q = np.tile(pair.p1.entries, (len(lo), 1, 1))
+        best = _row_tv(Q, pair.pi1.mass).max(axis=1)  # j = 0, no drift
+        for j in range(1, min(2 * mix.tmix, lo[0]) + 1):
+            k = int(np.searchsorted(-lo, -j, side="right"))  # the rungs with lo >= j
+            Q = np.matmul(_interp_stack(pair, (lo[:k] - j) / lo[:k]), Q[:k])
+            bound = _row_tv(Q, pair.pi1.mass).max(axis=1) + _drift(L, j + 1, lo[:k], hi[:k])
+            np.minimum(best[:k], bound, out=best[:k])
+        if not (best <= room).all():  # written so that a NaN bound certifies nothing
+            return int(hi[np.argmin(best <= room)])
+    return ladder[-1]
 
 
 def adiabatic_time(
@@ -249,12 +276,11 @@ def adiabatic_time(
 ) -> AdiabaticResult:
     """Adiabatic time of the pair at eps, certified up to the PROP1 horizon.
 
-    Scans every horizon of the head 1..T_c exactly and certifies the tail
-    T_c..H by the perturbation bound gap(T) <= d1(m) + L m (m - 1) / (2 T)
-    (Mitrophanov 2005; see :class:`AdiabaticResult`), whose inputs m and
-    d1(m) the horizon computation already has. When the bound leaves no
-    room, T_c = H and the whole range is scanned. A failure at T_c, which
-    the bound certifies, is a numerical breakdown.
+    gap(T) is at most the worst row TV to pi1 of the last j + 1 of its T + 1 factors
+    (Dirac-start convexity), which ``_drift`` bounds over an interval of T. Mitrophanov's
+    bound (J. Appl. Probab. 42, 2005) certifies T_c..H, a ladder of suffix certificates
+    S..T_c in at most 2 t_mix(P1, eps/2) batched steps, and the head 1..S is scanned
+    exactly. A failure at S, which the certificates cover, is a numerical breakdown.
     """
     _check_eps(eps)
     horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
@@ -266,7 +292,7 @@ def adiabatic_time(
             horizon=horizon,
         )
 
-    tail_from = _tail_from(pair, eps, mix, horizon)
+    tail_from = _suffix_start(pair, eps, mix, horizon)
     gaps = _adiabatic_gaps(pair, np.arange(1, tail_from + 1))
     # written as a negation so that a NaN gap counts as a failure
     fails = np.flatnonzero(~(gaps <= eps + PASS_SLACK))
@@ -411,9 +437,10 @@ def theorem3_horizon(n: int, eps: float, sup_tmix_half_eps: int) -> int | float:
     With m the sup mixing time at eps / 2, a corridor at this horizon keeps
     every gap within eps, provided eps < 1/sqrt(n) and the derived radius
     sqrt(eps/T) - 1/T falls inside the continuity radius at eps. At a tiny
-    eps the horizon is too large for a float, and is inf.
+    eps or a huge m the horizon is too large for a float, and is inf (hence
+    products: a float power that overflows raises).
     """
     _check_horizon(n, "n", 2)
     _check_eps(eps)
     m = float(_check_horizon(sup_tmix_half_eps, "sup_tmix_half_eps"))
-    return ceil_int(_over(4.0 * m**4, eps**3) + _over(4.0 * m**2, eps**2) + 1.0 / eps)
+    return ceil_int(_over(4.0 * (m * m) * (m * m), eps**3) + _over(4.0 * m * m, eps**2) + 1.0 / eps)

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 class ChainError(Exception):
@@ -69,11 +70,13 @@ def _check_real(x, name: str):
 
 
 def _check_horizon(T, name: str = "T", low: int = 1) -> int:
-    """The one integer rule, for horizons, caps, m and counts: an int >= low; no bool, no float."""
+    """The one integer rule, for horizons, caps, m and counts: an int >= low in float range; no bool, no float."""
     if isinstance(T, bool) or not isinstance(T, numbers.Integral):
         raise OutOfRangeError(f"{name} must be an integer >= {low}, got {T!r}")
     if T < low:
         raise OutOfRangeError(f"{name} must be >= {low}, got {T}")
+    if T > sys.float_info.max:
+        raise OutOfRangeError(f"{name} must have a float value, got an integer too large for a float")
     return int(T)
 
 

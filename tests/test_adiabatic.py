@@ -1,9 +1,9 @@
 """Corridors, adiabatic and stable adiabatic times, and the bound checkers."""
 
-import dataclasses
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,7 +52,11 @@ from oracles import (
     adiabatic_distance_reference,
     corridor_oracle,
     corridor_reference,
+    exact_adiabatic_gap,
+    exact_stationary,
     stable_scan_reference,
+    suffix_gaps_reference,
+    suffix_ladder_reference,
     two_state_stationary,
     two_state_worst_gap,
     tv,
@@ -234,6 +238,11 @@ class TestHorizonRule:
             with pytest.raises(OutOfRangeError):
                 fn(lazy_asym_pair, True)
 
+    def test_horizons_with_no_float_value_raise(self, lazy_asym_pair):
+        for fn in (adiabatic_distance, corridor, prop3_check):
+            with pytest.raises(OutOfRangeError, match="^T must have a float value"):
+                fn(lazy_asym_pair, 10**400)
+
     def test_numpy_integers_are_horizons(self, lazy_asym_pair):
         pair = lazy_asym_pair
         assert adiabatic_distance(pair, np.int32(3)) == adiabatic_distance(pair, 3)
@@ -367,6 +376,26 @@ dense_pairs = st.builds(
 )
 
 
+def birth_death_and_dense_pairs(n_max: int):
+    return st.one_of(
+        st.builds(
+            lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
+            st.integers(2, n_max),
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 2**32 - 1),
+        ),
+        st.builds(
+            lambda n, pq: ChainPair(birth_death(n, *pq), birth_death(n, *pq[::-1])),
+            st.integers(2, n_max),
+            st.sampled_from([(0.3, 0.4), (0.2, 0.5), (0.1, 0.3)]),
+        ),
+    )
+
+
+scan_pairs = birth_death_and_dense_pairs(8)
+exact_pairs = birth_death_and_dense_pairs(5)
+
+
 class TestBatchedAdiabaticGaps:
     """The all-horizons kernel against the single-horizon loop reference and the oracle."""
 
@@ -404,9 +433,10 @@ class TestBatchedAdiabaticGaps:
             np.testing.assert_array_equal(whole, _loop_gaps(pair, 80), err_msg=name)
 
     def test_nan_gap_counts_as_failure(self, suite_pairs, monkeypatch):
-        # a head long enough to hold T = 10: 1..187 at eps 0.3, where t_ad = 2
+        # a head long enough to hold T = 10: 1..34 at eps 0.2, where t_ad = 4
         pair = suite_pairs["complete5-to-bd5"]
-        T_c = adiabatic_time(pair, 0.3).tail_from
+        T_c = adiabatic_time(pair, 0.2).tail_from
+        assert T_c > 10
         real = _adiabatic_gaps
 
         def with_nan_at(T_bad):
@@ -418,14 +448,14 @@ class TestBatchedAdiabaticGaps:
             return fake
 
         monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(10))
-        res = adiabatic_time(pair, 0.3)
+        res = adiabatic_time(pair, 0.2)
         assert res.t_ad == 11
         T, gap = res.per_T_gaps[9]
         assert T == 10 and type(T) is int and type(gap) is float and np.isnan(gap)
 
         monkeypatch.setattr(adiabatic, "_adiabatic_gaps", with_nan_at(T_c))
         with pytest.raises(ChainError, match="numerical breakdown"):
-            adiabatic_time(pair, 0.3)
+            adiabatic_time(pair, 0.2)
 
     def test_memory_bounded_as_horizon_grows(self, suite_pairs, monkeypatch):
         pair = suite_pairs["dense6-to-dense6"]
@@ -447,7 +477,7 @@ class TestBatchedAdiabaticGaps:
 
 
 class TestTailCertificate:
-    """The head scan 1..T_c and the perturbation bound on the tail T_c..H."""
+    """The head scan 1..S, the suffix-certificate ladder S..T_c and Mitrophanov's bound T_c..H."""
 
     def test_no_room_falls_back_to_the_full_scan(self, lazy_asym_pair):
         # at eps = 1e-12 the final gap of t_mix(P1, eps/2) plus rounding fills eps
@@ -458,13 +488,8 @@ class TestTailCertificate:
 
     def test_no_room_scans_every_horizon(self, lazy_asym_pair, monkeypatch):
         want = adiabatic_time(lazy_asym_pair, 0.1)
-        real = adiabatic._certified_horizon
-
-        def no_room(pair, eps):
-            mix, H = real(pair, eps)
-            return dataclasses.replace(mix, final_gap=eps), H
-
-        monkeypatch.setattr(adiabatic, "_certified_horizon", no_room)
+        # a rounding radius that fills eps leaves room to neither certificate
+        monkeypatch.setattr(adiabatic, "_step_radius", lambda n: 1.0)
         res = adiabatic_time(lazy_asym_pair, 0.1)
         H = res.certified_horizon
         assert want.tail_from < H and res.tail_from == H
@@ -472,9 +497,12 @@ class TestTailCertificate:
         assert res.t_ad == want.t_ad
 
     def test_constant_family_needs_only_the_mixing_steps(self, lazy):
-        # L = 0: the bound is d1(m) from T = m - 1 on
-        res = adiabatic_time(ChainPair(lazy, lazy), 0.05)
-        assert (res.tmix_half, res.tail_from) == (5, 4)
+        # L = 0: a rung lo is certified once lo + 1 factors of P1 mix to eps, and
+        # d1(4) = 0.5^5 <= 0.05 < d1(3) = 0.5^4; Mitrophanov's bound needs d1(5)
+        pair = ChainPair(lazy, lazy)
+        res = adiabatic_time(pair, 0.05)
+        mix, H = adiabatic._certified_horizon(pair, 0.05)
+        assert (res.tmix_half, res.tail_from, _tail_from(pair, 0.05, mix, H)) == (5, 3, 4)
 
     def test_one_step_mixer_target_certifies_every_horizon(self, lazy):
         # m = 1: the last factor is P1 itself, whose rows are all pi1
@@ -486,24 +514,28 @@ class TestTailCertificate:
         assert (_adiabatic_gaps(pair, np.arange(1, 21)) <= 1e-15).all()
 
     def test_suite_headline_thresholds(self, suite_pairs):
+        # Mitrophanov's T_c alone was 187 and 273
         pair = suite_pairs["complete5-to-bd5"]
         got = [
             (r.t_ad, r.tail_from, r.certified_horizon)
             for r in (adiabatic_time(pair, eps) for eps in (0.3, 0.25))
         ]
-        assert got == [(2, 187, 960), (3, 273, 1352)]
+        assert got == [(2, 11, 960), (3, 16, 1352)]
 
     @settings(max_examples=15)
     @given(pair=dense_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]))
     def test_tail_passes_against_the_full_scan(self, pair, eps):
         res = adiabatic_time(pair, eps)
-        H, T_c, m = res.certified_horizon, res.tail_from, res.tmix_half
+        H, S, m = res.certified_horizon, res.tail_from, res.tmix_half
+        mix = mixing_time(pair.p1, eps / 2)
+        T_c = _tail_from(pair, eps, mix, H)
         full = _adiabatic_gaps(pair, np.arange(1, H + 1))
-        assert (full[T_c - 1 :] <= eps).all()
+        assert S <= T_c
+        assert (full[S - 1 :] <= eps).all()
         fails = np.flatnonzero(~(full <= eps + PASS_SLACK))
         assert res.t_ad == (int(fails[-1]) + 2 if fails.size else 1)
-        # the bound holds on the scan, and at T_c it is within eps
-        d1 = mixing_time(pair.p1, eps / 2).final_gap
+        # Mitrophanov's bound holds on the scan, and at T_c it is within eps
+        d1 = mix.final_gap
         L = max(tv(row0, row1) for row0, row1 in zip(pair.p0.entries, pair.p1.entries))
         Ts = np.arange(max(1, m - 1), H + 1)
         bound = d1 + L * m * (m - 1) / (2.0 * Ts)
@@ -511,6 +543,96 @@ class TestTailCertificate:
         if T_c < H:
             assert T_c >= m - 1
             assert d1 + L * m * (m - 1) / (2.0 * T_c) <= eps
+
+    def test_suite_pairs_match_the_full_scan(self, suite_pairs):
+        # one scan to the largest H serves every eps: a gap does not depend on eps
+        for name, pair in suite_pairs.items():
+            results = {eps: adiabatic_time(pair, eps) for eps in (0.3, 0.25, 0.2, 0.1)}
+            H = max(r.certified_horizon for r in results.values())
+            full = _adiabatic_gaps(pair, np.arange(1, H + 1))
+            for eps, res in results.items():
+                head = full[: res.certified_horizon]
+                fails = np.flatnonzero(~(head <= eps + PASS_SLACK))
+                assert res.t_ad == (int(fails[-1]) + 2 if fails.size else 1), (name, eps)
+                assert (head[res.tail_from - 1 :] <= eps).all(), (name, eps)
+
+    def test_the_ladder_reaches_down_to_near_t_ad(self):
+        # t_ad as the scan from Mitrophanov's T_c alone found it; it took 75 s on bd20,
+        # whose T_c is 9,113, and 0.2-4 s on the rest, against 0.02-2 s here
+        for n, eps, t_ad, most, cap in [
+            (10, 0.3, 58, 160, None),
+            (10, 0.2, 88, 280, None),
+            (12, 0.3, 93, 300, None),
+            (12, 0.2, 139, 510, None),
+            (14, 0.3, 137, 500, None),
+            (20, 0.3, 306, 1500, 10**6),
+        ]:
+            pair = ChainPair(birth_death(n, 0.3, 0.4), birth_death(n, 0.4, 0.3))
+            res = adiabatic_time(pair, eps, **({"horizon_cap": cap} if cap else {}))
+            assert (res.t_ad, len(res.per_T_gaps)) == (t_ad, res.tail_from), (n, eps)
+            assert res.tail_from <= most, (n, eps, res.tail_from)
+
+
+class TestSuffixCertificate:
+    """The suffix bound and the interval step against direct scans, and the ladder against its loop."""
+
+    @settings(max_examples=30)
+    @given(pair=scan_pairs, T=st.integers(1, 40))
+    def test_every_suffix_bounds_the_gap(self, pair, T):
+        g = suffix_gaps_reference(pair, T, T + 1)
+        gap = adiabatic_distance_reference(pair, T)
+        radius = 2 * (T + 1) * _step_radius(pair.n)
+        assert (g >= gap - radius).all()
+        # all T + 1 factors are the whole product, associated the other way
+        assert abs(g[T] - gap) <= radius
+
+    @settings(max_examples=25)
+    @given(pair=scan_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]), data=st.data())
+    def test_certified_intervals_hold_at_sampled_horizons(self, pair, eps, data):
+        res = adiabatic_time(pair, eps)
+        S, rungs = suffix_ladder_reference(pair, eps)
+        assert res.tail_from == S
+        radius = 2 * (res.certified_horizon + 1) * _step_radius(pair.n)
+        for lo, hi, bound in rungs:
+            for T in data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=2)):
+                assert adiabatic_distance(pair, T) <= bound + radius, (lo, hi, T)
+
+    def test_the_ladder_is_chunked_within_the_stack_budget(self, suite_pairs, monkeypatch):
+        pair = suite_pairs["complete5-to-bd5"]
+        want = adiabatic_time(pair, 0.1)
+        n = pair.n
+        # one rung per chunk, then three per chunk
+        for budget in (1, 3 * 8 * (3 * n * n + 4)):
+            monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
+            assert adiabatic_time(pair, 0.1) == want
+
+
+class TestExactAdiabaticGap:
+    """Float gaps and certificates against the adiabatic gap in exact rational arithmetic."""
+
+    def test_two_state_closed_form(self, lazy):
+        # a constant lazy pair: the product is lazy^(T + 1), whose gap is 0.5 * 0.5^(T + 1)
+        for T in (1, 4, 9):
+            assert exact_adiabatic_gap(lazy.entries, lazy.entries, T) == Fraction(1, 2 ** (T + 2))
+
+    @settings(max_examples=20)
+    @given(pair=exact_pairs, eps=st.sampled_from([0.3, 0.2, 0.1]))
+    def test_every_certified_horizon_passes_exactly(self, pair, eps):
+        res = adiabatic_time(pair, eps)
+        P0, P1 = pair.p0.entries, pair.p1.entries
+        pi1 = exact_stationary(P1)
+        for T in range(res.tail_from, min(res.certified_horizon, 60) + 1):
+            assert exact_adiabatic_gap(P0, P1, T, pi1) <= eps, T
+
+    @settings(max_examples=20)
+    @given(pair=exact_pairs, T=st.integers(1, 60))
+    def test_float_gaps_are_within_the_radius(self, pair, T):
+        P0, P1 = pair.p0.entries, pair.p1.entries
+        pi1 = exact_stationary(P1)
+        gaps = _adiabatic_gaps(pair, [1, T])
+        for h, gap in zip((1, T), gaps):
+            exact = exact_adiabatic_gap(P0, P1, h, pi1)
+            assert abs(Fraction(float(gap)) - exact) <= 2 * (h + 1) * _step_radius(pair.n), h
 
 
 class TestStableAdiabaticTime:
@@ -642,21 +764,6 @@ def _assert_same_scan(pair, eps, cap):
 
 # random_dense pairs pass within a few steps; birth-death ones take up to 58
 # steps at n = 2 to 6 and reach a cap of 60 from n = 7 up
-scan_pairs = st.one_of(
-    st.builds(
-        lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
-        st.integers(2, 8),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-    ),
-    st.builds(
-        lambda n, pq: ChainPair(birth_death(n, *pq), birth_death(n, *pq[::-1])),
-        st.integers(2, 8),
-        st.sampled_from([(0.3, 0.4), (0.2, 0.5), (0.1, 0.3)]),
-    ),
-)
-
-
 class TestBatchedStableScan:
     """Blocks of horizons dropped at a failing checked step, against the loop."""
 
@@ -926,6 +1033,10 @@ class TestTheorem2Check:
                 theorem2_check(lazy_asym_pair, 0.2, 0.5, 3, corridor_cap=cap)
         assert theorem2_check(lazy_asym_pair, 0.2, 0.5, np.int64(3))[0] == 180
 
+    def test_an_m_with_no_float_value_raises(self, lazy_asym_pair):
+        with pytest.raises(OutOfRangeError, match="^m must have a float value"):
+            theorem2_check(lazy_asym_pair, 0.1, 0.5, 10**400)
+
     def test_horizon_too_large_for_a_float_is_above_every_cap(self, lazy_asym_pair):
         # 2 m^2 / (eps delta) overflows at 1e-320; eps delta underflows to 0 at 5e-324
         for eps, delta in ((1e-320, 0.5), (5e-324, 0.25)):
@@ -961,6 +1072,14 @@ class TestTheorem3Horizon:
         for m in (True, 2.5, 4.0):
             with pytest.raises(OutOfRangeError):
                 theorem3_horizon(2, 0.1, m)
+
+    def test_an_m_or_n_with_no_float_value_raises(self):
+        with pytest.raises(OutOfRangeError, match="^sup_tmix_half_eps must have a float value"):
+            theorem3_horizon(2, 0.1, 10**400)
+        with pytest.raises(OutOfRangeError, match="^n must have a float value"):
+            theorem3_horizon(10**400, 0.1, 3)
+        # the largest float is an integer, and still a horizon
+        assert theorem3_horizon(2, 0.1, int(sys.float_info.max)) == math.inf
 
     def test_horizon_too_large_for_a_float_is_inf(self):
         # eps^3 underflows to 0 at 1e-110; at 1e-105 it does not, but 4 / eps^3 overflows

@@ -173,6 +173,12 @@ class TestCor1Delta:
             with pytest.raises(OutOfRangeError):
                 cor1_delta(2, 0.1, m)
 
+    def test_an_m_or_n_with_no_float_value_raises(self):
+        with pytest.raises(OutOfRangeError, match="^tmix_half_eps must have a float value"):
+            cor1_delta(3, 0.1, 10**400)
+        with pytest.raises(OutOfRangeError, match="^n must have a float value"):
+            cor1_delta(10**400, 0.1, 3)
+
 
 def _max_tv_on_grid(pair, delta, points=200):
     ss = np.linspace(0.0, delta, points)
