@@ -112,8 +112,8 @@ def _block_steps(n: int, T: int) -> int:
     return max(1, min(1024 // (n * n), 64, math.isqrt(T)))
 
 
-def corridor(pair: ChainPair, T: int) -> Corridor:
-    """Compute the full corridor at horizon T.
+def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
+    """Yield ``(k, mus, targets, gaps)`` per chunk: rows of the corridor at horizon T from step k.
 
     A blocked two-pass scan (Blelloch, CMU-CS-90-190) over blocks of K steps
     aligned to multiples of K. Per chunk of whole blocks it forms each block's
@@ -121,41 +121,52 @@ def corridor(pair: ChainPair, T: int) -> Corridor:
     the block ends one block at a time, and advances the interior steps of all
     blocks in K - 1 batched steps. A block's floats come from its own rows, so
     no result depends on the chunking; with K = 1 this is the per-step loop.
-    Kernels, t values and the T stationary solves go chunk by chunk, so
-    memory is O(chunk n^2 + T n) whatever the horizon.
+    mu crosses every block end from step 1, but the stationary solves, the
+    interior steps and the gaps start at step ``first`` (its block, for the
+    steps), so chunks wholly before it yield nothing. Kernels and t values go
+    chunk by chunk: memory is O(chunk n^2) whatever the horizon.
     """
-    T = _check_horizon(T)
     n = pair.n
     K = _block_steps(n, T)
     mu = np.array(pair.pi0.mass)
     # per step: the kernel and the solve's working copies, which the block
     # products reuse once the solve is done, plus mu, target and t
-    for lo, Ps, pis in _family(pair, T, 3 * n * n + 4 * n, block=K):
-        hi = lo + len(Ps)
-        if lo == 0:
-            # after the first solve, so that a one-chunk corridor peaks no higher
-            mus, targets, gaps = np.empty((T, n)), np.empty((T, n)), np.empty(T)
-        targets[lo:hi] = pis
+    for lo, Ps, pis in _family(pair, T, 3 * n * n + 4 * n, block=K, first=first - 1):
         # each full block's product, then mu carried across the block ends
         full = len(Ps) // K
         Q = Ps[: full * K : K]
         for j in range(1, K):
             Q = np.matmul(Q, Ps[j : full * K : K])
-        first = mu
+        mus, start = np.empty((len(Ps), n)), mu
         for b in range(full):
             mu = mu @ Q[b]
             mu /= mu.sum()
-            mus[lo + b * K + K - 1] = mu
-        # every block's interior steps at once, each from its block's start
+            mus[b * K + K - 1] = mu
+        if pis is None:
+            continue
+        skip = len(Ps) - len(pis)
+        # every block's interior steps at once, each from its block's start, from first's block on
         if K > 1:
-            cur = np.vstack([first, mus[lo + K - 1 : hi - 1 : K]])
+            b0 = skip // K
+            cur = np.vstack([start, mus[K - 1 : -1 : K]])[b0:]
             for j in range(1, K):
-                Pj = Ps[j - 1 :: K]
+                Pj = Ps[b0 * K + j - 1 :: K]
                 cur = np.matmul(cur[: len(Pj), None, :], Pj)[:, 0, :]
                 cur /= cur.sum(axis=1, keepdims=True)
-                mus[lo + j - 1 : hi : K] = cur
-        gaps[lo:hi] = _row_tv(mus[lo:hi], targets[lo:hi])
-    return Corridor(T=T, mus=mus, targets=targets, gaps=gaps)
+                mus[b0 * K + j - 1 :: K] = cur
+        yield lo + skip + 1, mus[skip:], pis, _row_tv(mus[skip:], pis)
+
+
+def corridor(pair: ChainPair, T: int) -> Corridor:
+    """The full corridor at horizon T, collected from ``_corridor_stream``: memory O(chunk n^2 + T n)."""
+    T = _check_horizon(T)
+    for k, *rows in _corridor_stream(pair, T):
+        if k == 1:
+            # after the first solve, so that a one-chunk corridor peaks no higher
+            out = [np.empty((T, pair.n)), np.empty((T, pair.n)), np.empty(T)]
+        for whole, part in zip(out, rows):
+            whole[k - 1 : k - 1 + len(part)] = part
+    return Corridor(T, *out)
 
 
 def adiabatic_distance(pair: ChainPair, T: int) -> float:
@@ -215,7 +226,7 @@ class AdiabaticResult:
 
 def _certified_horizon(pair: ChainPair, eps: float) -> tuple[MixingResult, int]:
     """(t_mix(P1, eps/2) result, ceil(2 t_mix^2 / eps)), the PROP1 horizon, from the pair's pi1."""
-    mix = _mixing_scans(pair.p1.entries[None], pair.pi1.mass[None], eps / 2, DEFAULT_MIXING_CAP)[0]
+    mix = _mixing_scans(pair.p1.entries[None], pair.pi1.mass[None], [eps / 2], DEFAULT_MIXING_CAP)[0][0]
     return mix, ceil_int(2.0 * mix.tmix * mix.tmix / eps)
 
 
@@ -416,7 +427,8 @@ def theorem2_check(
     ``m`` is the sup mixing time at eps / 2, as ``sup_mixing_time`` estimates
     it. ``tail[i]`` is the gap at step k_min + i, with k_min = ceil_int(delta
     T), so the tail covers every k with delta <= k/T <= 1; Theorem 2 bounds
-    each by eps, up to ``verify.BOUND_SLACK``.
+    each by eps, up to ``verify.BOUND_SLACK``. Only the tail's targets are
+    solved, and only the tail is kept: memory is O(chunk n^2 + T - k_min).
     """
     _check_eps(eps)
     if not 0.0 < _check_real(delta, "delta") <= 1.0:
@@ -428,7 +440,7 @@ def theorem2_check(
         raise HorizonCapError(
             f"required horizon {_horizon_text(T)} exceeds corridor cap {corridor_cap}", horizon=T
         )
-    return T, corridor(pair, T).gaps[ceil_int(delta * T) - 1 :]
+    return T, np.concatenate([gaps for *_, gaps in _corridor_stream(pair, T, ceil_int(delta * T))])
 
 
 def theorem3_horizon(n: int, eps: float, sup_tmix_half_eps: int) -> int | float:

@@ -287,14 +287,13 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
     the first such stack row, the failed check and its value.
     """
     T, n, _ = Ps.shape
-    A = -np.transpose(Ps, (0, 2, 1)).copy()
-    idx = np.arange(n)
-    A[:, idx, idx] += 1.0
-    A[:, -1, :] = 1.0
-    b = np.zeros((T, n))
-    b[:, -1] = 1.0
+    # A transposed, in place: I - P (C order, so every (n + 1)-th flat entry is diagonal), last column 1
+    At = np.negative(Ps, order="C")
+    At.reshape(T, n * n)[:, :: n + 1] += 1.0
+    At[:, :, -1] = 1.0
+    A = At.transpose(0, 2, 1)
     try:
-        pis = np.linalg.solve(A, b[..., None])[..., 0]
+        pis = np.linalg.solve(A, np.eye(n)[:, -1:])[..., 0]  # e_n, broadcast over the stack
     except np.linalg.LinAlgError as exc:
         # slogdet runs the solve's LU; its sign is 0 where that LU meets an exactly zero pivot
         i = int(np.argmin(np.linalg.slogdet(A)[0] != 0))
@@ -317,14 +316,16 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
     return pis
 
 
-def _family(pair: ChainPair, ts, floats: int, block: int = 1):
-    """Yield ``(lo, kernels, pis)``, the P_t of ``ts[lo : lo + len(kernels)]`` solved, per chunk.
+def _family(pair: ChainPair, ts, floats: int, block: int = 1, first: int = 0):
+    """Yield ``(lo, kernels, pis)``, the P_t of ``ts[lo : lo + len(kernels)]``, per chunk.
 
     ``ts`` is an array of t values, or a horizon T for the steps t = k / T,
     k = 1..T, whose t values are made chunk by chunk, so they take no O(T)
     memory. Chunks hold a whole number of ``block``s, as many as fit
-    ``_chunk(floats)`` kernels and at least one, solved with no structure
-    check: the interpolants of an ergodic pair are ergodic (see ChainPair).
+    ``_chunk(floats)`` kernels and at least one. The kernels from index
+    ``first`` on are solved, with no structure check (the interpolants of an
+    ergodic pair are ergodic, see ChainPair): ``pis`` holds the chunk's, or
+    None where it has none.
     """
     steps = isinstance(ts, int)
     count = ts if steps else len(ts)
@@ -332,7 +333,7 @@ def _family(pair: ChainPair, ts, floats: int, block: int = 1):
     for lo in range(0, count, size):
         hi = min(count, lo + size)
         Ps = _interp_stack(pair, np.arange(lo + 1, hi + 1) / count if steps else ts[lo:hi])
-        yield lo, Ps, _stationary_stack(Ps)
+        yield lo, Ps, _stationary_stack(Ps[max(0, first - lo) :]) if first < hi else None
 
 
 def stationary(P: StochasticMatrix) -> Distribution:

@@ -50,22 +50,26 @@ class SupMixingResult:
 
 
 def _mixing_scans(
-    Ps: np.ndarray, pis: np.ndarray, eps: float, cap: int, labels=None
-) -> list[MixingResult]:
-    """Mixing time of each kernel of a (k, n, n) stack against its target in ``pis``.
+    Ps: np.ndarray, pis: np.ndarray, eps_values, cap: int, label=str
+) -> list[list[MixingResult]]:
+    """Mixing times of each kernel of a (k, n, n) stack against its target in ``pis``, at each eps.
 
     Every kernel is powered by repeated multiplication and checked at every
     T in 1..cap, all in lockstep; each keeps its own product sequence, so
-    its result is bit-identical to a scan of it alone. A kernel retires at
-    its first T with max Dirac-start TV gap within eps. The max gap is
-    nonincreasing in T (contraction toward stationarity); a rise beyond
-    ``PASS_SLACK`` raises NumericalBreakdownError naming the kernel by its
-    entry in ``labels`` (default: its stack position). Callers take their
-    stacks in chunks of ``_chunk(4 * n * n)``: four n x n arrays a kernel.
+    its result is bit-identical to a scan of it alone. At each eps of
+    ``eps_values`` a kernel records its first T with max Dirac-start TV gap
+    within eps as ``result[e][i]``, what a scan at that eps alone returns,
+    and it retires at the smallest. The max gap is nonincreasing in T
+    (contraction toward stationarity); a rise beyond ``PASS_SLACK`` raises
+    NumericalBreakdownError naming the kernel by ``label(i)``, i its stack
+    position. Callers take their stacks in chunks of ``_chunk(4 * n * n)``:
+    four n x n arrays a kernel.
     """
-    labels = range(len(Ps)) if labels is None else labels
-    results: list = [None] * len(Ps)
-    live = np.arange(len(Ps))
+    order = sorted(range(len(eps_values)), key=lambda e: -eps_values[e])  # largest eps first
+    bars = np.array([eps_values[e] + PASS_SLACK for e in order] + [-np.inf])
+    results: list = [[None] * len(Ps) for _ in eps_values]
+    # met: how many eps of ``order`` a live kernel has reached; bar: its next one, -inf after all
+    live, met, bar = np.arange(len(Ps)), np.zeros(len(Ps), dtype=int), np.full(len(Ps), bars[0])
     P, pi, M = Ps, pis[:, None, :], Ps.copy()
     # written in place at every step, rather than by chains._row_tv: a fresh
     # n x n array per step would cost more than the arithmetic at large n
@@ -77,22 +81,24 @@ def _mixing_scans(
         if (worst > prev + PASS_SLACK).any():
             i = np.flatnonzero(worst > prev + PASS_SLACK)[0]
             raise NumericalBreakdownError(
-                f"kernel {labels[live[i]]}: max TV gap increased from "
+                f"kernel {label(int(live[i]))}: max TV gap increased from "
                 f"{float(prev[i])!r} to {float(worst[i])!r} at T={T}; numerical breakdown"
             )
-        done = worst <= eps + PASS_SLACK
-        if done.any():
-            for i in np.flatnonzero(done):
-                worst_state = int(np.argmax(gaps[i]))
-                results[live[i]] = MixingResult(T, eps, worst_state, float(worst[i]))
-            if done.all():
+        if (worst <= bar).any():
+            while (new := np.flatnonzero(worst <= bar)).size:
+                states = gaps[new].argmax(axis=1).tolist()
+                for i, r, state, gap in zip(live[new].tolist(), met[new].tolist(), states, worst[new].tolist()):
+                    results[order[r]][i] = MixingResult(T, eps_values[order[r]], state, gap)
+                met[new] += 1
+                bar = bars[met]
+            keep = met < len(order)
+            if not keep.any():
                 return results
-            keep = ~done
-            live, P, pi, M, worst = live[keep], P[keep], pi[keep], M[keep], worst[keep]
+            live, met, bar, P, pi, M, worst = (a[keep] for a in (live, met, bar, P, pi, M, worst))
             diff, spare = diff[: len(live)], spare[: len(live)]
         prev = worst
         M, spare = np.matmul(M, P, out=spare), M
-    raise IterationCapError(f"no T <= {cap} reached eps = {eps!r}")
+    raise IterationCapError(f"no T <= {cap} reached eps = {eps_values[order[-1]]!r}")
 
 
 def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) -> MixingResult:
@@ -100,7 +106,7 @@ def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) 
     _check_eps(eps)
     cap = _check_horizon(cap, "cap")
     pi = stationary(P).mass  # raises NotErgodicError for a non-ergodic kernel
-    return _mixing_scans(P.entries[None], pi[None], eps, cap)[0]
+    return _mixing_scans(P.entries[None], pi[None], [eps], cap)[0][0]
 
 
 def sup_mixing_time(
@@ -116,48 +122,60 @@ def sup_mixing_time(
     grid_points = _check_horizon(grid_points, "grid_points", 2)
     refine_depth = _check_horizon(refine_depth, "refine_depth", 0)
     _check_eps(eps)
+    return _sup_mixing_times(pair, [eps], grid_points, refine_depth)[0]
 
-    samples: dict[float, int] = {}
 
-    def scan(ss: list[float]) -> None:
+def _sup_mixing_times(
+    pair: ChainPair, eps_values, grid_points: int = 101, refine_depth: int = 4
+) -> list[SupMixingResult]:
+    """``sup_mixing_time`` at each eps of ``eps_values``, each stack scanned once for all of them.
+
+    The base grid is one scan, and so are each level's midpoints of every eps;
+    each eps keeps only the samples its own bisection visits. A midpoint that
+    only a larger eps visits still runs to the smallest, so a cap or a
+    breakdown there is raised for the whole call.
+    """
+
+    def scan(ss: list[float]) -> list[dict[float, int]]:
+        """The mixing time of P_s for each s in ``ss``, one dict per eps."""
+        found: list = [{} for _ in eps_values]
         for lo, Ps, pis in _family(pair, np.array(ss), 4 * pair.n * pair.n):
             part = ss[lo : lo + len(Ps)]
-            found = _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP, [f"s={s!r}" for s in part])
-            samples.update(zip(part, (r.tmix for r in found)))
+            scans = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP, lambda i: f"s={part[i]!r}")
+            for out, results in zip(found, scans):
+                out.update(zip(part, (r.tmix for r in results)))
+        return found
 
     base = np.linspace(0.0, 1.0, grid_points).tolist()
-    scan(base)
+    samples = scan(base)
 
     # Bisect every interval whose ends differ, one level at a time; each
     # level's new midpoints are scanned as one stack. A midpoint that rounds
     # onto an end (an interval one ulp wide) splits nothing.
     resolution = 10.0 ** (-refine_depth)
-    jumps = [(lo, hi) for lo, hi in zip(base, base[1:]) if samples[lo] != samples[hi]]
-    while jumps := [(lo, hi) for lo, hi in jumps if hi - lo > resolution]:
-        mids = [0.5 * (lo + hi) for lo, hi in jumps]
-        scan([m for m in mids if m not in samples])
+    jumps = [[(lo, hi) for lo, hi in zip(base, base[1:]) if sam[lo] != sam[hi]] for sam in samples]
+    while any(jumps := [[(lo, hi) for lo, hi in js if hi - lo > resolution] for js in jumps]):
+        mids = [[0.5 * (lo + hi) for lo, hi in js] for js in jumps]
+        wanted = [[m for m in ms if m not in sam] for ms, sam in zip(mids, samples)]
+        for sam, ms, found in zip(samples, wanted, scan(list(dict.fromkeys(sum(wanted, []))))):
+            sam.update((m, found[m]) for m in ms)
         jumps = [
-            half
-            for (lo, hi), mid in zip(jumps, mids)
-            for half in ((lo, mid), (mid, hi))
-            if lo < mid < hi and samples[half[0]] != samples[half[1]]
+            [
+                half
+                for (lo, hi), mid in zip(js, ms)
+                for half in ((lo, mid), (mid, hi))
+                if lo < mid < hi and sam[half[0]] != sam[half[1]]
+            ]
+            for js, ms, sam in zip(jumps, mids, samples)
         ]
 
-    sup = max(samples.values())
-    if samples[0.0] == sup:
-        argmax = 0.0
-    elif samples[1.0] == sup:
-        argmax = 1.0
-    else:
-        argmax = min(s for s, t in samples.items() if t == sup)
-
-    ordered = tuple(sorted(samples.items()))
-    # the final jump intervals; from depth 16 on one can stop at one ulp, wider than 10^-depth
-    widths = [b - a for (a, ta), (b, tb) in zip(ordered, ordered[1:]) if ta != tb]
-    return SupMixingResult(
-        sup_tmix=sup,
-        argmax_s=argmax,
-        eps=eps,
-        grid_resolution=max([resolution, *widths]) if widths else base[1] - base[0],
-        per_s_samples=ordered,
-    )
+    results = []
+    for sam, eps in zip(samples, eps_values):
+        sup, ordered = max(sam.values()), tuple(sorted(sam.items()))
+        # ties prefer s = 0, then s = 1, then the smallest s
+        argmax = next(s for s in (0.0, 1.0, *(s for s, _ in ordered)) if sam[s] == sup)
+        # the final jump intervals; from depth 16 on one can stop at one ulp, wider than 10^-depth
+        widths = [b - a for (a, ta), (b, tb) in zip(ordered, ordered[1:]) if ta != tb]
+        width = max([resolution, *widths]) if widths else base[1] - base[0]
+        results.append(SupMixingResult(sup, argmax, eps, width, ordered))
+    return results

@@ -58,6 +58,14 @@ def _check_formula(n: int, eps: float, sigma: float) -> None:
         raise OutOfRangeError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
+def _n_three_halves(n: int) -> float:
+    """n^{3/2}, or inf where that float overflows, so that a radius over it is 0.0."""
+    try:
+        return n**1.5
+    except OverflowError:
+        return math.inf
+
+
 def mixing_lower_bound(n: int, eps: float, sigma: float) -> float:
     """Lower bound (1 - 2 sqrt(n) eps) / sigma on the mixing time at eps of an n-state kernel.
 
@@ -76,7 +84,7 @@ def continuity_delta(n: int, eps: float, sigma: float) -> float:
     interpolant P_s stays within eps of that of P0 in total variation.
     """
     _check_formula(n, eps, sigma)
-    return min(eps * sigma / (2.0 * n ** 1.5), 1.0)
+    return min(eps * sigma / (2.0 * _n_three_halves(n)), 1.0)
 
 
 def cor1_delta(n: int, eps: float, tmix_half_eps: int) -> float:
@@ -91,5 +99,5 @@ def cor1_delta(n: int, eps: float, tmix_half_eps: int) -> float:
     if eps >= 1.0 / math.sqrt(n):
         raise EpsTooLargeError(f"eps = {eps!r} is >= 1/sqrt({n})")
     tmix_half_eps = _check_horizon(tmix_half_eps, "tmix_half_eps")
-    delta = eps * (1.0 - math.sqrt(n) * eps) / (4.0 * n ** 1.5 * tmix_half_eps)
+    delta = eps * (1.0 - math.sqrt(n) * eps) / (4.0 * _n_three_halves(n) * tmix_half_eps)
     return min(delta, 1.0)

@@ -9,7 +9,7 @@ identical inputs serialize to identical bytes.
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .chains import ChainPair, StochasticMatrix, _family, _row_tv
 from .errors import (
     EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
 )
-from .mixing import DEFAULT_MIXING_CAP, _mixing_scans, sup_mixing_time
+from .mixing import DEFAULT_MIXING_CAP, _mixing_scans, _sup_mixing_times
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound, spectral_summary
 
 PROP3_HORIZONS = (10, 50, 200)
@@ -79,7 +79,7 @@ class BoundReport:
             "grid_resolution": self.grid_resolution,
             "caps_hit": list(self.caps_hit),
             "entries": [
-                {"pass" if k == "passed" else k: v for k, v in asdict(e).items()}
+                {"pass" if k == "passed" else k: v for k, v in vars(e).items()}
                 for e in self.entries
             ],
         }
@@ -254,19 +254,20 @@ def verify_all(
     # sigma does not depend on eps: one SVD per sweep kernel, and PROP4 reads s = 0.0's
     sigmas = [spectral_summary(StochasticMatrix(P)).sigma for _, Ps, _ in chunks for P in Ps]
     prop3 = [(T, *prop3_check(pair, T)) for T in PROP3_HORIZONS]
+    # a mixing scan depends on eps only through its thresholds: each runs once for every eps
+    sups = _sup_mixing_times(pair, [eps / 2.0 for eps in eps_values], grid_points)
+    scans = [
+        _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP, labels[lo:].__getitem__)
+        for lo, Ps, pis in chunks
+    ]
 
-    for eps in eps_values:
-        sup = sup_mixing_time(pair, eps / 2.0, grid_points)
+    for e, (eps, sup) in enumerate(zip(eps_values, sups)):
         resolutions.append(sup.grid_resolution)
         try:
             cor1 = cor1_delta(pair.n, eps, sup.sup_tmix)
         except EpsTooLargeError:
             cor1 = None
-        tmix = [
-            res.tmix
-            for lo, Ps, pis in chunks
-            for res in _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP, labels[lo : lo + len(Ps)])
-        ]
+        tmix = [res.tmix for found in scans for res in found[e]]
         # the grid's s = 0 and s = 1 kernels are P0 and P1 bit for bit
         ends = [("P0", sigmas[0], tmix[0]), ("P1", sigmas[-1], tmix[-1])]
         sweep = ends + list(zip(labels, sigmas, tmix))

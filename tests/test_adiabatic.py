@@ -396,6 +396,31 @@ scan_pairs = birth_death_and_dense_pairs(8)
 exact_pairs = birth_death_and_dense_pairs(5)
 
 
+class TestCorridorStream:
+    """The rows the chunked stream yields from a first step against the collected corridor."""
+
+    @settings(max_examples=60)
+    @given(
+        pair=scan_pairs,
+        T=st.integers(1, 400),
+        where=st.sampled_from([1, 2, -4, -2, -1]),
+        blocks=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_tail_is_the_corridor_suffix_bit_for_bit(self, pair, T, where, blocks):
+        # first step 1, 2 (at most T), ceil(T / 4), ceil(T / 2) or T; a chunk of 1-3
+        # blocks, or the budget's
+        first = min(T, where) if where > 0 else -(T // where)
+        cor = corridor(pair, T)
+        n, K = pair.n, _block_steps(pair.n, T)
+        with pytest.MonkeyPatch.context() as mp:
+            if blocks:
+                mp.setattr(chains, "_STACK_BUDGET", blocks * K * 8 * (3 * n * n + 4 * n))
+            rows = list(adiabatic._corridor_stream(pair, T, first))
+        assert [k for k, *_ in rows] == list(np.cumsum([first] + [len(g) for *_, g in rows[:-1]]))
+        for field, got in zip(("mus", "targets", "gaps"), zip(*(r[1:] for r in rows))):
+            assert np.concatenate(got).tobytes() == getattr(cor, field)[first - 1 :].tobytes()
+
+
 class TestBatchedAdiabaticGaps:
     """The all-horizons kernel against the single-horizon loop reference and the oracle."""
 
@@ -1003,6 +1028,34 @@ class TestTheorem2Check:
             T, tail = theorem2_check(pair, 0.2, 0.5, _sup_half(pair, 0.2))
             want = corridor(pair, T).gaps[ceil_int(0.5 * T) - 1 :]
             assert tail.tobytes() == want.tobytes(), name
+
+    def test_solves_only_the_tail_targets(self, suite_pairs, monkeypatch):
+        pair = suite_pairs["complete5-to-bd5"]
+        pair.pi0  # the cached start, solved outside the count
+        solve, kernels = chains._stationary_stack, []
+        monkeypatch.setattr(chains, "_stationary_stack", lambda Ps: kernels.append(len(Ps)) or solve(Ps))
+        for delta in (0.5, 0.25):
+            kernels.clear()
+            T, tail = theorem2_check(pair, 0.2, delta, 5)
+            assert sum(kernels) == len(tail) == T - ceil_int(delta * T) + 1
+
+    def test_memory_keeps_only_the_tail(self, monkeypatch):
+        # a corridor of T = 8,000 and 80,000 steps at n = 2, each tail many chunks of
+        # 384 steps: the peak grows by the tail's gaps (kept once as chunks, once
+        # joined), not by the (T, n) trajectory
+        monkeypatch.setattr(chains, "_STACK_BUDGET", 2**16)
+        pair = ChainPair(random_dense(2, seed=0), random_dense(2, seed=1))
+        pair.pi0
+        peaks, tails = [], []
+        for m in (20, 63):
+            tracemalloc.start()
+            try:
+                _, tail = theorem2_check(pair, 0.2, 0.5, m, corridor_cap=10**5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            tails.append(tail.nbytes)
+        assert peaks[1] - peaks[0] <= 2 * (tails[1] - tails[0]) + 64 * 1024, (peaks, tails)
 
     def test_delta_domain(self, lazy_asym_pair):
         for delta in (0.0, -0.5, 1.5):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import markovmix.chains as chains
+import markovmix.mixing as mixing
 from markovmix import (
     ChainPair,
     IterationCapError,
@@ -26,7 +27,7 @@ from markovmix import (
 )
 
 from markovmix.chains import _stationary_stack
-from markovmix.mixing import DEFAULT_MIXING_CAP, _mixing_scans
+from markovmix.mixing import DEFAULT_MIXING_CAP, _mixing_scans, _sup_mixing_times
 
 from oracles import (
     brute_mixing_time,
@@ -154,12 +155,24 @@ class TestBatchedMixingScan:
     @given(Ps=dense_stacks, eps=st.sampled_from([0.3, 0.1, 0.05, 0.01, 1e-4]))
     def test_equals_per_kernel_reference(self, Ps, eps):
         pis = _stationary_stack(Ps)
-        assert _mixing_scans(Ps, pis, eps, DEFAULT_MIXING_CAP) == _references(Ps, pis, eps)
+        assert _mixing_scans(Ps, pis, [eps], DEFAULT_MIXING_CAP) == [_references(Ps, pis, eps)]
+
+    @settings(max_examples=60)
+    @given(
+        Ps=dense_stacks,
+        eps_values=st.lists(st.sampled_from([0.3, 0.1, 0.05, 0.01, 1e-4]), min_size=1, max_size=4),
+    )
+    def test_several_eps_equal_one_eps_scans(self, Ps, eps_values):
+        # unsorted and repeated thresholds: each records what a scan at it alone returns
+        pis = _stationary_stack(Ps)
+        expected = [_mixing_scans(Ps, pis, [eps], DEFAULT_MIXING_CAP)[0] for eps in eps_values]
+        assert _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP) == expected
+        assert expected == [_references(Ps, pis, eps) for eps in eps_values]
 
     def test_several_chunks_same_results(self, suite_chains, suite_pairs, monkeypatch):
         Ps = np.stack([P.entries for name, P in suite_chains.items() if P.n == 5])
         pis = _stationary_stack(Ps)
-        whole = _mixing_scans(Ps, pis, 0.01, DEFAULT_MIXING_CAP)
+        whole = _mixing_scans(Ps, pis, [0.01], DEFAULT_MIXING_CAP)[0]
         assert len({r.tmix for r in whole}) > 1
         pair = suite_pairs["complete5-to-bd5"]
         sup = sup_mixing_time(pair, 0.05)
@@ -168,7 +181,7 @@ class TestBatchedMixingScan:
         size = chains._chunk(4 * 5 * 5)
         parts = [slice(lo, lo + size) for lo in range(0, len(Ps), size)]
         assert size == 2 and len(parts) == 2
-        chunked = [_mixing_scans(Ps[part], pis[part], 0.01, DEFAULT_MIXING_CAP) for part in parts]
+        chunked = [_mixing_scans(Ps[part], pis[part], [0.01], DEFAULT_MIXING_CAP)[0] for part in parts]
         assert chunked[0] + chunked[1] == whole == _references(Ps, pis, 0.01)
         assert sup_mixing_time(pair, 0.05) == sup
 
@@ -176,7 +189,7 @@ class TestBatchedMixingScan:
         Ps = np.stack([lazy.entries, np.full((2, 2), 0.5)])
         pis = _stationary_stack(Ps)
         with pytest.raises(IterationCapError):
-            _mixing_scans(Ps, pis, 1e-6, 3)
+            _mixing_scans(Ps, pis, [1e-6], 3)
         with pytest.raises(IterationCapError):
             mixing_scan_reference(Ps[0], pis[0], 1e-6, 3)
 
@@ -188,9 +201,9 @@ class TestBatchedMixingScan:
         Ps = np.stack([np.full((2, 2), 0.5), lazy.entries, 1.5 * lazy.entries])
         pis = np.full((3, 2), 0.5)
         with pytest.raises(NumericalBreakdownError, match="^kernel 2: .* at T=2; numerical"):
-            _mixing_scans(Ps, pis, 0.01, DEFAULT_MIXING_CAP)
+            _mixing_scans(Ps, pis, [0.01], DEFAULT_MIXING_CAP)
         with pytest.raises(NumericalBreakdownError, match="^kernel grown: "):
-            _mixing_scans(Ps, pis, 0.01, DEFAULT_MIXING_CAP, labels=["one", "lazy", "grown"])
+            _mixing_scans(Ps, pis, [0.01], DEFAULT_MIXING_CAP, ["one", "lazy", "grown"].__getitem__)
         with pytest.raises(NumericalBreakdownError, match="at T=2; numerical"):
             mixing_scan_reference(Ps[2], pis[2], 0.01, DEFAULT_MIXING_CAP)
 
@@ -277,6 +290,24 @@ class TestSupMixingTime:
             assert res == ref, name  # per_s_samples, argmax_s, grid_resolution and all
             refined += len(res.per_s_samples) > 101
         assert refined
+
+    @pytest.mark.parametrize("eps_values", [[0.15, 0.125], [0.025, 0.15, 0.05, 0.025]])
+    def test_several_eps_in_one_scan(self, suite_pairs, eps_values, monkeypatch):
+        # each s is scanned once for every eps, and each eps keeps exactly its own samples
+        kernels = []
+
+        def counted(Ps, *args):
+            kernels.append(len(Ps))
+            return _mixing_scans(Ps, *args)
+
+        monkeypatch.setattr(mixing, "_mixing_scans", counted)
+        for name, pair in suite_pairs.items():
+            kernels.clear()
+            got = _sup_mixing_times(pair, eps_values)
+            visited = {s for res in got for s, _ in res.per_s_samples}
+            assert sum(kernels) == len(visited), name
+            assert got == [sup_mixing_time(pair, eps) for eps in eps_values], name
+            assert got == [sup_mixing_reference(pair, eps) for eps in eps_values], name
 
     def test_matches_one_sample_reference_at_n40(self):
         # 20 kernels per chunk, with row sums long enough for pairwise summation

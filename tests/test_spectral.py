@@ -123,6 +123,11 @@ class TestContinuityDelta:
     def test_clamped_to_one(self, lazy):
         assert continuity_delta(2, 1e9, _sigma(lazy)) == 1.0
 
+    def test_an_n_whose_power_overflows_has_radius_zero(self):
+        # n^{3/2} has no float at n = 10^300, so the radius over it is 0.0
+        assert continuity_delta(10**300, 0.1, 0.5) == 0.0
+        assert continuity_delta(10**200, 0.1, 0.5) > 0.0
+
     def test_nonpositive_eps(self, lazy):
         with pytest.raises(NonPositiveEpsError):
             continuity_delta(2, -0.1, _sigma(lazy))
@@ -172,6 +177,11 @@ class TestCor1Delta:
         for m in (True, 2.5, 4.0):
             with pytest.raises(OutOfRangeError):
                 cor1_delta(2, 0.1, m)
+
+    def test_an_n_whose_power_overflows_has_radius_zero(self):
+        assert cor1_delta(10**300, 1e-200, 3) == 0.0
+        with pytest.raises(EpsTooLargeError):
+            cor1_delta(10**300, 1e-100, 3)
 
     def test_an_m_or_n_with_no_float_value_raises(self):
         with pytest.raises(OutOfRangeError, match="^tmix_half_eps must have a float value"):

@@ -207,7 +207,8 @@ class TestVerifyAll:
     def test_sweep_scans_each_grid_kernel_once_per_eps(
         self, lazy_asym_pair, forward_report, monkeypatch
     ):
-        # the P0 and P1 entries read the s = 0.0 and s = 1.0 scans: 11 kernels per eps, not 13
+        # the P0 and P1 entries read the s = 0.0 and s = 1.0 scans, and one scan
+        # serves every eps: 11 kernels, not 13 per eps
         kernels = []
 
         def counted(Ps, *args):
@@ -217,7 +218,11 @@ class TestVerifyAll:
         monkeypatch.setattr(verify, "_mixing_scans", counted)
         report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
         assert report.to_json() == forward_report.to_json()
-        assert sum(kernels) == 22
+        assert sum(kernels) == 11
+        for eps_list in ([0.2], [0.3, 0.25, 0.2, 0.1]):
+            kernels.clear()
+            verify_all(lazy_asym_pair, eps_list)
+            assert sum(kernels) == 11
 
     def test_one_svd_per_sweep_kernel_for_any_number_of_eps(self, lazy_asym_pair, monkeypatch):
         # sigma is computed once per grid kernel, before the eps loop; PROP4
