@@ -28,7 +28,7 @@ from .errors import (
     _check_horizon,
     _check_real,
 )
-from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, MixingResult, _mixing_scans
+from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, _mixing_scans
 
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
@@ -212,8 +212,8 @@ class AdiabaticResult:
     ``certified_horizon`` is the PROP1 horizon ceil(2 t_mix(P1, eps/2)^2 / eps),
     and ``tmix_half`` that t_mix. Every T in [1, tail_from] was evaluated, and
     ``per_T_gaps`` holds those gaps; every T in [tail_from, certified_horizon]
-    is certified (see :func:`adiabatic_time`). ``t_ad`` is the least T* with no
-    failure at or beyond it.
+    is certified by the suffix ladder (see :func:`adiabatic_time`). ``t_ad`` is
+    the least T* with no failure at or beyond it.
     """
 
     t_ad: int
@@ -224,59 +224,40 @@ class AdiabaticResult:
     per_T_gaps: tuple[tuple[int, float], ...]
 
 
-def _certified_horizon(pair: ChainPair, eps: float) -> tuple[MixingResult, int]:
-    """(t_mix(P1, eps/2) result, ceil(2 t_mix^2 / eps)), the PROP1 horizon, from the pair's pi1."""
-    mix = _mixing_scans(pair.p1.entries[None], pair.pi1.mass[None], [eps / 2], DEFAULT_MIXING_CAP)[0][0]
-    return mix, ceil_int(2.0 * mix.tmix * mix.tmix / eps)
+def _certified_horizon(pair: ChainPair, eps: float) -> tuple[int, int]:
+    """(t_mix(P1, eps/2), ceil(2 t_mix^2 / eps)), the PROP1 horizon, from the pair's pi1."""
+    m = _mixing_scans(pair.p1.entries[None], pair.pi1.mass[None], [eps / 2], DEFAULT_MIXING_CAP)[0][0].tmix
+    return m, ceil_int(2.0 * m * m / eps)
 
 
-def _drift(L: float, m, lo, hi):
-    """How far the last m factors move in row TV over T in [lo, hi]: factor i from the end by i L (1/lo - 1/T)."""
-    return L * m * (m - 1) / 2.0 * (1.0 / lo - 1.0 / hi)
+def _suffix_start(pair: ChainPair, eps: float, m: int, horizon: int) -> int:
+    """Least rung S of a ladder from the horizon H down that certifies [S, H], m = t_mix(P1, eps/2).
 
-
-def _tail_from(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> int:
-    """Least T_c <= horizon with d1(m) + ``_drift(L, m, T_c, inf)`` + radius <= eps, m = t_mix(P1, eps/2).
-
-    d1(m), P1^m's worst gap, is the last m factors' as T -> inf (``_suffix_start`` derives
-    the radius); T_c >= m - 1, so that m <= T_c + 1. With no room it is the horizon.
-    """
-    m = mix.tmix
-    L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
-    room = eps - mix.final_gap - 2 * (horizon + 1) * _step_radius(pair.n)
-    if room <= 0.0:
-        return horizon
-    # math.ceil, not ceil_int: snapping down could name an uncertified T
-    return min(horizon, max(1, m - 1, math.ceil(_drift(L, m, 1, math.inf) / room)))
-
-
-def _suffix_start(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) -> int:
-    """Least rung S of a ladder below T_c = ``_tail_from`` such that [S, T_c] is certified.
-
-    Rungs fall by T -> min(T - 1, floor(0.9 T)). Rung lo below hi advances Q <- P_{(lo-j)/lo} Q
-    from P_1 for j <= min(2 t_mix, lo), all rungs in one batched product; a j with row TV(Q,
-    pi1) + ``_drift(L, j + 1, lo, hi)`` within eps less the radius certifies [lo, hi].
+    Rungs fall by T -> min(T - 1, floor(19 T / 20)). Rung lo below hi advances Q <- P_{(lo-j)/lo} Q
+    from P_1 for j <= min(2 m, lo), all rungs in one batched product. Over T in [lo, hi], factor i
+    from the end moves by at most i L (1/lo - 1/hi) in row TV, L = max row TV(P0, P1), so a j with
+    row TV(Q, pi1) + L j (j + 1) / 2 (1/lo - 1/hi) within eps less the radius certifies [lo, hi].
     """
     # Radius: against exact products of the same float kernels, the head's T + 1 and a
     # suffix's j + 1 factors drift by _step_radius(n) a factor (n u the product, 2u the
-    # kernel's rounding, which also bounds its rows' stray from stochastic); T, j <= T_c <= H,
+    # kernel's rounding, which also bounds its rows' stray from stochastic); T, j <= H,
     # so 2 (H + 1) _step_radius(n) covers both. L, drift and row TV roundings sit in PASS_SLACK.
     room = eps - 2 * (horizon + 1) * _step_radius(pair.n)
     L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
-    ladder = [_tail_from(pair, eps, mix, horizon)]
+    ladder = [horizon]
     while ladder[-1] > 1:
-        ladder.append(min(ladder[-1] - 1, ladder[-1] * 9 // 10))
+        ladder.append(min(ladder[-1] - 1, ladder[-1] * 19 // 20))
     # per rung: the product, its successor and the kernel, plus the t's
     chunk = _chunk(3 * pair.n * pair.n + 4)
     for c in range(1, len(ladder), chunk):
         lo, hi = np.array(ladder[c : c + chunk]), np.array(ladder[c - 1 : c - 1 + chunk])
         Q = np.tile(pair.p1.entries, (len(lo), 1, 1))
         best = _row_tv(Q, pair.pi1.mass).max(axis=1)  # j = 0, no drift
-        for j in range(1, min(2 * mix.tmix, lo[0]) + 1):
+        for j in range(1, min(2 * m, lo[0]) + 1):
             k = int(np.searchsorted(-lo, -j, side="right"))  # the rungs with lo >= j
             Q = np.matmul(_interp_stack(pair, (lo[:k] - j) / lo[:k]), Q[:k])
-            bound = _row_tv(Q, pair.pi1.mass).max(axis=1) + _drift(L, j + 1, lo[:k], hi[:k])
-            np.minimum(best[:k], bound, out=best[:k])
+            drift = L * (j + 1) * j / 2.0 * (1.0 / lo[:k] - 1.0 / hi[:k])
+            np.minimum(best[:k], _row_tv(Q, pair.pi1.mass).max(axis=1) + drift, out=best[:k])
         if not (best <= room).all():  # written so that a NaN bound certifies nothing
             return int(hi[np.argmin(best <= room)])
     return ladder[-1]
@@ -285,17 +266,16 @@ def _suffix_start(pair: ChainPair, eps: float, mix: MixingResult, horizon: int) 
 def adiabatic_time(
     pair: ChainPair, eps: float, horizon_cap: int = DEFAULT_HORIZON_CAP
 ) -> AdiabaticResult:
-    """Adiabatic time of the pair at eps, certified up to the PROP1 horizon.
+    """Adiabatic time of the pair at eps, certified up to the PROP1 horizon H.
 
     gap(T) is at most the worst row TV to pi1 of the last j + 1 of its T + 1 factors
-    (Dirac-start convexity), which ``_drift`` bounds over an interval of T. Mitrophanov's
-    bound (J. Appl. Probab. 42, 2005) certifies T_c..H, a ladder of suffix certificates
-    S..T_c in at most 2 t_mix(P1, eps/2) batched steps, and the head 1..S is scanned
-    exactly. A failure at S, which the certificates cover, is a numerical breakdown.
+    (Dirac-start convexity). A ladder of such suffix certificates (``_suffix_start``)
+    certifies S..H in at most 2 t_mix(P1, eps/2) batched steps, and the head 1..S is
+    scanned exactly. A failure at S, which the ladder covers, is a numerical breakdown.
     """
     _check_eps(eps)
     horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
-    mix, horizon = _certified_horizon(pair, eps)
+    m, horizon = _certified_horizon(pair, eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
             f"certified horizon {_horizon_text(horizon)} exceeds cap {horizon_cap}; "
@@ -303,7 +283,7 @@ def adiabatic_time(
             horizon=horizon,
         )
 
-    tail_from = _suffix_start(pair, eps, mix, horizon)
+    tail_from = _suffix_start(pair, eps, m, horizon)
     gaps = _adiabatic_gaps(pair, np.arange(1, tail_from + 1))
     # written as a negation so that a NaN gap counts as a failure
     fails = np.flatnonzero(~(gaps <= eps + PASS_SLACK))
@@ -316,7 +296,7 @@ def adiabatic_time(
     return AdiabaticResult(
         t_ad=last_fail + 1,
         eps=eps,
-        tmix_half=mix.tmix,
+        tmix_half=m,
         certified_horizon=horizon,
         tail_from=tail_from,
         per_T_gaps=tuple(zip(range(1, tail_from + 1), gaps.tolist())),

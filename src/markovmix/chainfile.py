@@ -19,7 +19,14 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _check_name(name) -> str:
+    if not isinstance(name, str):
+        raise BadParamsError(f"chain name must be a string, got {name!r}")
+    return name
+
+
 def pair_to_dict(name: str, pair: ChainPair) -> dict:
+    _check_name(name)
     return {
         "name": name,
         "n": pair.n,
@@ -32,9 +39,7 @@ def pair_from_dict(payload: dict) -> tuple[str, ChainPair]:
     for key in ("name", "n", "P0", "P1"):
         if key not in payload:
             raise BadParamsError(f"chain file is missing the {key!r} field")
-    name = payload["name"]
-    if not isinstance(name, str):
-        raise BadParamsError(f"chain name must be a string, got {name!r}")
+    name = _check_name(payload["name"])
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise BadParamsError(f"declared n must be an integer, got {n!r}")

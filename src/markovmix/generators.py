@@ -34,7 +34,7 @@ class GeneratorParams:
 
 
 def _check_prob(name: str, value) -> float:
-    if value is None or not 0.0 < value < 1.0:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
         raise BadParamsError(f"{name} must lie strictly in (0, 1), got {value!r}")
     return float(value)
 

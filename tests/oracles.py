@@ -5,6 +5,7 @@ library (closed forms, eigendecompositions, binary matrix powering) so the
 tests stay meaningful.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -311,23 +312,43 @@ def suffix_gaps_reference(pair, T: int, m_max: int) -> np.ndarray:
     return np.array(gaps)
 
 
+def mitrophanov_tail_from(pair, eps: float, mix, horizon: int) -> int:
+    """Least T_c <= horizon from which Mitrophanov's bound certifies every T up to the horizon.
+
+    With m = t_mix(P1, eps/2) and d1(m) = ``mix.final_gap``, P1^m's worst gap, the last m of the
+    T + 1 factors are within L m (m - 1) / (2 T) of P1^m in row TV (J. Appl. Probab. 42, 2005),
+    L the worst row TV between P0 and P1. T_c is the least T >= m - 1, so that m <= T + 1, with
+    d1(m) + L m (m - 1) / (2 T) within eps less the ladder's rounding radius. With no room it is
+    the horizon.
+    """
+    from markovmix.adiabatic import _step_radius
+
+    m = mix.tmix
+    L = float((0.5 * np.abs(pair.p0.entries - pair.p1.entries).sum(axis=1)).max())
+    room = eps - mix.final_gap - 2 * (horizon + 1) * _step_radius(pair.n)
+    if room <= 0.0:
+        return horizon
+    # math.ceil, not a snapping ceiling: snapping down could name an uncertified T
+    return min(horizon, max(1, m - 1, math.ceil(L * m * (m - 1) / 2.0 / room)))
+
+
 def suffix_ladder_reference(pair, eps: float):
     """(S, rungs): the ladder of ``adiabatic._suffix_start`` one rung at a time.
 
-    ``rungs`` lists (lo, hi, bound) from the top down to the first rung that
-    fails, where bound = min over m of g_m(lo) + L m (m - 1) / 2 (1/lo - 1/hi)
-    with m <= min(2 t_mix(P1, eps/2), lo) + 1, written out here rather than
-    through ``_drift``. S is the hi of the failing rung, or 1.
+    ``rungs`` lists (lo, hi, bound) from the PROP1 horizon H down to the first rung that
+    fails, each lo = min(hi - 1, floor(19 hi / 20)), where bound = min over m of g_m(lo) +
+    L m (m - 1) / 2 (1/lo - 1/hi) with m <= min(2 t_mix(P1, eps/2), lo) + 1. S is the hi
+    of the failing rung, or 1.
     """
-    from markovmix.adiabatic import _certified_horizon, _step_radius, _tail_from
+    from markovmix.adiabatic import _certified_horizon, _step_radius
 
-    mix, H = _certified_horizon(pair, eps)
+    tmix, H = _certified_horizon(pair, eps)
     room = eps - 2 * (H + 1) * _step_radius(pair.n)
     L = float((0.5 * np.abs(pair.p0.entries - pair.p1.entries).sum(axis=1)).max())
-    hi, rungs = _tail_from(pair, eps, mix, H), []
+    hi, rungs = H, []
     while hi > 1:
-        lo = min(hi - 1, hi * 9 // 10)
-        g = suffix_gaps_reference(pair, lo, min(2 * mix.tmix, lo) + 1)
+        lo = min(hi - 1, hi * 19 // 20)
+        g = suffix_gaps_reference(pair, lo, min(2 * tmix, lo) + 1)
         ms = np.arange(1, len(g) + 1)
         bound = float((g + L * ms * (ms - 1) / 2.0 * (1.0 / lo - 1.0 / hi)).min())
         rungs.append((lo, hi, bound))

@@ -17,6 +17,7 @@ from markovmix import (
     complete_graph,
     load_pair,
     pair_from_dict,
+    pair_to_dict,
     save_pair,
 )
 from markovmix.cli import (
@@ -80,6 +81,16 @@ class TestGenerate:
         assert name2 == name
         np.testing.assert_array_equal(pair.p0.entries, pair2.p0.entries)
         np.testing.assert_array_equal(pair.p1.entries, pair2.p1.entries)
+
+    @pytest.mark.parametrize("name", [5, None, b"bytes"])
+    def test_save_rejects_what_load_rejects(self, pair_file, tmp_path, name):
+        pair = load_pair(pair_file)[1]
+        path = tmp_path / "bad-name.json"
+        with pytest.raises(BadParamsError, match="chain name must be a string"):
+            save_pair(path, name, pair)
+        assert not path.exists()
+        with pytest.raises(BadParamsError, match="chain name must be a string"):
+            pair_from_dict(pair_to_dict("lazy-to-asym", pair) | {"name": name})
 
     def test_single_kernel_output(self, capsys):
         code, payload = run_json(capsys, ["generate", "--p0", "complete_graph:n=3,alpha=0.5"])

@@ -1,5 +1,7 @@
 """Generator families: formulas, validity, and the pinned random stream."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,29 @@ class TestGenerateDispatch:
             generate(GeneratorParams(family="two_state", p=0.25, q=0.25, n=7))
         with pytest.raises(BadParamsError, match="random_dense takes n, seed, not 'alpha'"):
             generate(GeneratorParams(family="random_dense", n=3, seed=7, alpha=0.5))
+
+
+class TestProbabilityRule:
+    """p, q and alpha are real numbers strictly inside (0, 1): no bool, no string, no complex."""
+
+    @pytest.mark.parametrize("value", ["0.3", complex(0.2), True, None, [0.5]])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: two_state(v, 0.2),
+            lambda v: lazy_cycle(3, v),
+            lambda v: complete_graph(3, v),
+            lambda v: birth_death(3, 0.3, v),
+        ],
+        ids=["two_state", "lazy_cycle", "complete_graph", "birth_death"],
+    )
+    def test_probability_must_be_a_real_number(self, make, value):
+        with pytest.raises(BadParamsError, match="must lie strictly in"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.3), np.float32(0.25), Fraction(1, 4), 0.5])
+    def test_real_probabilities_accepted(self, value):
+        assert lazy_cycle(3, value).entries[0, 0] == float(value)
 
 
 class TestIntegerRule:

@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import io
+import re
+import tokenize
 import types
 from collections import Counter
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 import markovmix
 import markovmix.errors
 
-BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_TRACING = ROOT / "bench" / "tracing.py"
 PACKAGE = Path(markovmix.__file__).parent
 
 
@@ -132,3 +136,27 @@ def test_bench_tracer_resolves_every_traced_name():
         if fields:
             result_fields = {f.name for f in dataclasses.fields(signature.return_annotation)}
             assert fields <= result_fields, key
+
+
+def _prose(path):
+    """The text of a Markdown file, or the comments and string literals of a Python file."""
+    if path.suffix == ".md":
+        return path.read_text(encoding="utf-8")
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+    return "\n".join(t.string for t in tokens if t.type in (tokenize.COMMENT, tokenize.STRING))
+
+
+def test_every_cited_module_name_resolves():
+    # a deleted helper must not live on in the docs: every ``module.name`` of this
+    # package cited in the README or in a comment or string of the package or its
+    # tests names something the module still has (``module.py`` is a file name)
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("__"))
+    cite = re.compile(rf"(?<![\w.])(?:markovmix\.)?({'|'.join(modules)})\.(?!py\b)([A-Za-z_]\w*)")
+    files = [ROOT / "README.md", *sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    cited = {(path.name, *m.groups()) for path in files for m in cite.finditer(_prose(path))}
+    stale = [
+        f"{where}: {module}.{name}"
+        for where, module, name in sorted(cited)
+        if not hasattr(importlib.import_module(f"markovmix.{module}"), name)
+    ]
+    assert len(cited) >= 5 and stale == []
