@@ -254,6 +254,8 @@ def _suffix_start(pair: ChainPair, eps: float, m: int, horizon: int) -> int:
         Q = np.tile(pair.p1.entries, (len(lo), 1, 1))
         best = _row_tv(Q, pair.pi1.mass).max(axis=1)  # j = 0, no drift
         for j in range(1, min(2 * m, lo[0]) + 1):
+            if (best <= room).all():  # best only falls: the chunk's rungs are certified
+                break
             k = int(np.searchsorted(-lo, -j, side="right"))  # the rungs with lo >= j
             Q = np.matmul(_interp_stack(pair, (lo[:k] - j) / lo[:k]), Q[:k])
             drift = L * (j + 1) * j / 2.0 * (1.0 / lo[:k] - 1.0 / hi[:k])
@@ -317,6 +319,11 @@ class StableAdiabaticResult:
     worst_gap: float
 
 
+def _check_from(T: int, k: int) -> float:
+    """The s from which the next block checks: k / T, where a block's largest dropped T failed at k."""
+    return k / T
+
+
 def stable_adiabatic_time(
     pair: ChainPair, eps: float, cap: int = DEFAULT_STABLE_CAP
 ) -> StableAdiabaticResult:
@@ -328,16 +335,16 @@ def stable_adiabatic_time(
     already scanned and at least 32, within the stack budget. Every live mu
     of a block advances one step k at a time by one product with [P0 | P1],
     as (1 - t) mu P0 + t mu P1 with t = k / T. The scan is a filter: a block
-    whose largest horizon is H checks its live horizons only at the steps k
-    that are multiples of max(1, H // 64), about 43 to 64 evenly spaced
-    steps per horizon and every step while H is below 128. Only there are
+    of horizons lo..H checks them at the multiples k of max(1, H // 64), from
+    k = s lo on: s (``_check_from``) is the k / T at which the last block's
+    largest dropped horizon T failed, 0 in the first block. The s where a T
+    fails narrow as T grows, and no T of the block is below lo. Only there are
     kernels and targets built, the floats of :func:`corridor`, and a horizon
     dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u,
-    the most that the two mu can round apart. A horizon that survives all
-    its steps, including one whose failing steps all fall between the
-    checks, is decided by the reference ``corridor(pair, T)``, whose worst
-    step the result reports, so the strict comparison ``gap < eps`` is
-    exact: adding slack would admit gaps equal to eps.
+    the most that the two mu can round apart. A horizon that survives its
+    checks, even one failing only away from them, is decided by the reference
+    ``corridor(pair, T)``, whose worst step the result reports, so the strict
+    comparison ``gap < eps`` is exact: adding slack would admit gaps equal to eps.
 
     On :class:`CapExceededError` the trace holds, for every T in ascending
     order, the gap that ruled T out: the gap at the checked step that
@@ -356,8 +363,9 @@ def stable_adiabatic_time(
     margin = 3 * _step_radius(n) + 4 * 2.0**-53
     W = np.hstack([pair.p0.entries, pair.p1.entries])  # mu @ W is [mu P0 | mu P1]
     trace: list[tuple[int, float]] = []
-    lo = 1
+    lo, drop = 1, (1, 0)  # (T, k) of the last block's largest drop; none yet
     while lo <= cap:
+        gate, drop = _check_from(*drop), (1, 0)
         size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
         live = np.arange(lo, lo + size)  # the live horizons, ascending
         stride = max(1, (lo + size - 1) // _STABLE_CHECKS)
@@ -367,10 +375,12 @@ def stable_adiabatic_time(
             Y = mus @ W
             mus = (1 - t) * Y[:, :n] + t * Y[:, n:]
             mus /= mus.sum(axis=1, keepdims=True)
-            if k % stride == 0:
+            if k % stride == 0 and k >= gate * lo:
                 gaps = _row_tv(mus, _stationary_stack(_interp_stack(pair, t[:, 0])))
                 out = gaps >= eps + (k + 1) * margin
-                trace.extend(zip(live[out].tolist(), gaps[out].tolist()))
+                gone = live[out].tolist()
+                trace.extend(zip(gone, gaps[out].tolist()))
+                drop = max(drop, (gone[-1], k)) if gone else drop
                 live, mus = live[~out], mus[~out]
             if live.size and live[0] == k:
                 k_worst, gap = corridor(pair, k).worst

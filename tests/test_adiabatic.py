@@ -4,10 +4,11 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markovmix.adiabatic as adiabatic
@@ -46,6 +47,7 @@ from markovmix.adiabatic import (
 from markovmix.mixing import PASS_SLACK
 from markovmix.verify import BOUND_SLACK
 
+from conftest import build_suite_pairs
 from oracles import (
     adiabatic_distance_oracle,
     adiabatic_distance_reference,
@@ -393,6 +395,7 @@ def birth_death_and_dense_pairs(n_max: int):
 
 
 scan_pairs = birth_death_and_dense_pairs(8)
+BD4_TO_DENSE4 = build_suite_pairs()["bd4-to-dense4"]
 exact_pairs = birth_death_and_dense_pairs(5)
 
 
@@ -788,6 +791,51 @@ def _assert_same_scan(pair, eps, cap):
     return got
 
 
+@pytest.fixture
+def scan_work(monkeypatch):
+    """Counts the stable scan's work while a test runs.
+
+    ``solves`` holds the size of every target solve and ``stacks`` of every
+    kernel stack the scan makes at its check steps (the reference corridor
+    makes its own through ``chains``), ``decided`` the T of every reference
+    ``corridor`` call and ``steps`` the number of mu steps the scan took.
+    """
+    work = SimpleNamespace(solves=[], stacks=[], decided=[], steps=0)
+    real_stack, real_interp, real_corridor = (
+        adiabatic._stationary_stack,
+        adiabatic._interp_stack,
+        adiabatic.corridor,
+    )
+
+    def stack(Ps):
+        work.solves.append(len(Ps))
+        return real_stack(Ps)
+
+    def interp(pair, ts):
+        work.stacks.append(len(ts))
+        return real_interp(pair, ts)
+
+    def reference(pair, T):
+        work.decided.append(T)
+        return real_corridor(pair, T)
+
+    def counted(ks):
+        for k in ks:
+            work.steps += 1
+            yield k
+
+    def scan_range(*bounds):
+        # the scan's only range is its step loop; the corridor's loops are not counted
+        ks = range(*bounds)
+        return counted(ks) if sys._getframe(1).f_code.co_name == "stable_adiabatic_time" else ks
+
+    monkeypatch.setattr(adiabatic, "_stationary_stack", stack)
+    monkeypatch.setattr(adiabatic, "_interp_stack", interp)
+    monkeypatch.setattr(adiabatic, "corridor", reference)
+    monkeypatch.setattr(adiabatic, "range", scan_range, raising=False)
+    return work
+
+
 # random_dense pairs pass within a few steps; birth-death ones take up to 58
 # steps at n = 2 to 6 and reach a cap of 60 from n = 7 up
 class TestBatchedStableScan:
@@ -822,14 +870,25 @@ class TestBatchedStableScan:
     @given(
         pair=scan_pairs,
         eps=st.sampled_from([0.1, 0.05, 0.02]),
-        checks=st.sampled_from([2, 4, 8]),
+        checks=st.sampled_from([2, 4, 8, 64]),
+        gate=st.sampled_from([None, 1.0, math.inf]),
     )
-    def test_coarse_grid_matches_reference_loop(self, pair, eps, checks):
+    # the non-monotone pair: t_sad 7 at 0.049, 2 above 0.0491 while T = 3..6 fail
+    @example(pair=BD4_TO_DENSE4, eps=0.049, checks=64, gate=None)
+    @example(pair=BD4_TO_DENSE4, eps=0.049, checks=64, gate=math.inf)
+    @example(pair=BD4_TO_DENSE4, eps=0.0515, checks=4, gate=1.0)
+    @example(pair=BD4_TO_DENSE4, eps=0.054, checks=64, gate=math.inf)
+    def test_coarse_grid_matches_reference_loop(self, pair, eps, checks, gate):
         # a few checks per horizon, so that most horizons skip most of their
         # failing steps and many reach the reference corridor; birth-death
-        # horizons are dropped at coarse checks
+        # horizons are dropped at coarse checks. A forced gate overrides the
+        # learned one in every block: at s = 1 a block checks only from its
+        # smallest horizon's last step on, and at s = inf at no step, so that
+        # every horizon goes to the reference.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adiabatic, "_STABLE_CHECKS", checks)
+            if gate is not None:
+                mp.setattr(adiabatic, "_check_from", lambda T, k: gate)
             _assert_same_scan(pair, eps, 60)
 
     @pytest.mark.parametrize("checks", [2, 4, 8])
@@ -839,50 +898,45 @@ class TestBatchedStableScan:
             for eps in (0.05, 0.02, 0.01):
                 _assert_same_scan(pair, eps, 300)
 
-    def test_long_horizons_are_checked_at_about_64_steps(self, monkeypatch):
+    def test_long_horizons_are_checked_at_about_64_steps(self, scan_work):
         pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
-        real_stack, real_corridor = adiabatic._stationary_stack, adiabatic.corridor
-        kernels, decided = [], []
-
-        def counting_stack(Ps):
-            kernels.append(len(Ps))
-            return real_stack(Ps)
-
-        def recording(pair, T):
-            decided.append(T)
-            return real_corridor(pair, T)
-
-        monkeypatch.setattr(adiabatic, "_stationary_stack", counting_stack)
-        monkeypatch.setattr(adiabatic, "corridor", recording)
         assert stable_adiabatic_time(pair, 0.03).t_sad == 688
         # a target for every live horizon at every step took 78,180 solves, and
         # a check every max(1, T // 64) steps for each horizon T took 10,162;
-        # one stride per block, from its largest horizon, takes 8,715
-        assert sum(kernels) <= 9_000
-        assert decided == [688]
+        # one stride per block, from its largest horizon, took 8,715, and
+        # checks from where the last block's largest drop failed take 5,362
+        assert sum(scan_work.solves) <= 5_400
+        assert scan_work.decided == [688]
 
-    def test_kernels_are_built_only_at_check_steps(self, monkeypatch):
+    def test_kernels_are_built_only_at_check_steps(self, scan_work):
         pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
-        real = adiabatic._interp_stack
-        calls = []
-
-        def counting(pair, ts):
-            calls.append(len(ts))
-            return real(pair, ts)
-
-        monkeypatch.setattr(adiabatic, "_interp_stack", counting)
         assert stable_adiabatic_time(pair, 0.03).t_sad == 688
         # mu advances through [P0 | P1]; a kernel stack at each of the 847
-        # steps is now one at each of the 104 check steps
-        assert len(calls) <= 110
+        # steps is now one at each of the 77 check steps past the gate (104 in all)
+        assert scan_work.steps == 847
+        assert len(scan_work.stacks) == len(scan_work.solves) <= 80
+
+    @pytest.mark.parametrize(
+        "name, eps, t_sad, solves, decided",
+        # checking every horizon from s = 0 took 11,162 solves and 14 references
+        # on the first, and 3,276 and 3 on the second, whose gaps peak at s = 0
+        [("complete5-to-bd5", 0.02, 191, 2_950, 14), ("bd4-to-dense4", 0.01, 275, 3_276, 3)],
+    )
+    def test_checks_start_where_horizons_fail(
+        self, suite_pairs, scan_work, name, eps, t_sad, solves, decided
+    ):
+        assert stable_adiabatic_time(suite_pairs[name], eps).t_sad == t_sad
+        assert sum(scan_work.solves) <= solves
+        assert len(scan_work.decided) <= decided
 
     @settings(max_examples=30, deadline=None)
     @given(pair=scan_pairs, eps=st.sampled_from([0.1, 0.05, 0.02]))
     def test_every_checked_gap_is_near_the_corridor(self, pair, eps):
         # The scan's mu at step k of horizon T differs from corridor's by at
         # most (k + 1) margin, for every gap it computes, not only the gaps
-        # that drop a horizon; the scan's own k and live horizons are read
-        # from its frame when it measures the gaps.
+        # that drop a horizon; the scan's own k and live horizons, which a
+        # check step measures all of, are read from its frame when it
+        # measures the gaps.
         real = adiabatic._row_tv
         checked = []
 
@@ -890,7 +944,9 @@ class TestBatchedStableScan:
             gaps = real(a, b)
             scan = sys._getframe(1)
             if scan.f_code.co_name == "stable_adiabatic_time":
-                checked.append((scan.f_locals["k"], scan.f_locals["live"], gaps))
+                k, live = scan.f_locals["k"], scan.f_locals["live"]
+                assert len(live) == len(gaps) > 0, k
+                checked.append((k, live, gaps))
             return gaps
 
         with pytest.MonkeyPatch.context() as mp:
@@ -921,19 +977,11 @@ class TestBatchedStableScan:
             eps = float(np.nextafter(corridor(pair, t).max_gap, 1.0))
             assert _assert_same_scan(pair, eps, t).t_sad == t, name
 
-    def test_only_survivors_meet_the_reference(self, suite_pairs, monkeypatch):
-        real = adiabatic.corridor
-        decided = []
-
-        def recording(pair, T):
-            decided.append(T)
-            return real(pair, T)
-
-        monkeypatch.setattr(adiabatic, "corridor", recording)
+    def test_only_survivors_meet_the_reference(self, suite_pairs, scan_work):
         for name, eps, t_sad in (("complete5-to-bd5", 0.05, 50), ("bd4-to-dense4", 0.02, 85)):
-            decided.clear()
+            scan_work.decided.clear()
             assert stable_adiabatic_time(suite_pairs[name], eps).t_sad == t_sad
-            assert decided == [t_sad], name
+            assert scan_work.decided == [t_sad], name
 
     def test_rounding_inside_the_margin_drops_nothing(self, suite_pairs, monkeypatch):
         # Where the scan's mu rounds differently from corridor's, its gaps
