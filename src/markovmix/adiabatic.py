@@ -28,7 +28,7 @@ from .errors import (
     _check_horizon,
     _check_real,
 )
-from .mixing import DEFAULT_MIXING_CAP, PASS_SLACK, _mixing_scans
+from .mixing import PASS_SLACK, _family_tmix
 
 DEFAULT_STABLE_CAP = 10_000
 DEFAULT_CORRIDOR_CAP = 10**5
@@ -225,8 +225,8 @@ class AdiabaticResult:
 
 
 def _certified_horizon(pair: ChainPair, eps: float) -> tuple[int, int]:
-    """(t_mix(P1, eps/2), ceil(2 t_mix^2 / eps)), the PROP1 horizon, from the pair's pi1."""
-    m = _mixing_scans(pair.p1.entries[None], pair.pi1.mass[None], [eps / 2], DEFAULT_MIXING_CAP)[0][0].tmix
+    """(t_mix(P1, eps/2), ceil(2 t_mix^2 / eps)), the PROP1 horizon; P1 is the family at s = 1."""
+    m = _family_tmix(pair, [1.0], [eps / 2])[0][0]
     return m, ceil_int(2.0 * m * m / eps)
 
 

@@ -47,15 +47,13 @@ _SUM_FIXPOINT_TOL = 1e-15
 
 
 def _exact_simplex(vec):
-    """Rescale a nonnegative vector in place so it sums to 1.0.
+    """Rescale a nonnegative vector, whose sum ``_check_rows`` put near 1, in place to sum 1.0.
 
     After the division, rounding can leave the sum an ulp or two away from
     1; the drift is folded into the largest entry, which reaches a bit-exact
     sum in almost all cases and always lands within ``_SUM_FIXPOINT_TOL``.
     """
     s = vec.sum()
-    if s <= 0.0:
-        raise ValueError("cannot normalize a vector with nonpositive sum")
     if abs(s - 1.0) <= _SUM_FIXPOINT_TOL:
         return vec
     vec /= s

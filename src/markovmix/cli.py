@@ -251,10 +251,7 @@ def main(argv=None) -> int:
     except NumericalBreakdownError as exc:
         print(f"markovmix: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    except ChainError as exc:
-        print(f"markovmix: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ChainError, OSError) as exc:
         print(f"markovmix: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -62,8 +62,8 @@ def _mixing_scans(
     and it retires at the smallest. The max gap is nonincreasing in T
     (contraction toward stationarity); a rise beyond ``PASS_SLACK`` raises
     NumericalBreakdownError naming the kernel by ``label(i)``, i its stack
-    position. Callers take their stacks in chunks of ``_chunk(4 * n * n)``:
-    four n x n arrays a kernel.
+    position. It has two callers: ``mixing_time``, a stack of one, and
+    ``_family_tmix``, the only code that chunks the family for mixing scans.
     """
     order = sorted(range(len(eps_values)), key=lambda e: -eps_values[e])  # largest eps first
     bars = np.array([eps_values[e] + PASS_SLACK for e in order] + [-np.inf])
@@ -109,6 +109,22 @@ def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) 
     return _mixing_scans(P.entries[None], pi[None], [eps], cap)[0][0]
 
 
+def _family_tmix(pair: ChainPair, ss: list[float], eps_values) -> list[list[int]]:
+    """The mixing time of P_s for every s of ``ss`` at each eps of ``eps_values``, one list per eps.
+
+    The only code that chunks the family for mixing scans, four n x n arrays a kernel, each
+    scanned up to ``DEFAULT_MIXING_CAP``; a breakdown names its kernel ``s=<repr of s>``, so
+    ``ss`` holds Python floats.
+    """
+    found: list = [[] for _ in eps_values]
+    for lo, Ps, pis in _family(pair, np.array(ss), 4 * pair.n * pair.n):
+        part = ss[lo : lo + len(Ps)]
+        scans = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP, lambda i: f"s={part[i]!r}")
+        for out, results in zip(found, scans):
+            out.extend(r.tmix for r in results)
+    return found
+
+
 def sup_mixing_time(
     pair: ChainPair, eps: float, grid_points: int = 101, refine_depth: int = 4
 ) -> SupMixingResult:
@@ -135,38 +151,28 @@ def _sup_mixing_times(
     only a larger eps visits still runs to the smallest, so a cap or a
     breakdown there is raised for the whole call.
     """
-
-    def scan(ss: list[float]) -> list[dict[float, int]]:
-        """The mixing time of P_s for each s in ``ss``, one dict per eps."""
-        found: list = [{} for _ in eps_values]
-        for lo, Ps, pis in _family(pair, np.array(ss), 4 * pair.n * pair.n):
-            part = ss[lo : lo + len(Ps)]
-            scans = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP, lambda i: f"s={part[i]!r}")
-            for out, results in zip(found, scans):
-                out.update(zip(part, (r.tmix for r in results)))
-        return found
-
     base = np.linspace(0.0, 1.0, grid_points).tolist()
-    samples = scan(base)
+    samples = [dict(zip(base, tmix)) for tmix in _family_tmix(pair, base, eps_values)]
 
-    # Bisect every interval whose ends differ, one level at a time; each
-    # level's new midpoints are scanned as one stack. A midpoint that rounds
-    # onto an end (an interval one ulp wide) splits nothing.
+    # Bisect every jump (e, lo, hi), an interval whose ends differ at the e-th eps, one
+    # level at a time; each level's new midpoints, eps-major, are scanned as one stack.
+    # A midpoint that rounds onto an end (an interval one ulp wide) splits nothing.
     resolution = 10.0 ** (-refine_depth)
-    jumps = [[(lo, hi) for lo, hi in zip(base, base[1:]) if sam[lo] != sam[hi]] for sam in samples]
-    while any(jumps := [[(lo, hi) for lo, hi in js if hi - lo > resolution] for js in jumps]):
-        mids = [[0.5 * (lo + hi) for lo, hi in js] for js in jumps]
-        wanted = [[m for m in ms if m not in sam] for ms, sam in zip(mids, samples)]
-        for sam, ms, found in zip(samples, wanted, scan(list(dict.fromkeys(sum(wanted, []))))):
-            sam.update((m, found[m]) for m in ms)
+    jumps = [
+        (e, lo, hi) for e, sam in enumerate(samples) for lo, hi in zip(base, base[1:]) if sam[lo] != sam[hi]
+    ]
+    while jumps := [(e, lo, hi) for e, lo, hi in jumps if hi - lo > resolution]:
+        mids = [0.5 * (lo + hi) for _, lo, hi in jumps]
+        new = [(e, mid) for (e, _, _), mid in zip(jumps, mids) if mid not in samples[e]]
+        ss = list(dict.fromkeys(mid for _, mid in new))
+        found = [dict(zip(ss, tmix)) for tmix in _family_tmix(pair, ss, eps_values)]
+        for e, mid in new:
+            samples[e][mid] = found[e][mid]
         jumps = [
-            [
-                half
-                for (lo, hi), mid in zip(js, ms)
-                for half in ((lo, mid), (mid, hi))
-                if lo < mid < hi and sam[half[0]] != sam[half[1]]
-            ]
-            for js, ms, sam in zip(jumps, mids, samples)
+            (e, *half)
+            for (e, lo, hi), mid in zip(jumps, mids)
+            for half in ((lo, mid), (mid, hi))
+            if lo < mid < hi and samples[e][half[0]] != samples[e][half[1]]
         ]
 
     results = []

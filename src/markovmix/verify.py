@@ -24,11 +24,11 @@ from .adiabatic import (
     theorem3_horizon,
 )
 from .chainfile import _json_text
-from .chains import ChainPair, StochasticMatrix, _family, _row_tv
+from .chains import ChainPair, _family, _row_tv, interpolate
 from .errors import (
     EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
 )
-from .mixing import DEFAULT_MIXING_CAP, _mixing_scans, _sup_mixing_times
+from .mixing import _family_tmix, _sup_mixing_times
 from .spectral import cor1_delta, continuity_delta, mixing_lower_bound, spectral_summary
 
 PROP3_HORIZONS = (10, 50, 200)
@@ -246,28 +246,21 @@ def verify_all(
 
     entries: list[BoundEntry] = []
     caps_hit: list[str] = []
-    resolutions: list[float] = []
 
-    ss = np.linspace(0.0, 1.0, 11)
+    ss = np.linspace(0.0, 1.0, 11).tolist()
     labels = [f"s={s:.1f}" for s in ss]
-    chunks = list(_family(pair, ss, 4 * pair.n * pair.n))  # four n x n arrays per scanned kernel
     # sigma does not depend on eps: one SVD per sweep kernel, and PROP4 reads s = 0.0's
-    sigmas = [spectral_summary(StochasticMatrix(P)).sigma for _, Ps, _ in chunks for P in Ps]
+    sigmas = [spectral_summary(interpolate(pair, s)).sigma for s in ss]
     prop3 = [(T, *prop3_check(pair, T)) for T in PROP3_HORIZONS]
     # a mixing scan depends on eps only through its thresholds: each runs once for every eps
     sups = _sup_mixing_times(pair, [eps / 2.0 for eps in eps_values], grid_points)
-    scans = [
-        _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP, labels[lo:].__getitem__)
-        for lo, Ps, pis in chunks
-    ]
+    tmixes = _family_tmix(pair, ss, eps_values)
 
-    for e, (eps, sup) in enumerate(zip(eps_values, sups)):
-        resolutions.append(sup.grid_resolution)
+    for eps, sup, tmix in zip(eps_values, sups, tmixes):
         try:
             cor1 = cor1_delta(pair.n, eps, sup.sup_tmix)
         except EpsTooLargeError:
             cor1 = None
-        tmix = [res.tmix for found in scans for res in found[e]]
         # the grid's s = 0 and s = 1 kernels are P0 and P1 bit for bit
         ends = [("P0", sigmas[0], tmix[0]), ("P1", sigmas[-1], tmix[-1])]
         sweep = ends + list(zip(labels, sigmas, tmix))
@@ -285,6 +278,6 @@ def verify_all(
         chain_name=name,
         eps_list=tuple(eps_values),
         entries=tuple(entries),
-        grid_resolution=max(resolutions),
+        grid_resolution=max(sup.grid_resolution for sup in sups),
         caps_hit=tuple(caps_hit),
     )

@@ -296,6 +296,24 @@ def exact_adiabatic_gap(P0, P1, T: int, pi1=None):
     return max(sum(abs(Fraction(x, den) - p) for x, p in zip(row, pi1)) for row in M) / 2
 
 
+def exact_corridor_mus(pair, T: int) -> list:
+    """mu_1, ..., mu_T of the corridor at horizon T in exact arithmetic, each a list of Fractions.
+
+    mu_0 is the float pi0 and mu_k = mu_{k-1} P_{k/T}, with P_{k/T} the float kernel
+    that ``_interp_stack`` builds, taken exactly; no mu is rescaled. mu_k is an integer
+    vector over D^(k + 1), with D the entries' common denominator.
+    """
+    from markovmix.chains import _interp_stack
+
+    kernels = _interp_stack(pair, np.arange(1, T + 1) / T)
+    (mu, *kernels), D = _over_common_denominator([pair.pi0.mass], *kernels)
+    mu, mus = mu[0], []
+    for k, K in enumerate(kernels, 1):
+        mu = [sum(x * row[j] for x, row in zip(mu, K)) for j in range(len(mu))]
+        mus.append([Fraction(x, D ** (k + 1)) for x in mu])
+    return mus
+
+
 def suffix_gaps_reference(pair, T: int, m_max: int) -> np.ndarray:
     """g_m(T) for m = 1..m_max: worst row TV to pi1 of the last m of the T + 1 adiabatic factors.
 

@@ -54,6 +54,7 @@ from oracles import (
     corridor_oracle,
     corridor_reference,
     exact_adiabatic_gap,
+    exact_corridor_mus,
     exact_stationary,
     mitrophanov_tail_from,
     stable_scan_reference,
@@ -365,6 +366,13 @@ class TestAdiabaticTime:
                 m1 = mixing_time(pair.p1, eps / 2).tmix
                 assert res.t_ad <= ceil_int(2.0 * m1 * m1 / eps), (name, eps)
 
+    def test_tmix_half_is_the_sup_scans_s1_sample(self, suite_pairs):
+        # PROP1 scans P1 through the family helper, as the sup's s = 1 sample: one number
+        for name, pair in suite_pairs.items():
+            for eps in (0.3, 0.25, 0.2, 0.1):
+                sampled = dict(sup_mixing_time(pair, eps / 2).per_s_samples)[1.0]
+                assert adiabatic_time(pair, eps).tmix_half == sampled, (name, eps)
+
 
 def _loop_gaps(pair, H):
     return np.array([adiabatic_distance_reference(pair, T) for T in range(1, H + 1)])
@@ -662,6 +670,33 @@ class TestExactAdiabaticGap:
         for h, gap in zip((1, T), gaps):
             exact = exact_adiabatic_gap(P0, P1, h, pi1)
             assert abs(Fraction(float(gap)) - exact) <= 2 * (h + 1) * _step_radius(pair.n), h
+
+
+class TestExactCorridor:
+    """Float corridor and stable-scan mu against the corridor in exact rational arithmetic."""
+
+    @settings(max_examples=20)
+    @given(pair=exact_pairs, T=st.integers(1, 60))
+    def test_mus_are_within_the_drop_margin_radii(self, pair, T):
+        # l1 radii: corridor's mu after k + ceil(k/K) float products, each _step_radius(n),
+        # and the scan's mixed step (1 - t) mu P0 + t mu P1 rescaled, _step_radius(n) + 4u a
+        # step; their sum is within the (k + 1) margin the stable scan drops at
+        n, u = pair.n, 2.0**-53
+        K = _block_steps(n, T)
+        cor, exact = corridor(pair, T), exact_corridor_mus(pair, T)
+        W = np.hstack([pair.p0.entries, pair.p1.entries])
+        mu = pair.pi0.mass[None]
+        for k in range(1, T + 1):
+            t = (k / np.array([T]))[:, None]
+            Y = mu @ W
+            mu = (1 - t) * Y[:, :n] + t * Y[:, n:]
+            mu /= mu.sum(axis=1, keepdims=True)
+            for got, radius in (
+                (cor.mus[k - 1], (k + -(-k // K)) * _step_radius(n)),
+                (mu[0], (k + 1) * (_step_radius(n) + 4 * u)),
+            ):
+                assert sum(abs(Fraction(float(x)) - y) for x, y in zip(got, exact[k - 1])) <= radius, k
+            assert np.abs(mu[0] - cor.mus[k - 1]).sum() <= (k + 1) * (3 * _step_radius(n) + 4 * u), k
 
 
 class TestStableAdiabaticTime:

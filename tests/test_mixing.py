@@ -27,7 +27,7 @@ from markovmix import (
 )
 
 from markovmix.chains import _stationary_stack
-from markovmix.mixing import DEFAULT_MIXING_CAP, _mixing_scans, _sup_mixing_times
+from markovmix.mixing import DEFAULT_MIXING_CAP, _family_tmix, _mixing_scans, _sup_mixing_times
 
 from oracles import (
     brute_mixing_time,
@@ -210,16 +210,19 @@ class TestBatchedMixingScan:
     def test_sup_breakdown_names_s(self, lazy_asym_pair, monkeypatch):
         interp, solve = chains._interp_stack, chains._stationary_stack
 
-        def broken_at_half(pair, ss):
+        def broken(pair, ss):
             Ps = interp(pair, ss)
-            Ps[ss == 0.5] *= 1.5
+            Ps[(ss == 0.5) | (ss == 0.1 * 3)] *= 1.5
             return Ps
 
         # the grown kernel's own solve would break first: solve the kernel it grew from
-        monkeypatch.setattr(chains, "_interp_stack", broken_at_half)
+        monkeypatch.setattr(chains, "_interp_stack", broken)
         monkeypatch.setattr(chains, "_stationary_stack", lambda Ps: solve(Ps / Ps.sum(axis=2, keepdims=True)))
         with pytest.raises(NumericalBreakdownError, match="^kernel s=0.5: "):
             sup_mixing_time(lazy_asym_pair, 0.05)
+        # the PROP2 sweep's grid, whose fourth s is not the sup grid's 0.3; a Python float's repr
+        with pytest.raises(NumericalBreakdownError, match=r"^kernel s=0\.30000000000000004: "):
+            _family_tmix(lazy_asym_pair, np.linspace(0.0, 1.0, 11).tolist(), [0.05])
 
 
 class TestSupMixingTime:

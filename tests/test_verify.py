@@ -27,7 +27,7 @@ from markovmix import (
     verify_all,
 )
 from markovmix.chains import _stationary_stack
-from markovmix.mixing import _mixing_scans
+from markovmix.mixing import _family_tmix
 from markovmix.spectral import spectral_summary
 from markovmix.verify import BOUND_IDS, BOUND_SLACK
 
@@ -187,8 +187,9 @@ class TestVerifyAll:
         assert report.to_json() == forward_report.to_json()
 
     def test_stationary_solves_stay_batched(self, lazy_asym_pair, forward_report, monkeypatch):
-        # 27 stacks: each sup-mixing refinement level and the PROP2 sweep is
-        # one stack; a solve per sample and per sweep kernel would make 252
+        # 29 stacks: each sup-mixing refinement level and the PROP2 sweep is
+        # one stack, and PROP1 solves P1 once per eps; a solve per sample and
+        # per sweep kernel would make 252
         calls = []
 
         def counted(Ps):
@@ -208,14 +209,15 @@ class TestVerifyAll:
         self, lazy_asym_pair, forward_report, monkeypatch
     ):
         # the P0 and P1 entries read the s = 0.0 and s = 1.0 scans, and one scan
-        # serves every eps: 11 kernels, not 13 per eps
+        # serves every eps: 11 kernels, not 13 per eps; the sup levels and PROP1
+        # reach the helper from their own modules
         kernels = []
 
-        def counted(Ps, *args):
-            kernels.append(len(Ps))
-            return _mixing_scans(Ps, *args)
+        def counted(pair, ss, eps_values):
+            kernels.append(len(ss))
+            return _family_tmix(pair, ss, eps_values)
 
-        monkeypatch.setattr(verify, "_mixing_scans", counted)
+        monkeypatch.setattr(verify, "_family_tmix", counted)
         report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
         assert report.to_json() == forward_report.to_json()
         assert sum(kernels) == 11
