@@ -24,7 +24,7 @@ from .errors import (
     CapExceededError, ChainError, HorizonCapError, NumericalBreakdownError, _check_horizon
 )
 from .generators import FAMILIES, GeneratorParams, generate
-from .mixing import DEFAULT_MIXING_CAP, mixing_time, sup_mixing_time
+from .mixing import DEFAULT_GRID_POINTS, DEFAULT_MIXING_CAP, DEFAULT_REFINE_DEPTH, mixing_time, sup_mixing_time
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -175,8 +175,8 @@ _COMMANDS = {
     }),
     "sup-mixing": (_sup_mixing, "sup of the mixing time over the family", {
         **_EPSILON,
-        "--grid": {"type": int, "default": 101},
-        "--refine": {"type": int, "default": 4},
+        "--grid": {"type": int, "default": DEFAULT_GRID_POINTS},
+        "--refine": {"type": int, "default": DEFAULT_REFINE_DEPTH},
     }),
     "adiabatic": (_adiabatic, "adiabatic time with a certified horizon", {
         **_EPSILON,
@@ -194,7 +194,7 @@ _COMMANDS = {
         "--epsilon": {"type": float, "action": "append", "required": True, "help": "repeatable"},
         "--cap": {"type": int, "default": DEFAULT_CORRIDOR_CAP, "help": "corridor cap"},
         "--horizon-cap": {"type": int, "default": DEFAULT_HORIZON_CAP},
-        "--grid": {"type": int, "default": 101},
+        "--grid": {"type": int, "default": DEFAULT_GRID_POINTS},
         "--format": {"choices": ["json", "csv"], "default": "json"},
     }),
     "generate": (_generate, "generate kernels and emit a pair file", {

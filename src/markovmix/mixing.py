@@ -16,6 +16,8 @@ from .errors import IterationCapError, NumericalBreakdownError, _check_eps, _che
 
 PASS_SLACK = 1e-12
 DEFAULT_MIXING_CAP = 10**6
+DEFAULT_GRID_POINTS = 101
+DEFAULT_REFINE_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -55,22 +57,18 @@ def _mixing_scans(
     """Mixing times of each kernel of a (k, n, n) stack against its target in ``pis``, at each eps.
 
     Every kernel is powered by repeated multiplication and checked at every
-    T in 1..cap, all in lockstep; each keeps its own product sequence, so
-    its result is bit-identical to a scan of it alone. At each eps of
-    ``eps_values`` a kernel records its first T with max Dirac-start TV gap
-    within eps as ``result[e][i]``, what a scan at that eps alone returns,
-    and it retires at the smallest. The max gap is nonincreasing in T
+    T in 1..cap, in lockstep; each keeps its own product sequence, so its
+    result is bit-identical to a scan of it alone at one eps. The results
+    are one (eps x kernel) table, ``results[e][i]`` the first T at which
+    kernel i's max Dirac-start TV gap is within ``eps_values[e]``; a kernel
+    retires once within the smallest eps. The max gap is nonincreasing in T
     (contraction toward stationarity); a rise beyond ``PASS_SLACK`` raises
     NumericalBreakdownError naming the kernel by ``label(i)``, i its stack
-    position. It has two callers: ``mixing_time``, a stack of one, and
-    ``_family_tmix``, the only code that chunks the family for mixing scans.
+    position. Its callers: ``mixing_time`` and ``_family_tmix``.
     """
-    order = sorted(range(len(eps_values)), key=lambda e: -eps_values[e])  # largest eps first
-    bars = np.array([eps_values[e] + PASS_SLACK for e in order] + [-np.inf])
+    bars = np.array(eps_values)[:, None] + PASS_SLACK  # a column: one row per eps
     results: list = [[None] * len(Ps) for _ in eps_values]
-    # met: how many eps of ``order`` a live kernel has reached; bar: its next one, -inf after all
-    live, met, bar = np.arange(len(Ps)), np.zeros(len(Ps), dtype=int), np.full(len(Ps), bars[0])
-    P, pi, M = Ps, pis[:, None, :], Ps.copy()
+    live, P, pi, M = np.arange(len(Ps)), Ps, pis[:, None, :], Ps.copy()
     # written in place at every step, rather than by chains._row_tv: a fresh
     # n x n array per step would cost more than the arithmetic at large n
     diff, spare = np.empty_like(M), np.empty_like(M)
@@ -84,21 +82,21 @@ def _mixing_scans(
                 f"kernel {label(int(live[i]))}: max TV gap increased from "
                 f"{float(prev[i])!r} to {float(worst[i])!r} at T={T}; numerical breakdown"
             )
-        if (worst <= bar).any():
-            while (new := np.flatnonzero(worst <= bar)).size:
-                states = gaps[new].argmax(axis=1).tolist()
-                for i, r, state, gap in zip(live[new].tolist(), met[new].tolist(), states, worst[new].tolist()):
-                    results[order[r]][i] = MixingResult(T, eps_values[order[r]], state, gap)
-                met[new] += 1
-                bar = bars[met]
-            keep = met < len(order)
+        within = worst <= bars  # (eps, kernel); at one eps, the only comparison of most steps
+        if within.any() and (hit := within & (prev > bars)).any():  # pairs newly within eps
+            es, js = np.nonzero(hit)
+            states = gaps[js].argmax(axis=1).tolist()
+            for e, i, state, gap in zip(es.tolist(), live[js].tolist(), states, worst[js].tolist()):
+                if results[e][i] is None:  # a rise within PASS_SLACK can cross a bar twice
+                    results[e][i] = MixingResult(T, eps_values[e], state, gap)
+            keep = worst > bars.min()  # within the smallest eps is within every eps
             if not keep.any():
                 return results
-            live, met, bar, P, pi, M, worst = (a[keep] for a in (live, met, bar, P, pi, M, worst))
+            live, P, pi, M, worst = (a[keep] for a in (live, P, pi, M, worst))
             diff, spare = diff[: len(live)], spare[: len(live)]
         prev = worst
         M, spare = np.matmul(M, P, out=spare), M
-    raise IterationCapError(f"no T <= {cap} reached eps = {eps_values[order[-1]]!r}")
+    raise IterationCapError(f"no T <= {cap} reached eps = {min(eps_values)!r}")
 
 
 def mixing_time(P: StochasticMatrix, eps: float, cap: int = DEFAULT_MIXING_CAP) -> MixingResult:
@@ -126,7 +124,7 @@ def _family_tmix(pair: ChainPair, ss: list[float], eps_values) -> list[list[int]
 
 
 def sup_mixing_time(
-    pair: ChainPair, eps: float, grid_points: int = 101, refine_depth: int = 4
+    pair: ChainPair, eps: float, grid_points: int = DEFAULT_GRID_POINTS, refine_depth: int = DEFAULT_REFINE_DEPTH
 ) -> SupMixingResult:
     """Max mixing time over a uniform s-grid, refined around every jump.
 
@@ -142,7 +140,7 @@ def sup_mixing_time(
 
 
 def _sup_mixing_times(
-    pair: ChainPair, eps_values, grid_points: int = 101, refine_depth: int = 4
+    pair: ChainPair, eps_values, grid_points: int = DEFAULT_GRID_POINTS, refine_depth: int = DEFAULT_REFINE_DEPTH
 ) -> list[SupMixingResult]:
     """``sup_mixing_time`` at each eps of ``eps_values``, each stack scanned once for all of them.
 

@@ -1,5 +1,7 @@
 """CLI subcommands, output schemas, and the exit-code contract."""
 
+import argparse
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -14,11 +16,17 @@ from markovmix import (
     ChainPair,
     HorizonCapError,
     IterationCapError,
+    adiabatic_time,
     complete_graph,
     load_pair,
+    mixing_time,
     pair_from_dict,
     pair_to_dict,
     save_pair,
+    stable_adiabatic_time,
+    sup_mixing_time,
+    theorem2_check,
+    verify_all,
 )
 from markovmix.cli import (
     EXIT_BOUND_FAILED,
@@ -202,6 +210,27 @@ class TestSubcommands:
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "chain,eps,bound_id,empirical,theoretical,pass,detail"
+
+
+# (subcommand, option, library function, the parameter whose default the option mirrors)
+FED_DEFAULTS = [
+    ("sup-mixing", "--grid", sup_mixing_time, "grid_points"),
+    ("sup-mixing", "--refine", sup_mixing_time, "refine_depth"),
+    ("mixing", "--cap", mixing_time, "cap"),
+    ("adiabatic", "--cap", adiabatic_time, "horizon_cap"),
+    ("stable", "--cap", stable_adiabatic_time, "cap"),
+    ("corridor", "--cap", theorem2_check, "corridor_cap"),
+    ("verify", "--cap", verify_all, "corridor_cap"),
+    ("verify", "--horizon-cap", verify_all, "horizon_cap"),
+    ("verify", "--grid", verify_all, "grid_points"),
+]
+
+
+@pytest.mark.parametrize("command, flag, function, param", FED_DEFAULTS)
+def test_option_defaults_are_the_library_defaults(command, flag, function, param):
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    option = subparsers.choices[command]._option_string_actions[flag]
+    assert option.default == inspect.signature(function).parameters[param].default
 
 
 class TestDeterminism:

@@ -188,8 +188,10 @@ class TestBatchedMixingScan:
     def test_cap_raises_for_the_stack(self, lazy):
         Ps = np.stack([lazy.entries, np.full((2, 2), 0.5)])
         pis = _stationary_stack(Ps)
-        with pytest.raises(IterationCapError):
-            _mixing_scans(Ps, pis, [1e-6], 3)
+        # the error names the smallest eps, in whatever order and with repeats
+        for eps_values in ([1e-6], [1e-6, 1e-3], [1e-3, 1e-6], [1e-3, 1e-6, 1e-6]):
+            with pytest.raises(IterationCapError, match=r"reached eps = 1e-06$"):
+                _mixing_scans(Ps, pis, eps_values, 3)
         with pytest.raises(IterationCapError):
             mixing_scan_reference(Ps[0], pis[0], 1e-6, 3)
 

@@ -22,6 +22,7 @@ from markovmix import (
     NonFiniteError,
     NonPositiveEpsError,
     OutOfRangeError,
+    corridor,
     random_dense,
     validate_stochastic,
     verify_all,
@@ -276,6 +277,25 @@ class TestVerifyAll:
             tracemalloc.stop()
         assert peak < 2 * 2**20, peak
 
+    def test_thm3_memory_stays_flat_in_the_horizon(self, suite_pairs, monkeypatch):
+        # THM3 reduces the corridor stream chunk by chunk; a collected corridor
+        # peaked at 1.9 MiB at T = 10^4 and 9.5 MiB at T = 10^5
+        pair = suite_pairs["complete5-to-bd5"]
+        pair.pi0  # solve the cached endpoint outside the trace
+        c = verify._Inputs(pair, 0.1, [], [], 1, 1.0, 10**5, 10**6)
+        peaks = []
+        for T in (10**4, 10**5):
+            monkeypatch.setattr(verify, "theorem3_horizon", lambda n, eps, m: T)
+            tracemalloc.start()
+            try:
+                max_gap, _, _, detail = verify._thm3(c)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert detail == f"T={T} sup_tmix=1"
+            assert max_gap == corridor(pair, T).max_gap
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
 
 class TestReportSerialization:
     def test_json_deterministic(self, lazy_asym_pair, forward_report):
@@ -330,8 +350,16 @@ class TestVerifyOnSuite:
         # The goldens come from the blocked corridor. With the per-step
         # reference in its place, every flag, int and cap must be the same
         # and every float, in the details too, within 1e-12.
+        # THM3 reduces the corridor stream, so it reads the reference as one chunk.
+        horizons = []
+
+        def reference_stream(pair, T):
+            horizons.append(T)
+            ref = corridor_reference(pair, T)
+            yield 1, ref.mus, ref.targets, ref.gaps
+
         monkeypatch.setattr(adiabatic, "corridor", corridor_reference)
-        monkeypatch.setattr(verify, "corridor", corridor_reference)
+        monkeypatch.setattr(verify, "_corridor_stream", reference_stream)
         runs = [
             (f"{name}{tag}", name, name, {"eps_list": eps_list})
             for tag, eps_list in GOLDEN_EPS_SETS.items()
@@ -342,6 +370,7 @@ class TestVerifyOnSuite:
             got = json.loads(render(label, suite_pairs[name], **kwargs)["json"])
             want = json.loads((GOLDEN_DIR / f"{stem}.json").read_bytes())
             _assert_same_within(got, want, 1e-12, stem)
+        assert sorted(set(horizons)) == [41405, 65610], horizons
 
     def test_built_pairs_are_not_checked_again(self, suite_pairs, monkeypatch):
         # each pair checked P0 and P1 when it was built, and its interpolants are
