@@ -87,10 +87,6 @@ class Corridor:
             getattr(self, name).setflags(write=False)
 
     @property
-    def max_gap(self) -> float:
-        return float(self.gaps.max())
-
-    @property
     def worst(self) -> tuple[int, float]:
         """(k, gap) at the largest gap, smallest such k first."""
         k = int(np.argmax(self.gaps))
@@ -224,12 +220,6 @@ class AdiabaticResult:
     per_T_gaps: tuple[tuple[int, float], ...]
 
 
-def _certified_horizon(pair: ChainPair, eps: float) -> tuple[int, int]:
-    """(t_mix(P1, eps/2), ceil(2 t_mix^2 / eps)), the PROP1 horizon; P1 is the family at s = 1."""
-    m = _family_tmix(pair, [1.0], [eps / 2])[0][0]
-    return m, ceil_int(2.0 * m * m / eps)
-
-
 def _suffix_start(pair: ChainPair, eps: float, m: int, horizon: int) -> int:
     """Least rung S of a ladder from the horizon H down that certifies [S, H], m = t_mix(P1, eps/2).
 
@@ -277,7 +267,8 @@ def adiabatic_time(
     """
     _check_eps(eps)
     horizon_cap = _check_horizon(horizon_cap, "horizon_cap")
-    m, horizon = _certified_horizon(pair, eps)
+    m = _family_tmix(pair, [1.0], [eps / 2])[0][0]  # t_mix(P1, eps/2): P1 is the family at s = 1
+    horizon = ceil_int(2.0 * m * m / eps)
     if horizon > horizon_cap:
         raise HorizonCapError(
             f"certified horizon {_horizon_text(horizon)} exceeds cap {horizon_cap}; "

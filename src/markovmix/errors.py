@@ -87,9 +87,9 @@ class EpsTooLargeError(ChainError):
 class CapExceededError(ChainError):
     """A scan or a horizon hit its cap; the base of every cap error.
 
-    ``trace`` holds a (T, gap) pair for every horizon scanned so far, for
-    diagnosis. From the stable adiabatic scan it is sorted by T, and the gap
-    is the one that ruled T out, at least eps: the gap at the checked step
+    ``trace`` is empty from every cap but the stable adiabatic scan's. There
+    it holds, for diagnosis, a (T, gap) pair for every horizon, sorted by T,
+    with the gap that ruled T out, at least eps: the gap at the checked step
     where T was dropped, or the corridor's maximum for a horizon that
     survived to the reference corridor. ``horizon`` is the horizon the scan
     needed, when it was derived before the cap stopped it, and None otherwise.

@@ -152,25 +152,26 @@ def _sup_mixing_times(
     base = np.linspace(0.0, 1.0, grid_points).tolist()
     samples = [dict(zip(base, tmix)) for tmix in _family_tmix(pair, base, eps_values)]
 
-    # Bisect every jump (e, lo, hi), an interval whose ends differ at the e-th eps, one
-    # level at a time; each level's new midpoints, eps-major, are scanned as one stack.
-    # A midpoint that rounds onto an end (an interval one ulp wide) splits nothing.
+    # Bisect every jump (e, lo, hi), two adjacent samples that differ at the e-th eps, one
+    # level at a time, each level's midpoints (eps-major) scanned as one stack. A jump wider
+    # than the resolution splits at a midpoint strictly inside, always a new sample; one
+    # whose midpoint rounds onto an end (one ulp wide) does not; the first level where none splits ends it.
     resolution = 10.0 ** (-refine_depth)
     jumps = [
         (e, lo, hi) for e, sam in enumerate(samples) for lo, hi in zip(base, base[1:]) if sam[lo] != sam[hi]
     ]
-    while jumps := [(e, lo, hi) for e, lo, hi in jumps if hi - lo > resolution]:
-        mids = [0.5 * (lo + hi) for _, lo, hi in jumps]
-        new = [(e, mid) for (e, _, _), mid in zip(jumps, mids) if mid not in samples[e]]
-        ss = list(dict.fromkeys(mid for _, mid in new))
+    while splits := [
+        (e, lo, mid, hi) for e, lo, hi in jumps if hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi
+    ]:
+        ss = list(dict.fromkeys(mid for _, _, mid, _ in splits))
         found = [dict(zip(ss, tmix)) for tmix in _family_tmix(pair, ss, eps_values)]
-        for e, mid in new:
+        for e, _, mid, _ in splits:
             samples[e][mid] = found[e][mid]
         jumps = [
             (e, *half)
-            for (e, lo, hi), mid in zip(jumps, mids)
+            for e, lo, mid, hi in splits
             for half in ((lo, mid), (mid, hi))
-            if lo < mid < hi and samples[e][half[0]] != samples[e][half[1]]
+            if samples[e][half[0]] != samples[e][half[1]]
         ]
 
     results = []

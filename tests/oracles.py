@@ -358,9 +358,11 @@ def suffix_ladder_reference(pair, eps: float):
     L m (m - 1) / 2 (1/lo - 1/hi) with m <= min(2 t_mix(P1, eps/2), lo) + 1. S is the hi
     of the failing rung, or 1.
     """
-    from markovmix.adiabatic import _certified_horizon, _step_radius
+    from markovmix.adiabatic import _step_radius, ceil_int
+    from markovmix.mixing import mixing_time
 
-    tmix, H = _certified_horizon(pair, eps)
+    tmix = mixing_time(pair.p1, eps / 2).tmix
+    H = ceil_int(2.0 * tmix * tmix / eps)
     room = eps - 2 * (H + 1) * _step_radius(pair.n)
     L = float((0.5 * np.abs(pair.p0.entries - pair.p1.entries).sum(axis=1)).max())
     hi, rungs = H, []

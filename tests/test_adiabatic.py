@@ -17,6 +17,7 @@ from markovmix import (
     CapExceededError,
     ChainError,
     ChainPair,
+    Corridor,
     Distribution,
     HorizonCapError,
     NonFiniteError,
@@ -97,7 +98,7 @@ class TestCorridor:
     def test_constant_family_all_zero(self, suite_chains):
         for name, P in suite_chains.items():
             cor = corridor(ChainPair(P, P), 10)
-            assert cor.max_gap <= 1e-12, name
+            assert cor.worst[1] <= 1e-12, name
 
     def test_hand_values_at_T2(self, lazy_asym_pair):
         cor = corridor(lazy_asym_pair, 2)
@@ -111,6 +112,17 @@ class TestCorridor:
         assert cor.gaps[1] == pytest.approx(abs(0.62 - 2 / 3), abs=1e-12)
         assert cor.gaps[1] == pytest.approx(0.0466667, abs=1e-7)
         assert cor.worst == (2, pytest.approx(0.0466667, abs=1e-7))
+
+    def test_worst_prefers_the_first_largest_gap(self):
+        def made(gaps):
+            gaps = np.array(gaps)
+            return Corridor(len(gaps), np.zeros((len(gaps), 2)), np.zeros((len(gaps), 2)), gaps)
+
+        assert made([0.1, 0.3, 0.3]).worst == (2, 0.3)
+        assert made([0.25]).worst == (1, 0.25)
+        # a NaN gap is the worst, so a corridor with one never reads as within eps
+        k, gap = made([0.1, math.nan, 0.3]).worst
+        assert k == 2 and math.isnan(gap)
 
     def test_T1_collapses_to_single_step(self, lazy_asym_pair):
         cor = corridor(lazy_asym_pair, 1)
@@ -725,18 +737,18 @@ class TestStableAdiabaticTime:
         assert res.worst_k == 2
         assert res.worst_gap == pytest.approx(0.0466667, abs=1e-7)
         # T = 1 fails: single-step gap is 1/15
-        assert corridor(lazy_asym_pair, 1).max_gap == pytest.approx(1 / 15, abs=1e-12)
+        assert corridor(lazy_asym_pair, 1).worst[1] == pytest.approx(1 / 15, abs=1e-12)
 
     def test_tighter_eps_regression(self, lazy_asym_pair):
         # pinned from the first run of the linear scan; T = 2 and 3 both fail
         res = stable_adiabatic_time(lazy_asym_pair, 0.03)
         assert res.t_sad == 4
         for T in range(1, 4):
-            assert corridor(lazy_asym_pair, T).max_gap >= 0.03
+            assert corridor(lazy_asym_pair, T).worst[1] >= 0.03
 
     def test_strict_comparison(self, lazy_asym_pair):
         # eps exactly equal to the T=1 gap must NOT pass at T=1
-        gap1 = corridor(lazy_asym_pair, 1).max_gap
+        gap1 = corridor(lazy_asym_pair, 1).worst[1]
         res = stable_adiabatic_time(lazy_asym_pair, gap1)
         assert res.t_sad == 2
 
@@ -744,8 +756,8 @@ class TestStableAdiabaticTime:
         for name, pair in suite_pairs.items():
             res = stable_adiabatic_time(pair, 0.05)
             for T in range(1, res.t_sad):
-                assert corridor(pair, T).max_gap >= 0.05, (name, T)
-            assert corridor(pair, res.t_sad).max_gap < 0.05, name
+                assert corridor(pair, T).worst[1] >= 0.05, (name, T)
+            assert corridor(pair, res.t_sad).worst[1] < 0.05, name
 
     def test_cap_exceeded_carries_trace(self, lazy_asym_pair):
         with pytest.raises(CapExceededError) as excinfo:
@@ -999,7 +1011,7 @@ class TestBatchedStableScan:
     def test_eps_at_the_gap_itself(self, suite_pairs):
         pair = suite_pairs["complete5-to-bd5"]
         t = stable_adiabatic_time(pair, 0.05).t_sad
-        gap = corridor(pair, t).max_gap
+        gap = corridor(pair, t).worst[1]
         # strict comparison: t itself must fail when eps equals its gap
         assert _assert_same_scan(pair, gap, 400).t_sad > t
         assert _assert_same_scan(pair, gap + 1e-13, 400).t_sad == t
@@ -1009,7 +1021,7 @@ class TestBatchedStableScan:
         # without the rounding margin loses t_sad where its own mu rounds up
         for name, pair in suite_pairs.items():
             t = stable_adiabatic_time(pair, 0.02).t_sad
-            eps = float(np.nextafter(corridor(pair, t).max_gap, 1.0))
+            eps = float(np.nextafter(corridor(pair, t).worst[1], 1.0))
             assert _assert_same_scan(pair, eps, t).t_sad == t, name
 
     def test_only_survivors_meet_the_reference(self, suite_pairs, scan_work):
@@ -1233,4 +1245,4 @@ class TestTheorem3Horizon:
         assert m == 1
         horizon = theorem3_horizon(2, 0.5, m)
         assert horizon == 50
-        assert corridor(pair, horizon).max_gap <= 0.5
+        assert corridor(pair, horizon).worst[1] <= 0.5

@@ -314,6 +314,24 @@ class TestSupMixingTime:
             assert got == [sup_mixing_time(pair, eps) for eps in eps_values], name
             assert got == [sup_mixing_reference(pair, eps) for eps in eps_values], name
 
+    @pytest.mark.parametrize("eps_values", [[0.05, 0.15, 0.05], [0.15, 0.025]])
+    def test_several_eps_at_deep_refinement(self, suite_pairs, eps_values, monkeypatch):
+        # down to one ulp, every level scans only new midpoints, and the refinement
+        # ends at the first level where no jump splits, with no empty scan
+        stacks = []
+
+        def recorded(pair, ss, *args):
+            stacks.append(ss)
+            return _family_tmix(pair, ss, *args)
+
+        monkeypatch.setattr(mixing, "_family_tmix", recorded)
+        for name, pair in suite_pairs.items():
+            stacks.clear()
+            got = _sup_mixing_times(pair, eps_values, refine_depth=17)
+            assert got == [sup_mixing_reference(pair, eps, refine_depth=17) for eps in eps_values], name
+            assert len({s for ss in stacks for s in ss}) == sum(map(len, stacks)), name
+            assert all(stacks), name
+
     def test_matches_one_sample_reference_at_n40(self):
         # 20 kernels per chunk, with row sums long enough for pairwise summation
         pair = ChainPair(random_dense(40, seed=7), random_dense(40, seed=8))
@@ -323,8 +341,8 @@ class TestSupMixingTime:
     def test_refinement_stops_at_one_ulp(self, lazy_asym_pair, depth, monkeypatch):
         # From depth 16 on an interval can shrink to one ulp, where its
         # midpoint rounds onto an end; such an interval is not split again.
-        # Each level sizes its chunks once, even with no new midpoint, so a
-        # scan that kept splitting fails at the 100th level instead of
+        # Each level scans one non-empty stack and sizes its chunks once, so
+        # a scan that kept splitting fails at the 100th level instead of
         # running forever.
         chunk, levels = chains._chunk, []
 

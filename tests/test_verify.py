@@ -293,7 +293,7 @@ class TestVerifyAll:
             finally:
                 tracemalloc.stop()
             assert detail == f"T={T} sup_tmix=1"
-            assert max_gap == corridor(pair, T).max_gap
+            assert max_gap == corridor(pair, T).worst[1]
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
