@@ -14,6 +14,7 @@ and is not harmonized here.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,30 +175,33 @@ def adiabatic_distance(pair: ChainPair, T: int) -> float:
     return float(_adiabatic_gaps(pair, [_check_horizon(T)])[0])
 
 
-def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
-    """``adiabatic_distance(pair, T)`` for every T in the ascending ``Ts``.
+def _suffix_products(pair: ChainPair, Ts: np.ndarray):
+    """Yield ``(j, Q)`` for j = 0..Ts[-1]: Q_j = P_{(T-j)/T} ... P_1 for each T >= j of the ascending ``Ts``.
 
-    All horizons advance together: at step k every unfinished horizon T
-    multiplies its partial product by its own P_{k/T}, and each keeps its
-    own product sequence, so every gap equals a scan of its horizon alone
-    bit for bit. Horizons are taken in chunks within the stack budget, so
-    memory does not grow with the largest horizon.
+    PROP1's one product order: one batched Q <- P_{(T-j)/T} Q a step from a tiled P_1, over the live
+    horizons, the last len(Q) of ``Ts``. At j = T a row is the whole product P_0 P_{1/T} ... P_1.
     """
-    Ts = np.asarray(Ts, dtype=np.int64)
-    n = pair.n
-    gaps = np.empty(len(Ts))
-    # per horizon: the product, its successor and the kernel, plus the t's
-    chunk = _chunk(3 * n * n + 4)
+    Q, Tl = np.tile(pair.p1.entries, (len(Ts), 1, 1)), Ts.tolist()
+    for j in range(Tl[-1] + 1):
+        live = Ts[bisect_left(Tl, j) :]  # the horizons below j leave from the front
+        Q = np.matmul(_interp_stack(pair, (live - j) / live), Q[-len(live) :]) if j else Q
+        yield j, Q
+
+
+def _adiabatic_gaps(pair: ChainPair, Ts) -> np.ndarray:
+    """``adiabatic_distance(pair, T)`` for every T in the ascending ``Ts``: the row TV to pi1 of Q_T.
+
+    The head's reading of ``_suffix_products``. A row's floats are its horizon's alone, so every gap
+    equals a scan of that horizon bit for bit; horizons go in chunks within the stack budget.
+    """
+    Ts, gaps = np.asarray(Ts, dtype=np.int64), np.empty(len(Ts))
+    chunk = _chunk(3 * pair.n * pair.n + 4)  # per horizon: Q, its successor, the kernel and t
     for lo in range(0, len(Ts), chunk):
-        hs, out = Ts[lo : lo + chunk], gaps[lo : lo + chunk]
-        M = np.tile(pair.p0.entries, (len(hs), 1, 1))
-        for k in range(1, int(hs[-1]) + 1):
-            M = np.matmul(M, _interp_stack(pair, k / hs))
-            # horizons are ascending, so the finished ones leave from the front
-            done = int(np.searchsorted(hs, k, side="right"))
-            if done:
-                out[:done] = _row_tv(M[:done], pair.pi1.mass).max(axis=1)
-                hs, out, M = hs[done:], out[done:], M[done:]
+        Tl = Ts[lo : lo + chunk].tolist()
+        for j, Q in _suffix_products(pair, Ts[lo : lo + chunk]):
+            first, end = len(Tl) - len(Q), bisect_right(Tl, j)  # Q holds Tl[first:]; T = j lead
+            if end > first:
+                gaps[lo + first : lo + end] = _row_tv(Q[: end - first], pair.pi1.mass).max(axis=1)
     return gaps
 
 
@@ -223,35 +227,31 @@ class AdiabaticResult:
 def _suffix_start(pair: ChainPair, eps: float, m: int, horizon: int) -> int:
     """Least rung S of a ladder from the horizon H down that certifies [S, H], m = t_mix(P1, eps/2).
 
-    Rungs fall by T -> min(T - 1, floor(19 T / 20)). Rung lo below hi advances Q <- P_{(lo-j)/lo} Q
-    from P_1 for j <= min(2 m, lo), all rungs in one batched product. Over T in [lo, hi], factor i
-    from the end moves by at most i L (1/lo - 1/hi) in row TV, L = max row TV(P0, P1), so a j with
-    row TV(Q, pi1) + L j (j + 1) / 2 (1/lo - 1/hi) within eps less the radius certifies [lo, hi].
+    Rungs fall by T -> min(T - 1, floor(19 T / 20)). A rung lo below hi reads Q_j of
+    ``_suffix_products`` for j <= min(2 m, lo). Over T in [lo, hi], factor i from the end moves
+    by at most i L (1/lo - 1/hi) in row TV, L = max row TV(P0, P1), so a j with row TV(Q_j, pi1)
+    + L j (j + 1) / 2 (1/lo - 1/hi) within eps less the radius certifies [lo, hi].
     """
-    # Radius: against exact products of the same float kernels, the head's T + 1 and a
-    # suffix's j + 1 factors drift by _step_radius(n) a factor (n u the product, 2u the
-    # kernel's rounding, which also bounds its rows' stray from stochastic); T, j <= H,
-    # so 2 (H + 1) _step_radius(n) covers both. L, drift and row TV roundings sit in PASS_SLACK.
-    room = eps - 2 * (horizon + 1) * _step_radius(pair.n)
+    # Radius: against exact products of the same float kernels, each factor of the one order adds
+    # _step_radius(n) (n u the product, 2u the kernel's rounding, which also bounds its rows' stray
+    # from stochastic), and the head's Q_T and a rung's Q_j have at most H + 1 factors.
+    room = eps - 2 * (horizon + 1) * _step_radius(pair.n)  # L, drift and row TV roundings: PASS_SLACK
     L = float(_row_tv(pair.p0.entries, pair.p1.entries).max())
     ladder = [horizon]
     while ladder[-1] > 1:
         ladder.append(min(ladder[-1] - 1, ladder[-1] * 19 // 20))
-    # per rung: the product, its successor and the kernel, plus the t's
-    chunk = _chunk(3 * pair.n * pair.n + 4)
+    chunk = _chunk(3 * pair.n * pair.n + 4)  # per rung, as per horizon in _adiabatic_gaps
     for c in range(1, len(ladder), chunk):
-        lo, hi = np.array(ladder[c : c + chunk]), np.array(ladder[c - 1 : c - 1 + chunk])
-        Q = np.tile(pair.p1.entries, (len(lo), 1, 1))
-        best = _row_tv(Q, pair.pi1.mass).max(axis=1)  # j = 0, no drift
-        for j in range(1, min(2 * m, lo[0]) + 1):
-            if (best <= room).all():  # best only falls: the chunk's rungs are certified
+        rungs = np.array(ladder[c - 1 : c + chunk][::-1])  # ascending, as the scan takes horizons
+        lo, hi, best = rungs[:-1], rungs[1:], np.full(len(rungs) - 1, np.inf)
+        for j, Q in _suffix_products(pair, lo):
+            k = len(lo) - len(Q)  # the rungs with lo >= j are lo[k:]
+            drift = L * (j + 1) * j / 2.0 * (1.0 / lo[k:] - 1.0 / hi[k:])
+            np.minimum(best[k:], _row_tv(Q, pair.pi1.mass).max(axis=1) + drift, out=best[k:])
+            if (best <= room).all() or j == 2 * m:  # best only falls; j stops at min(2 m, lo)
                 break
-            k = int(np.searchsorted(-lo, -j, side="right"))  # the rungs with lo >= j
-            Q = np.matmul(_interp_stack(pair, (lo[:k] - j) / lo[:k]), Q[:k])
-            drift = L * (j + 1) * j / 2.0 * (1.0 / lo[:k] - 1.0 / hi[:k])
-            np.minimum(best[:k], _row_tv(Q, pair.pi1.mass).max(axis=1) + drift, out=best[:k])
         if not (best <= room).all():  # written so that a NaN bound certifies nothing
-            return int(hi[np.argmin(best <= room)])
+            return int(hi[np.flatnonzero(~(best <= room))[-1]])
     return ladder[-1]
 
 
@@ -260,10 +260,10 @@ def adiabatic_time(
 ) -> AdiabaticResult:
     """Adiabatic time of the pair at eps, certified up to the PROP1 horizon H.
 
-    gap(T) is at most the worst row TV to pi1 of the last j + 1 of its T + 1 factors
-    (Dirac-start convexity). A ladder of such suffix certificates (``_suffix_start``)
-    certifies S..H in at most 2 t_mix(P1, eps/2) batched steps, and the head 1..S is
-    scanned exactly. A failure at S, which the ladder covers, is a numerical breakdown.
+    gap(T) is at most the worst row TV to pi1 of Q_j, the last j + 1 of its T + 1 factors (Dirac-start
+    convexity). Both layers read Q_j in one order, from ``_suffix_products``: a ladder of suffix
+    certificates (``_suffix_start``) certifies S..H in at most 2 t_mix(P1, eps/2) batched steps, and
+    the head 1..S reads each whole Q_T. A failure at S, which the ladder covers, is a breakdown.
     """
     _check_eps(eps)
     horizon_cap = _check_horizon(horizon_cap, "horizon_cap")

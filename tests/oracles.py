@@ -77,11 +77,12 @@ def corridor_oracle(P0: np.ndarray, P1: np.ndarray, T: int):
 
 
 def adiabatic_distance_reference(pair, T: int) -> float:
-    """The single-horizon adiabatic product: one loop of T + 1 two-dimensional products.
+    """The single-horizon adiabatic product from the left: one loop of T + 1 two-dimensional products.
 
-    The reference for the batched ``_adiabatic_gaps``, and so for
-    ``adiabatic_distance``, which must give the same gap bit for bit: every
-    factor is built from the same floats and multiplied in the same order.
+    The library multiplies the same float factors from the right, in the order
+    of :func:`suffix_gaps_reference`, so ``_adiabatic_gaps`` and
+    ``adiabatic_distance`` agree with this loop within the rounding radius
+    2 (T + 1) (n + 2) u, not bit for bit.
     """
     p0, p1 = pair.p0.entries, pair.p1.entries
     M = np.array(p0)
@@ -317,8 +318,10 @@ def exact_corridor_mus(pair, T: int) -> list:
 def suffix_gaps_reference(pair, T: int, m_max: int) -> np.ndarray:
     """g_m(T) for m = 1..m_max: worst row TV to pi1 of the last m of the T + 1 adiabatic factors.
 
-    One loop of two-dimensional products, Q <- P_{(T-j)/T} Q from Q = P_1;
-    the reference for the batched ladder in ``adiabatic._suffix_start``.
+    One loop of two-dimensional products, Q <- P_{(T-j)/T} Q from Q = P_1: the
+    reference for the batched ladder in ``adiabatic._suffix_start``, and with
+    m_max = T + 1 its last gap, the whole product, is the reference for
+    ``_adiabatic_gaps`` and ``adiabatic_distance``, which must equal it bit for bit.
     """
     p0, p1, pi1 = pair.p0.entries, pair.p1.entries, pair.pi1.mass
     Q = np.array(p1)

@@ -298,10 +298,14 @@ class TestAdiabaticDistance:
                 assert got == pytest.approx(want, abs=1e-9), (name, T)
 
     def test_equals_the_loop_reference(self, suite_pairs):
+        # bit for bit the suffix-order loop, the one product order; the left-to-right
+        # loop associates the other way, within the rounding radius
         for name, pair in suite_pairs.items():
             for T in (1, 2, 7, 40):
                 got = adiabatic_distance(pair, T)
-                assert got.hex() == adiabatic_distance_reference(pair, T).hex(), (name, T)
+                assert got.hex() == suffix_gaps_reference(pair, T, T + 1)[-1].hex(), (name, T)
+                radius = 2 * (T + 1) * _step_radius(pair.n)
+                assert abs(got - adiabatic_distance_reference(pair, T)) <= radius, (name, T)
 
     def test_dirac_starts_suffice(self, lazy_asym_pair):
         rng = np.random.default_rng(43)
@@ -386,8 +390,16 @@ class TestAdiabaticTime:
                 assert adiabatic_time(pair, eps).tmix_half == sampled, (name, eps)
 
 
-def _loop_gaps(pair, H):
-    return np.array([adiabatic_distance_reference(pair, T) for T in range(1, H + 1)])
+def _suffix_loop_gaps(pair, H):
+    """The gaps at T = 1..H from the suffix-order loop, the order of the library's one product scan."""
+    return np.array([suffix_gaps_reference(pair, T, T + 1)[-1] for T in range(1, H + 1)])
+
+
+def _assert_within_the_radius_of_the_left_loop(pair, gaps):
+    """Gaps at T = 1..len(gaps) against the left-to-right loop, within 2 (T + 1) (n + 2) u."""
+    Ts = np.arange(1, len(gaps) + 1)
+    left = [adiabatic_distance_reference(pair, T) for T in Ts]
+    assert (np.abs(gaps - left) <= 2 * (Ts + 1) * _step_radius(pair.n)).all()
 
 
 dense_pairs = st.builds(
@@ -419,6 +431,29 @@ BD4_TO_DENSE4 = build_suite_pairs()["bd4-to-dense4"]
 exact_pairs = birth_death_and_dense_pairs(5)
 
 
+def with_exact_pi1(pair):
+    """(pair, pi1 of its float P1 in exact arithmetic)."""
+    return pair, exact_stationary(pair.p1.entries)
+
+
+def bottleneck(e: float):
+    """Three states whose two ends are left with probability e only: conditioned like 1 / e."""
+    return validate_stochastic([[1 - e, e, 0], [0.5, 0, 0.5], [0, e, 1 - e]])
+
+
+def bottleneck_case(x: float):
+    """(the bottleneck pair e -> 4 e at e = 10^-x, its float pi1 taken exactly).
+
+    Against the float pi1 rather than the exact one, the gap's error is the product's
+    rounding alone, apart from the stationary solve's error, which grows as e shrinks.
+    """
+    pair = ChainPair(bottleneck(10.0**-x), bottleneck(4 * 10.0**-x))
+    return pair, [Fraction(float(p)) for p in pair.pi1.mass]
+
+
+bottleneck_pairs = st.floats(4.0, 13.0).map(bottleneck_case)  # e from 1e-4 to 1e-13
+
+
 class TestCorridorStream:
     """The rows the chunked stream yields from a first step against the collected corridor."""
 
@@ -445,13 +480,14 @@ class TestCorridorStream:
 
 
 class TestBatchedAdiabaticGaps:
-    """The all-horizons kernel against the single-horizon loop reference and the oracle."""
+    """The all-horizons kernel against the single-horizon loop references and the oracle."""
 
     @settings(max_examples=40)
     @given(pair=dense_pairs, H=st.integers(1, 60))
     def test_equals_loop_and_oracle(self, pair, H):
         gaps = _adiabatic_gaps(pair, np.arange(1, H + 1))
-        np.testing.assert_array_equal(gaps, _loop_gaps(pair, H))
+        np.testing.assert_array_equal(gaps, _suffix_loop_gaps(pair, H))
+        _assert_within_the_radius_of_the_left_loop(pair, gaps)
         P0, P1 = np.array(pair.p0.entries), np.array(pair.p1.entries)
         oracle = [adiabatic_distance_oracle(P0, P1, T) for T in range(1, H + 1)]
         np.testing.assert_allclose(gaps, oracle, rtol=0.0, atol=1e-12)
@@ -462,7 +498,9 @@ class TestBatchedAdiabaticGaps:
         res = adiabatic_time(pair, eps)
         H, T_c = res.certified_horizon, res.tail_from
         assert [T for T, _ in res.per_T_gaps] == list(range(1, T_c + 1))
-        np.testing.assert_array_equal([g for _, g in res.per_T_gaps], _loop_gaps(pair, T_c))
+        head = np.array([g for _, g in res.per_T_gaps])
+        np.testing.assert_array_equal(head, _suffix_loop_gaps(pair, T_c))
+        _assert_within_the_radius_of_the_left_loop(pair, head)
         full = _adiabatic_gaps(pair, np.arange(1, H + 1))
         fails = [T for T in range(1, H + 1) if not full[T - 1] <= eps + 1e-12]
         assert res.t_ad == (fails[-1] + 1 if fails else 1)
@@ -478,7 +516,8 @@ class TestBatchedAdiabaticGaps:
                 monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
                 np.testing.assert_array_equal(_adiabatic_gaps(pair, Ts), whole, err_msg=name)
             monkeypatch.undo()
-            np.testing.assert_array_equal(whole, _loop_gaps(pair, 80), err_msg=name)
+            np.testing.assert_array_equal(whole, _suffix_loop_gaps(pair, 80), err_msg=name)
+            _assert_within_the_radius_of_the_left_loop(pair, whole)
 
     def test_nan_gap_counts_as_failure(self, suite_pairs, monkeypatch):
         # a head long enough to hold T = 10: 1..34 at eps 0.2, where t_ad = 4
@@ -647,13 +686,15 @@ class TestSuffixCertificate:
             assert gap[T] <= bound + radius, (lo, hi, T)
 
     def test_the_ladder_is_chunked_within_the_stack_budget(self, suite_pairs, monkeypatch):
-        pair = suite_pairs["complete5-to-bd5"]
-        want = adiabatic_time(pair, 0.1)
-        n = pair.n
-        # one rung per chunk, then three per chunk
-        for budget in (1, 3 * 8 * (3 * n * n + 4)):
-            monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
-            assert adiabatic_time(pair, 0.1) == want
+        bd10 = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
+        for pair, eps in ((suite_pairs["complete5-to-bd5"], 0.1), (bd10, 0.3)):
+            want = adiabatic_time(pair, eps)
+            n = pair.n
+            # one rung per chunk, then three per chunk
+            for budget in (1, 3 * 8 * (3 * n * n + 4)):
+                monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
+                assert adiabatic_time(pair, eps) == want, (n, budget)
+            monkeypatch.undo()
 
 
 class TestExactAdiabaticGap:
@@ -673,11 +714,11 @@ class TestExactAdiabaticGap:
         for T in range(res.tail_from, min(res.certified_horizon, 60) + 1):
             assert exact_adiabatic_gap(P0, P1, T, pi1) <= eps, T
 
-    @settings(max_examples=20)
-    @given(pair=exact_pairs, T=st.integers(1, 60))
-    def test_float_gaps_are_within_the_radius(self, pair, T):
+    @settings(max_examples=30)
+    @given(case=st.one_of(exact_pairs.map(with_exact_pi1), bottleneck_pairs), T=st.integers(1, 60))
+    def test_float_gaps_are_within_the_radius(self, case, T):
+        pair, pi1 = case
         P0, P1 = pair.p0.entries, pair.p1.entries
-        pi1 = exact_stationary(P1)
         gaps = _adiabatic_gaps(pair, [1, T])
         for h, gap in zip((1, T), gaps):
             exact = exact_adiabatic_gap(P0, P1, h, pi1)
