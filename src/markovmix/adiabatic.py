@@ -14,12 +14,13 @@ and is not harmonized here.
 """
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, _chunk, _family, _interp_stack, _row_tv, _stationary_stack
+from .chains import ChainPair, _chunk, _family, _gate, _interp_stack, _row_tv, _stationary_stack
 from .errors import (
     CapExceededError,
     HorizonCapError,
@@ -66,6 +67,71 @@ def _horizon_text(h: int | float) -> str:
     noise; its float repr keeps only the digits that mean something.
     """
     return str(h) if h < 2**53 else repr(float(h))
+
+
+# Each pair's pi_t interpolant, built on first use; ChainPair compares by identity.
+_INTERPOLANTS: "weakref.WeakKeyDictionary[ChainPair, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _interpolant(pair: ChainPair) -> tuple:
+    """``(nodes, weights, node pis, [P0 | P1])`` of the pair's stationary interpolant, built once per pair.
+
+    Every entry of I - P_t is linear in t, so its diagonal cofactors c(t), which are q(t) pi_t with
+    q = sum(c) = det(I - P_t + 1 pi_t) (Markov chain tree theorem; Anantharam & Tsoucas, Stat.
+    Probab. Lett. 8, 1989), are polynomials of degree <= n - 1. The nodes are the n Chebyshev-Lobatto
+    points of [0, 1], solved in chunks within the stack budget; a weight is the barycentric (-1)^j,
+    halved at both ends (Berrut & Trefethen, SIAM Rev. 46, 2004), times q_j, scaled so that the
+    largest is 2^-60: q, kept in logs by a batched slogdet, neither overflows nor underflows, and
+    no weight over a nonzero t - t_j overflows. A q of sign other than +1 is a breakdown.
+    """
+    got = _INTERPOLANTS.get(pair)
+    if got is None:
+        n, j = pair.n, np.arange(pair.n)
+        nodes = (1.0 - np.cos(j * np.pi / (n - 1))) / 2.0  # 0 and 1 exactly at the ends
+        pis, logq = np.empty((n, n)), np.empty(n)
+        # per node: the kernel, the solve's working copy and I - P + 1 pi
+        for lo, Ps in _family(pair, nodes, 3 * n * n + 2 * n):
+            at = slice(lo, lo + len(Ps))
+            pis[at] = _stationary_stack(Ps)
+            sign, logq[at] = np.linalg.slogdet(np.eye(n) - Ps + pis[at, None, :])
+            if not (sign == 1.0).all():
+                i = lo + int(np.argmax(sign != 1.0))
+                raise NumericalBreakdownError(
+                    f"stationary interpolant, node t={float(nodes[i])!r}: det(I - P + 1 pi) has sign "
+                    f"{float(sign[i - lo])!r}; numerical breakdown"
+                )
+        w = np.where(j % 2, -1.0, 1.0)
+        w[[0, -1]] /= 2.0
+        W01 = np.hstack([pair.p0.entries, pair.p1.entries])
+        got = _INTERPOLANTS[pair] = (nodes, w * np.exp(logq - logq.max()) * 2.0**-60, pis, W01)
+    return got
+
+
+def _stationary_at(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
+    """The stationary distributions of P_t for the t of ``ts``, one row each, from the pair's interpolant.
+
+    A row is proportional to sum_j weight_j pi_j / (t - t_j), normalized, and a t on a node is that
+    node's row, so t = 0 and t = 1 give pair.pi0 and pair.pi1 bit for bit. The sum is one stacked
+    vector-matrix product a row, not one matrix product, so that a row's floats are its own t's
+    whatever the other rows: a matrix product's rounding can depend on its row count. Every
+    row passes the gate of ``_stationary_stack``, its image pi P_t taken as (1 - t) pi P0 + t pi P1
+    from one product with [P0 | P1].
+    """
+    nodes, weights, node_pis, W01 = _interpolant(pair)
+    W, t, n = ts[:, None] - nodes, ts[:, None], pair.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, W, out=W)  # a weight is at most 2^-60, so only t = t_j is not finite
+    on, node = np.nonzero(~np.isfinite(W))
+    W[on] = 0.0
+    W[on, node] = 1.0  # a row on a node takes that node's row alone
+    pis = np.matmul(W[:, None, :], node_pis)[:, 0, :]
+    pis /= pis.sum(axis=1, keepdims=True)
+    Y = pis @ W01
+    Y[:, :n] *= 1.0 - t
+    Y[:, n:] *= t
+    pis = _gate(pis, Y[:, :n] + Y[:, n:], lambda i: f"stationary interpolant at t={float(ts[i])!r}")
+    pis[on] = node_pis[node]
+    return pis
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,17 +184,18 @@ def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
     the block ends one block at a time, and advances the interior steps of all
     blocks in K - 1 batched steps. A block's floats come from its own rows, so
     no result depends on the chunking; with K = 1 this is the per-step loop.
-    mu crosses every block end from step 1, but the stationary solves, the
-    interior steps and the gaps start at step ``first`` (its block, for the
-    steps), so chunks wholly before it yield nothing. Kernels and t values go
-    chunk by chunk: memory is O(chunk n^2) whatever the horizon.
+    mu crosses every block end from step 1, but the targets (rows of
+    ``_stationary_at``), the interior steps and the gaps start at step
+    ``first`` (its block, for the steps), so chunks wholly before it yield
+    nothing. Kernels and t values go chunk by chunk: memory is O(chunk n^2)
+    whatever the horizon.
     """
     n = pair.n
     K = _block_steps(n, T)
     mu = np.array(pair.pi0.mass)
-    # per step: the kernel and the solve's working copies, which the block
-    # products reuse once the solve is done, plus mu, target and t
-    for lo, Ps, pis in _family(pair, T, 3 * n * n + 4 * n, block=K, first=first - 1):
+    # per step: the kernel, two n x n of room that the block products use at most,
+    # then mu, target and t, and the target's evaluation rows
+    for lo, Ps in _family(pair, T, 3 * n * n + 4 * n, block=K):
         # each full block's product, then mu carried across the block ends
         full = len(Ps) // K
         Q = Ps[: full * K : K]
@@ -139,9 +206,9 @@ def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
             mu = mu @ Q[b]
             mu /= mu.sum()
             mus[b * K + K - 1] = mu
-        if pis is None:
+        skip = max(0, first - 1 - lo)
+        if skip >= len(Ps):
             continue
-        skip = len(Ps) - len(pis)
         # every block's interior steps at once, each from its block's start, from first's block on
         if K > 1:
             b0 = skip // K
@@ -151,6 +218,7 @@ def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
                 cur = np.matmul(cur[: len(Pj), None, :], Pj)[:, 0, :]
                 cur /= cur.sum(axis=1, keepdims=True)
                 mus[b0 * K + j - 1 :: K] = cur
+        pis = _stationary_at(pair, np.arange(lo + skip + 1, lo + len(Ps) + 1) / T)
         yield lo + skip + 1, mus[skip:], pis, _row_tv(mus[skip:], pis)
 
 
@@ -330,7 +398,8 @@ def stable_adiabatic_time(
     k = s lo on: s (``_check_from``) is the k / T at which the last block's
     largest dropped horizon T failed, 0 in the first block. The s where a T
     fails narrow as T grows, and no T of the block is below lo. Only there are
-    kernels and targets built, the floats of :func:`corridor`, and a horizon
+    targets evaluated, rows of the pair's interpolant (``_stationary_at``) and
+    the floats of :func:`corridor`, with no kernel built, and a horizon
     dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u,
     the most that the two mu can round apart. A horizon that survives its
     checks, even one failing only away from them, is decided by the reference
@@ -352,7 +421,7 @@ def stable_adiabatic_time(
     # is mu P^_t up to n u (the products), 2u (scale and add), 2u (P^_t's own
     # rounding) and 2u (rescale), _step_radius(n) + 4u: (k + 1) margin covers both.
     margin = 3 * _step_radius(n) + 4 * 2.0**-53
-    W = np.hstack([pair.p0.entries, pair.p1.entries])  # mu @ W is [mu P0 | mu P1]
+    W = _interpolant(pair)[3]  # mu @ W is [mu P0 | mu P1]
     trace: list[tuple[int, float]] = []
     lo, drop = 1, (1, 0)  # (T, k) of the last block's largest drop; none yet
     while lo <= cap:
@@ -362,12 +431,12 @@ def stable_adiabatic_time(
         stride = max(1, (lo + size - 1) // _STABLE_CHECKS)
         mus = np.tile(pair.pi0.mass, (size, 1))
         for k in range(1, lo + size):
-            t = (k / live)[:, None]
-            Y = mus @ W
+            ts = k / live
+            t, Y = ts[:, None], mus @ W
             mus = (1 - t) * Y[:, :n] + t * Y[:, n:]
             mus /= mus.sum(axis=1, keepdims=True)
             if k % stride == 0 and k >= gate * lo:
-                gaps = _row_tv(mus, _stationary_stack(_interp_stack(pair, t[:, 0])))
+                gaps = _row_tv(mus, _stationary_at(pair, ts))
                 out = gaps >= eps + (k + 1) * margin
                 gone = live[out].tolist()
                 trace.extend(zip(gone, gaps[out].tolist()))
@@ -409,7 +478,7 @@ def theorem2_check(
     it. ``tail[i]`` is the gap at step k_min + i, with k_min = ceil_int(delta
     T), so the tail covers every k with delta <= k/T <= 1; Theorem 2 bounds
     each by eps, up to ``verify.BOUND_SLACK``. Only the tail's targets are
-    solved, and only the tail is kept: memory is O(chunk n^2 + T - k_min).
+    evaluated, and only the tail is kept: memory is O(chunk n^2 + T - k_min).
     """
     _check_eps(eps)
     if not 0.0 < _check_real(delta, "delta") <= 1.0:

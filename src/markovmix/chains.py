@@ -279,10 +279,9 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
 
     Solves (I - P^T) pi = 0 with the last equation replaced by sum(pi) = 1
     (the discarded equation is redundant: columns of I - P^T sum to zero),
-    batched over the stack, then checks every row. A singular solve, a
-    non-finite entry, an entry below -1e-12 or a residual ``l1(pi P - pi)``
-    above ``STATIONARY_RESIDUAL_TOL`` raises NumericalBreakdownError naming
-    the first such stack row, the failed check and its value.
+    batched over the stack, then checks every row by ``_gate``. A singular
+    solve, or a row that fails the gate, raises NumericalBreakdownError
+    naming the first such stack row.
     """
     T, n, _ = Ps.shape
     # A transposed, in place: I - P (C order, so every (n + 1)-th flat entry is diagonal), last column 1
@@ -298,7 +297,17 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
         raise NumericalBreakdownError(
             f"stationary solve, stack row {i}: LU solve raised {exc!r}; numerical breakdown"
         ) from None
-    residual = np.abs(np.einsum("ti,tij->tj", pis, Ps) - pis).sum(axis=1)
+    return _gate(pis, np.einsum("ti,tij->tj", pis, Ps), lambda i: f"stationary solve, stack row {i}")
+
+
+def _gate(pis: np.ndarray, images: np.ndarray, where) -> np.ndarray:
+    """Check candidate stationary rows against their images ``pi P`` (overwritten), then clip at 0 and renormalize.
+
+    A non-finite entry, an entry below -1e-12 or a residual ``l1(pi P - pi)``
+    above ``STATIONARY_RESIDUAL_TOL`` raises NumericalBreakdownError naming
+    the first such row by ``where(i)``, the failed check and its value.
+    """
+    residual = np.abs(np.subtract(images, pis, out=images), out=images).sum(axis=1)
     # a NaN or inf in pi makes its residual NaN or inf, which fails the first test
     if not (residual.max() <= STATIONARY_RESIDUAL_TOL and pis.min() >= -1e-12):
         bad = ~np.isfinite(pis).all(axis=1) | (pis < -1e-12).any(axis=1) | ~(residual <= STATIONARY_RESIDUAL_TOL)
@@ -308,30 +317,26 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
             f"entry {lowest!r} is below -1e-12" if lowest < -1e-12 else
             f"residual l1(pi P - pi) = {float(residual[i])!r}, tolerance {STATIONARY_RESIDUAL_TOL!r}"
         )
-        raise NumericalBreakdownError(f"stationary solve, stack row {i}: {check}; numerical breakdown")
+        raise NumericalBreakdownError(f"{where(i)}: {check}; numerical breakdown")
     np.clip(pis, 0.0, None, out=pis)
     pis /= pis.sum(axis=1, keepdims=True)
     return pis
 
 
-def _family(pair: ChainPair, ts, floats: int, block: int = 1, first: int = 0):
-    """Yield ``(lo, kernels, pis)``, the P_t of ``ts[lo : lo + len(kernels)]``, per chunk.
+def _family(pair: ChainPair, ts, floats: int, block: int = 1):
+    """Yield ``(lo, kernels)``, the P_t of ``ts[lo : lo + len(kernels)]``, per chunk.
 
     ``ts`` is an array of t values, or a horizon T for the steps t = k / T,
     k = 1..T, whose t values are made chunk by chunk, so they take no O(T)
     memory. Chunks hold a whole number of ``block``s, as many as fit
-    ``_chunk(floats)`` kernels and at least one. The kernels from index
-    ``first`` on are solved, with no structure check (the interpolants of an
-    ergodic pair are ergodic, see ChainPair): ``pis`` holds the chunk's, or
-    None where it has none.
+    ``_chunk(floats)`` kernels and at least one.
     """
     steps = isinstance(ts, int)
     count = ts if steps else len(ts)
     size = max(1, _chunk(floats) // block) * block
     for lo in range(0, count, size):
         hi = min(count, lo + size)
-        Ps = _interp_stack(pair, np.arange(lo + 1, hi + 1) / count if steps else ts[lo:hi])
-        yield lo, Ps, _stationary_stack(Ps[max(0, first - lo) :]) if first < hi else None
+        yield lo, _interp_stack(pair, np.arange(lo + 1, hi + 1) / count if steps else ts[lo:hi])
 
 
 def stationary(P: StochasticMatrix) -> Distribution:

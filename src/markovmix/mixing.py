@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainPair, StochasticMatrix, _family, stationary
+from .chains import ChainPair, StochasticMatrix, _family, _stationary_stack, stationary
 from .errors import IterationCapError, NumericalBreakdownError, _check_eps, _check_horizon
 
 PASS_SLACK = 1e-12
@@ -111,12 +111,14 @@ def _family_tmix(pair: ChainPair, ss: list[float], eps_values) -> list[list[int]
     """The mixing time of P_s for every s of ``ss`` at each eps of ``eps_values``, one list per eps.
 
     The only code that chunks the family for mixing scans, four n x n arrays a kernel, each
-    scanned up to ``DEFAULT_MIXING_CAP``; a breakdown names its kernel ``s=<repr of s>``, so
-    ``ss`` holds Python floats.
+    solved directly (at large n, where solves cost most, a scan has fewer kernels than an
+    interpolant has nodes) and scanned up to ``DEFAULT_MIXING_CAP``; a breakdown names its
+    kernel ``s=<repr of s>``, so ``ss`` holds Python floats.
     """
     found: list = [[] for _ in eps_values]
-    for lo, Ps, pis in _family(pair, np.array(ss), 4 * pair.n * pair.n):
+    for lo, Ps in _family(pair, np.array(ss), 4 * pair.n * pair.n):
         part = ss[lo : lo + len(Ps)]
+        pis = _stationary_stack(Ps)
         scans = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP, lambda i: f"s={part[i]!r}")
         for out, results in zip(found, scans):
             out.extend(r.tmix for r in results)

@@ -18,13 +18,14 @@ from .adiabatic import (
     DEFAULT_HORIZON_CAP,
     _corridor_stream,
     _horizon_text,
+    _stationary_at,
     adiabatic_time,
     prop3_check,
     theorem2_check,
     theorem3_horizon,
 )
 from .chainfile import _json_text
-from .chains import ChainPair, _family, _row_tv, interpolate
+from .chains import ChainPair, _chunk, _row_tv, interpolate
 from .errors import (
     EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
 )
@@ -110,8 +111,11 @@ class BoundReport:
 def _grid_max_tv(pair: ChainPair, delta: float) -> float:
     """Max TV between pi_s and pi_0 over a uniform s-grid on [0, delta]."""
     ss = np.linspace(0.0, delta, GRID_CHECK_POINTS)
-    chunks = _family(pair, ss, 3 * pair.n**2 + 4 * pair.n)  # a kernel, the solve's copies, pi_s, s
-    return max(float(_row_tv(pis, pair.pi0.mass).max()) for _, _, pis in chunks)
+    step = _chunk(10 * pair.n)  # per s: the evaluation's rows, its [P0 | P1] image and pi_s
+    return max(
+        float(_row_tv(_stationary_at(pair, ss[lo : lo + step]), pair.pi0.mass).max())
+        for lo in range(0, len(ss), step)
+    )
 
 
 class _Skip(Exception):

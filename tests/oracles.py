@@ -235,16 +235,18 @@ def corridor_reference(pair, T: int):
 
     The reference for the blocked scan in ``corridor``, which must agree
     with it within rounding, and bit for bit where its blocks are one step
-    long. The targets are the library's, solved chunk by chunk as there.
+    long. The targets are the library's, rows of the pair's interpolant
+    evaluated chunk by chunk as there.
     """
     from markovmix import Corridor
+    from markovmix.adiabatic import _stationary_at
     from markovmix.chains import _family, _row_tv
 
     n = pair.n
     mu = np.array(pair.pi0.mass)
     mus, targets = np.empty((T, n)), np.empty((T, n))
-    for lo, Ps, pis in _family(pair, T, 3 * n * n + 4 * n):
-        targets[lo : lo + len(Ps)] = pis
+    for lo, Ps in _family(pair, T, 3 * n * n + 4 * n):
+        targets[lo : lo + len(Ps)] = _stationary_at(pair, np.arange(lo + 1, lo + len(Ps) + 1) / T)
         for k, P in enumerate(Ps, lo):
             mu = mu @ P
             s = mu.sum()
@@ -263,9 +265,20 @@ def _over_common_denominator(*mats):
 
 def exact_stationary(P) -> list:
     """pi P = pi with sum(pi) = 1 for a float kernel, by Gauss-Jordan elimination over the rationals."""
-    n = len(P)
-    F = [[Fraction(float(x)) for x in row] for row in P]
-    # equation i < n - 1: sum_j pi_j (P_ji - [i = j]) = 0; the last: sum_j pi_j = 1
+    return _exact_solve([[Fraction(float(x)) for x in row] for row in P])
+
+
+def exact_line_stationary(P0, P1, t: Fraction) -> list:
+    """pi of (1 - t) P0 + t P1 on the exact line: the float kernels taken exactly, t a Fraction, no rounding."""
+    return _exact_solve(
+        [[(1 - t) * Fraction(float(a)) + t * Fraction(float(b)) for a, b in zip(r0, r1)] for r0, r1 in zip(P0, P1)]
+    )
+
+
+def _exact_solve(F) -> list:
+    """pi F = pi with sum(pi) = 1 for a kernel of Fractions, by Gauss-Jordan elimination."""
+    n = len(F)
+    # equation i < n - 1: sum_j pi_j (F_ji - [i = j]) = 0; the last: sum_j pi_j = 1
     A = [[F[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
     A.append([Fraction(1)] * (n + 1))
     for col in range(n):

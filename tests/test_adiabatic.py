@@ -1,8 +1,10 @@
 """Corridors, adiabatic and stable adiabatic times, and the bound checkers."""
 
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -42,9 +44,13 @@ from markovmix.adiabatic import (
     _adiabatic_gaps,
     _block_steps,
     _horizon_text,
+    _interpolant,
+    _stationary_at,
     _step_radius,
     ceil_int,
 )
+from markovmix.chains import _interp_stack, _row_tv, _stationary_stack
+from markovmix.errors import NumericalBreakdownError
 from markovmix.mixing import PASS_SLACK
 from markovmix.verify import BOUND_SLACK
 
@@ -56,6 +62,7 @@ from oracles import (
     corridor_reference,
     exact_adiabatic_gap,
     exact_corridor_mus,
+    exact_line_stationary,
     exact_stationary,
     mitrophanov_tail_from,
     stable_scan_reference,
@@ -452,6 +459,127 @@ def bottleneck_case(x: float):
 
 
 bottleneck_pairs = st.floats(4.0, 13.0).map(bottleneck_case)  # e from 1e-4 to 1e-13
+
+
+def _exact_tv(row, exact) -> float:
+    """TV between a float row, taken exactly, and an exact distribution, rounded once."""
+    return float(sum(abs(Fraction(float(x)) - p) for x, p in zip(row, exact)) / 2)
+
+
+def _line_case(x: float):
+    """(the bottleneck pair e -> 4 e at e = 10^-x, its radius u / (2 e)).
+
+    A half-ulp rounding of a kernel's diagonal entry 1 - e' moves e' by u / 2, so a float
+    kernel's pi lies about u / (2 e) from the pi of the exact line: no solver of it does better.
+    """
+    e = 10.0**-x
+    return ChainPair(bottleneck(e), bottleneck(4 * e)), 2.0**-53 / (2 * e)
+
+
+class TestStationaryInterpolant:
+    """pi_t from one cofactor interpolant per pair against the direct solve of each kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=scan_pairs,
+        ts=st.lists(st.floats(0.0, 1.0), max_size=20),
+        T=st.integers(1, 400),
+    )
+    def test_within_1e_13_of_the_direct_solve(self, pair, ts, T):
+        # random dense and birth-death pairs, n 2 to 8: free t values, the steps k / T and the nodes
+        ts = np.concatenate([ts, np.arange(T + 1) / T, _interpolant(pair)[0]])
+        got = _stationary_at(pair, ts)
+        assert _row_tv(got, _stationary_stack(_interp_stack(pair, ts))).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.one_of(
+            st.floats(4.0, 13.0).map(_line_case),
+            birth_death_and_dense_pairs(4).map(lambda pair: (pair, 0.0)),
+        ),
+        T=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_no_further_from_the_exact_line_than_the_direct_solve(self, case, T, data):
+        # Against the pi of (1 - t) P0 + t P1 in exact rationals, t = k / T. On a nearly
+        # decomposable pair the direct solve's error is the lottery of its kernel's rounding,
+        # 0 at some t and near u / (2 e) at others, and the interpolant's is its weights',
+        # which slogdet takes from the node kernels: within the larger of the two.
+        pair, radius = case
+        k = data.draw(st.integers(0, T))
+        exact = exact_line_stationary(pair.p0.entries, pair.p1.entries, Fraction(k, T))
+        ts = np.array([k / T])
+        got = _exact_tv(_stationary_at(pair, ts)[0], exact)
+        direct = _exact_tv(_stationary_stack(_interp_stack(pair, ts))[0], exact)
+        assert got <= max(direct, radius) + 1e-15, (got, direct, radius)
+
+    def test_ends_and_nodes_are_their_solves_bit_for_bit(self, suite_pairs):
+        for name, pair in suite_pairs.items():
+            nodes, _, node_pis, _ = _interpolant(pair)
+            assert (nodes[0], nodes[-1]) == (0.0, 1.0)
+            ends = _stationary_at(pair, np.array([1.0, 0.5, 0.0]))
+            assert ends[0].tobytes() == pair.pi1.mass.tobytes(), name
+            assert ends[2].tobytes() == pair.pi0.mass.tobytes(), name
+            assert _stationary_at(pair, nodes[::-1]).tobytes() == node_pis[::-1].tobytes(), name
+            assert node_pis.tobytes() == _stationary_stack(_interp_stack(pair, nodes)).tobytes(), name
+
+    def test_a_row_is_the_same_whatever_the_other_rows(self, suite_pairs):
+        # so that a corridor's targets do not depend on its chunks, nor the stable
+        # scan's on its live horizons
+        for name, pair in suite_pairs.items():
+            ts = np.concatenate([np.arange(1, 38) / 37, [0.5, 1e-300, 5e-324]])
+            whole = _stationary_at(pair, ts)
+            for i, t in enumerate(ts):
+                assert _stationary_at(pair, np.array([t]))[0].tobytes() == whole[i].tobytes(), (name, t)
+
+    def test_a_t_next_to_a_node_does_not_overflow(self, suite_pairs):
+        pair = suite_pairs["complete5-to-bd5"]
+        ts = np.array([5e-324, 1e-300, float(np.nextafter(1.0, 0.0)), float(np.nextafter(0.5, 1.0))])
+        assert _row_tv(_stationary_at(pair, ts), _stationary_stack(_interp_stack(pair, ts))).max() <= 1e-15
+
+    def test_built_once_per_pair(self, suite_pairs):
+        pair = suite_pairs["bd4-to-dense4"]
+        assert _interpolant(pair) is _interpolant(pair)
+        fresh = ChainPair(pair.p0, pair.p1)
+        assert _interpolant(fresh) is not _interpolant(pair)
+        # the cache holds its pairs weakly: it keeps no dropped pair alive
+        dropped = weakref.ref(fresh)
+        del fresh
+        gc.collect()
+        assert dropped() is None
+
+    def test_node_solves_fit_the_stack_budget(self, monkeypatch):
+        # one node per chunk: the nodes are solved n stacks of one, to the same floats
+        pair = ChainPair(birth_death(6, 0.3, 0.4), birth_death(6, 0.4, 0.3))
+        whole = _interpolant(ChainPair(pair.p0, pair.p1))
+        sizes, solve = [], adiabatic._stationary_stack
+        monkeypatch.setattr(chains, "_STACK_BUDGET", 1)
+        monkeypatch.setattr(adiabatic, "_stationary_stack", lambda Ps: sizes.append(len(Ps)) or solve(Ps))
+        chunked = _interpolant(pair)
+        assert sizes == [1] * 6
+        for a, b in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_weight_of_the_wrong_sign_is_a_breakdown(self, monkeypatch):
+        pair = ChainPair(birth_death(4, 0.3, 0.4), birth_death(4, 0.4, 0.3))
+        real = np.linalg.slogdet
+
+        def flipped(A):
+            sign, logq = real(A)
+            sign[2] = -1.0
+            return sign, logq
+
+        monkeypatch.setattr(np.linalg, "slogdet", flipped)
+        match = r"^stationary interpolant, node t=0\.7499999999999999: .* sign -1\.0"
+        with pytest.raises(NumericalBreakdownError, match=match):
+            _stationary_at(pair, np.array([0.3]))
+
+    def test_a_row_that_fails_the_gate_is_a_breakdown(self, monkeypatch):
+        pair = ChainPair(birth_death(4, 0.3, 0.4), birth_death(4, 0.4, 0.3))
+        nodes, weights, node_pis, W01 = _interpolant(pair)
+        monkeypatch.setitem(adiabatic._INTERPOLANTS, pair, (nodes, weights, node_pis[:, ::-1].copy(), W01))
+        with pytest.raises(NumericalBreakdownError, match=r"^stationary interpolant at t=0\.3: residual"):
+            _stationary_at(pair, np.array([0.3, 0.0]))
 
 
 class TestCorridorStream:
@@ -883,29 +1011,42 @@ def _assert_same_scan(pair, eps, cap):
 def scan_work(monkeypatch):
     """Counts the stable scan's work while a test runs.
 
-    ``solves`` holds the size of every target solve and ``stacks`` of every
-    kernel stack the scan makes at its check steps (the reference corridor
-    makes its own through ``chains``), ``decided`` the T of every reference
-    ``corridor`` call and ``steps`` the number of mu steps the scan took.
+    ``rows`` holds the size of every target evaluation the scan makes at its
+    check steps, ``nodes`` of every stationary solve (the interpolant's
+    nodes) and ``stacks`` of every kernel stack made outside the reference
+    corridor, ``decided`` the T of every reference ``corridor`` call and
+    ``steps`` the number of mu steps the scan took.
     """
-    work = SimpleNamespace(solves=[], stacks=[], decided=[], steps=0)
-    real_stack, real_interp, real_corridor = (
+    work = SimpleNamespace(rows=[], nodes=[], stacks=[], decided=[], steps=0)
+    real_at, real_stack, real_interp, real_corridor = (
+        adiabatic._stationary_at,
         adiabatic._stationary_stack,
-        adiabatic._interp_stack,
+        chains._interp_stack,
         adiabatic.corridor,
     )
+    inside = []
+
+    def at(pair, ts):
+        if sys._getframe(1).f_code.co_name == "stable_adiabatic_time":
+            work.rows.append(len(ts))
+        return real_at(pair, ts)
 
     def stack(Ps):
-        work.solves.append(len(Ps))
+        work.nodes.append(len(Ps))
         return real_stack(Ps)
 
     def interp(pair, ts):
-        work.stacks.append(len(ts))
+        if not inside:
+            work.stacks.append(len(ts))
         return real_interp(pair, ts)
 
     def reference(pair, T):
         work.decided.append(T)
-        return real_corridor(pair, T)
+        inside.append(T)
+        try:
+            return real_corridor(pair, T)
+        finally:
+            inside.pop()
 
     def counted(ks):
         for k in ks:
@@ -917,8 +1058,9 @@ def scan_work(monkeypatch):
         ks = range(*bounds)
         return counted(ks) if sys._getframe(1).f_code.co_name == "stable_adiabatic_time" else ks
 
+    monkeypatch.setattr(adiabatic, "_stationary_at", at)
     monkeypatch.setattr(adiabatic, "_stationary_stack", stack)
-    monkeypatch.setattr(adiabatic, "_interp_stack", interp)
+    monkeypatch.setattr(chains, "_interp_stack", interp)
     monkeypatch.setattr(adiabatic, "corridor", reference)
     monkeypatch.setattr(adiabatic, "range", scan_range, raising=False)
     return work
@@ -989,32 +1131,34 @@ class TestBatchedStableScan:
     def test_long_horizons_are_checked_at_about_64_steps(self, scan_work):
         pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
         assert stable_adiabatic_time(pair, 0.03).t_sad == 688
-        # a target for every live horizon at every step took 78,180 solves, and
+        # a target for every live horizon at every step took 78,180 rows, and
         # a check every max(1, T // 64) steps for each horizon T took 10,162;
         # one stride per block, from its largest horizon, took 8,715, and
         # checks from where the last block's largest drop failed take 5,362
-        assert sum(scan_work.solves) <= 5_400
+        assert sum(scan_work.rows) <= 5_400
         assert scan_work.decided == [688]
 
-    def test_kernels_are_built_only_at_check_steps(self, scan_work):
+    def test_no_kernel_is_built_at_check_steps(self, scan_work):
         pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
         assert stable_adiabatic_time(pair, 0.03).t_sad == 688
-        # mu advances through [P0 | P1]; a kernel stack at each of the 847
-        # steps is now one at each of the 77 check steps past the gate (104 in all)
+        # mu advances through [P0 | P1], and the targets of the 77 check steps
+        # past the gate (104 in all) are rows of the pair's interpolant: its
+        # n = 10 nodes are the only kernels built and the only solves
         assert scan_work.steps == 847
-        assert len(scan_work.stacks) == len(scan_work.solves) <= 80
+        assert len(scan_work.rows) <= 80
+        assert scan_work.stacks == scan_work.nodes == [10]
 
     @pytest.mark.parametrize(
-        "name, eps, t_sad, solves, decided",
-        # checking every horizon from s = 0 took 11,162 solves and 14 references
+        "name, eps, t_sad, rows, decided",
+        # checking every horizon from s = 0 took 11,162 target rows and 14 references
         # on the first, and 3,276 and 3 on the second, whose gaps peak at s = 0
         [("complete5-to-bd5", 0.02, 191, 2_950, 14), ("bd4-to-dense4", 0.01, 275, 3_276, 3)],
     )
     def test_checks_start_where_horizons_fail(
-        self, suite_pairs, scan_work, name, eps, t_sad, solves, decided
+        self, suite_pairs, scan_work, name, eps, t_sad, rows, decided
     ):
         assert stable_adiabatic_time(suite_pairs[name], eps).t_sad == t_sad
-        assert sum(scan_work.solves) <= solves
+        assert sum(scan_work.rows) <= rows
         assert len(scan_work.decided) <= decided
 
     @settings(max_examples=30, deadline=None)
@@ -1088,7 +1232,7 @@ class TestBatchedStableScan:
         shift = np.zeros(pair.n)
         shift[np.argmax(excess)] -= (pair.n + 2) * 2.0**-53
         shift[np.argmin(excess)] += (pair.n + 2) * 2.0**-53
-        real_stack, real_corridor = adiabatic._stationary_stack, adiabatic.corridor
+        real_at, real_corridor = adiabatic._stationary_at, adiabatic.corridor
         inside = []
 
         def unshifted_corridor(pair, T):
@@ -1098,12 +1242,12 @@ class TestBatchedStableScan:
             finally:
                 inside.pop()
 
-        def shifted_stack(Ps):
-            pis = real_stack(Ps)
+        def shifted_at(pair, ts):
+            pis = real_at(pair, ts)
             return pis if inside else pis + shift
 
         monkeypatch.setattr(adiabatic, "corridor", unshifted_corridor)
-        monkeypatch.setattr(adiabatic, "_stationary_stack", shifted_stack)
+        monkeypatch.setattr(adiabatic, "_stationary_at", shifted_at)
         got = stable_adiabatic_time(pair, eps, cap=t)
         assert (got.t_sad, got.worst_k) == (want.t_sad, want.worst_k) == (t, k)
         assert got.worst_gap.hex() == want.worst_gap.hex()
@@ -1166,15 +1310,20 @@ class TestTheorem2Check:
             want = corridor(pair, T).gaps[ceil_int(0.5 * T) - 1 :]
             assert tail.tobytes() == want.tobytes(), name
 
-    def test_solves_only_the_tail_targets(self, suite_pairs, monkeypatch):
-        pair = suite_pairs["complete5-to-bd5"]
+    def test_evaluates_only_the_tail_targets(self, suite_pairs, monkeypatch):
+        # a fresh pair, so that its interpolant is built here: n node solves, then rows
+        pair = ChainPair(suite_pairs["complete5-to-bd5"].p0, suite_pairs["complete5-to-bd5"].p1)
         pair.pi0  # the cached start, solved outside the count
-        solve, kernels = chains._stationary_stack, []
-        monkeypatch.setattr(chains, "_stationary_stack", lambda Ps: kernels.append(len(Ps)) or solve(Ps))
+        solve, evaluate, kernels, rows = adiabatic._stationary_stack, adiabatic._stationary_at, [], []
+        monkeypatch.setattr(adiabatic, "_stationary_stack", lambda Ps: kernels.append(len(Ps)) or solve(Ps))
+        monkeypatch.setattr(adiabatic, "_stationary_at", lambda pair, ts: rows.append(ts) or evaluate(pair, ts))
         for delta in (0.5, 0.25):
-            kernels.clear()
+            rows.clear()
             T, tail = theorem2_check(pair, 0.2, delta, 5)
-            assert sum(kernels) == len(tail) == T - ceil_int(delta * T) + 1
+            k_min = ceil_int(delta * T)
+            assert np.concatenate(rows).tobytes() == (np.arange(k_min, T + 1) / T).tobytes()
+            assert len(tail) == T - k_min + 1
+        assert kernels == [pair.n]
 
     def test_memory_keeps_only_the_tail(self, monkeypatch):
         # a corridor of T = 8,000 and 80,000 steps at n = 2, each tail many chunks of

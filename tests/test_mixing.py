@@ -210,7 +210,7 @@ class TestBatchedMixingScan:
             mixing_scan_reference(Ps[2], pis[2], 0.01, DEFAULT_MIXING_CAP)
 
     def test_sup_breakdown_names_s(self, lazy_asym_pair, monkeypatch):
-        interp, solve = chains._interp_stack, chains._stationary_stack
+        interp, solve = chains._interp_stack, mixing._stationary_stack
 
         def broken(pair, ss):
             Ps = interp(pair, ss)
@@ -219,7 +219,7 @@ class TestBatchedMixingScan:
 
         # the grown kernel's own solve would break first: solve the kernel it grew from
         monkeypatch.setattr(chains, "_interp_stack", broken)
-        monkeypatch.setattr(chains, "_stationary_stack", lambda Ps: solve(Ps / Ps.sum(axis=2, keepdims=True)))
+        monkeypatch.setattr(mixing, "_stationary_stack", lambda Ps: solve(Ps / Ps.sum(axis=2, keepdims=True)))
         with pytest.raises(NumericalBreakdownError, match="^kernel s=0.5: "):
             sup_mixing_time(lazy_asym_pair, 0.05)
         # the PROP2 sweep's grid, whose fourth s is not the sup grid's 0.3; a Python float's repr

@@ -188,9 +188,11 @@ class TestVerifyAll:
         assert report.to_json() == forward_report.to_json()
 
     def test_stationary_solves_stay_batched(self, lazy_asym_pair, forward_report, monkeypatch):
-        # 29 stacks: each sup-mixing refinement level and the PROP2 sweep is
-        # one stack, and PROP1 solves P1 once per eps; a solve per sample and
-        # per sweep kernel would make 252
+        # 14 stacks for a fresh pair: pi0 and pi1, each sup-mixing refinement
+        # level and the PROP2 sweep, PROP1's P1 once per eps, and one of the
+        # interpolant's nodes, which serve every corridor and grid target; a
+        # solve per sample and per sweep kernel would make 252 stacks
+        pair = ChainPair(lazy_asym_pair.p0, lazy_asym_pair.p1)
         calls = []
 
         def counted(Ps):
@@ -202,9 +204,9 @@ class TestVerifyAll:
                 for attr, value in list(vars(module).items()):
                     if value is _stationary_stack:
                         monkeypatch.setattr(module, attr, counted)
-        report = verify_all(lazy_asym_pair, [0.2, 0.1], name="lazy-to-asym")
+        report = verify_all(pair, [0.2, 0.1], name="lazy-to-asym")
         assert report.to_json() == forward_report.to_json()
-        assert len(calls) <= 30
+        assert len(calls) <= 14
 
     def test_sweep_scans_each_grid_kernel_once_per_eps(
         self, lazy_asym_pair, forward_report, monkeypatch
@@ -266,7 +268,8 @@ class TestVerifyAll:
             assert prop4[0].detail == f"delta={delta!r} grid=200", name
 
     def test_grid_check_stays_within_stack_budget(self):
-        # PROP4 and COR1 solve 200 grid points; at n = 100 they fit 1 MiB only in chunks
+        # PROP4 and COR1 evaluate 200 grid points from the pair's interpolant, whose
+        # 100 node solves and grid rows fit 1 MiB at n = 100 only in chunks
         pair = ChainPair(random_dense(100, seed=0), random_dense(100, seed=1))
         pair.pi0  # solve the cached endpoint outside the trace
         tracemalloc.start()
