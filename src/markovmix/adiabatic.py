@@ -169,8 +169,9 @@ def _block_steps(n: int, T: int) -> int:
     """Steps per corridor block, from n and T alone so that no float depends on the chunk.
 
     A block product costs 2 n^3 flops a step, more than the Python step it
-    saves once n^2 > 512, where K = 1; isqrt(T) keeps many blocks a chunk, and
-    64 caps K near sqrt(C / 2), where a chunk's C / K carries balance its 2K steps.
+    saves once n^2 > 512, where K = 1 and the corridor builds no kernel at all
+    (see ``_corridor_stream``); isqrt(T) keeps many blocks a chunk, and 64 caps
+    K near sqrt(C / 2), where a chunk's C / K carries balance its 2K steps.
     """
     return max(1, min(1024 // (n * n), 64, math.isqrt(T)))
 
@@ -178,36 +179,50 @@ def _block_steps(n: int, T: int) -> int:
 def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
     """Yield ``(k, mus, targets, gaps)`` per chunk: rows of the corridor at horizon T from step k.
 
-    A blocked two-pass scan (Blelloch, CMU-CS-90-190) over blocks of K steps
-    aligned to multiples of K. Per chunk of whole blocks it forms each block's
-    product P_{bK+1} ... P_{bK+K} in K - 1 batched matmuls, carries mu across
-    the block ends one block at a time, and advances the interior steps of all
-    blocks in K - 1 batched steps. A block's floats come from its own rows, so
-    no result depends on the chunking; with K = 1 this is the per-step loop.
-    mu crosses every block end from step 1, but the targets (rows of
-    ``_stationary_at``), the interior steps and the gaps start at step
-    ``first`` (its block, for the steps), so chunks wholly before it yield
-    nothing. Kernels and t values go chunk by chunk: memory is O(chunk n^2)
-    whatever the horizon.
+    At K = 1 mu takes the stable scan's step, written out in both loops (a
+    shared function cost 10% of a step): one product with [P0 | P1] mixed as
+    (1 - t) mu P0 + t mu P1 and rescaled, and no kernel is built. A chunk
+    holds as many steps as fit about 8n floats each. At K > 1 it is a blocked
+    two-pass scan (Blelloch, CMU-CS-90-190) over blocks of K steps aligned to
+    multiples of K. Per chunk of whole blocks it forms each block's product
+    P_{bK+1} ... P_{bK+K} in K - 1 batched matmuls, carries mu across the
+    block ends one block at a time, and advances the interior steps of all
+    blocks in K - 1 batched steps. A block's floats come from its own rows,
+    so no result depends on the chunking. mu crosses every block end from
+    step 1, but the targets (rows of ``_stationary_at``), the interior steps
+    and the gaps start at step ``first`` (its block, for the steps), so
+    chunks wholly before it yield nothing. Kernels and t values go chunk by
+    chunk: memory is O(chunk n^2) whatever the horizon.
     """
     n = pair.n
     K = _block_steps(n, T)
-    mu = np.array(pair.pi0.mass)
-    # per step: the kernel, two n x n of room that the block products use at most,
-    # then mu, target and t, and the target's evaluation rows
-    for lo, Ps in _family(pair, T, 3 * n * n + 4 * n, block=K):
-        # each full block's product, then mu carried across the block ends
-        full = len(Ps) // K
-        Q = Ps[: full * K : K]
-        for j in range(1, K):
-            Q = np.matmul(Q, Ps[j : full * K : K])
-        mus, start = np.empty((len(Ps), n)), mu
-        for b in range(full):
-            mu = mu @ Q[b]
-            mu /= mu.sum()
-            mus[b * K + K - 1] = mu
-        skip = max(0, first - 1 - lo)
-        if skip >= len(Ps):
+    mu, W01 = np.array(pair.pi0.mass), _interpolant(pair)[3]
+    # per step: at K = 1 mu, target, the target's evaluation rows and its 2n image; at K > 1
+    # the kernel, two n x n of room that the block products use at most, then mu, target and
+    # t, and the target's evaluation rows
+    size = _chunk(8 * n) if K == 1 else max(1, _chunk(3 * n * n + 4 * n) // K) * K
+    for lo in range(0, T, size):
+        ks = np.arange(lo + 1, min(T, lo + size) + 1)
+        mus, skip = np.empty((len(ks), n)), max(0, first - 1 - lo)
+        if K == 1:
+            for i, t in enumerate((ks / T).tolist()):
+                Y = mu @ W01  # [mu P0 | mu P1]
+                mu = (1 - t) * Y[:n] + t * Y[n:]
+                mu /= mu.sum()
+                mus[i] = mu
+        else:
+            # each full block's product, then mu carried across the block ends
+            Ps = _interp_stack(pair, ks / T)
+            full = len(Ps) // K
+            Q = Ps[: full * K : K]
+            for j in range(1, K):
+                Q = np.matmul(Q, Ps[j : full * K : K])
+            start = mu
+            for b in range(full):
+                mu = mu @ Q[b]
+                mu /= mu.sum()
+                mus[b * K + K - 1] = mu
+        if skip >= len(ks):
             continue
         # every block's interior steps at once, each from its block's start, from first's block on
         if K > 1:
@@ -218,7 +233,7 @@ def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
                 cur = np.matmul(cur[: len(Pj), None, :], Pj)[:, 0, :]
                 cur /= cur.sum(axis=1, keepdims=True)
                 mus[b0 * K + j - 1 :: K] = cur
-        pis = _stationary_at(pair, np.arange(lo + skip + 1, lo + len(Ps) + 1) / T)
+        pis = _stationary_at(pair, ks[skip:] / T)
         yield lo + skip + 1, mus[skip:], pis, _row_tv(mus[skip:], pis)
 
 
@@ -227,7 +242,7 @@ def corridor(pair: ChainPair, T: int) -> Corridor:
     T = _check_horizon(T)
     for k, *rows in _corridor_stream(pair, T):
         if k == 1:
-            # after the first solve, so that a one-chunk corridor peaks no higher
+            # after the first chunk's targets, so that a one-chunk corridor peaks no higher
             out = [np.empty((T, pair.n)), np.empty((T, pair.n)), np.empty(T)]
         for whole, part in zip(out, rows):
             whole[k - 1 : k - 1 + len(part)] = part
@@ -416,10 +431,12 @@ def stable_adiabatic_time(
     n = pair.n
     # Drops are final, so a gap drops T at step k only if corridor's gap is
     # surely >= eps too. Both use the same targets; only mu rounds apart.
-    # Corridor's mu passes through k + ceil(k/K) <= 2k products with its rounded
-    # kernels P^_t, each adding _step_radius(n). A scan step (1 - t) mu P0 + t mu P1
-    # is mu P^_t up to n u (the products), 2u (scale and add), 2u (P^_t's own
-    # rounding) and 2u (rescale), _step_radius(n) + 4u: (k + 1) margin covers both.
+    # A scan step (1 - t) mu P0 + t mu P1 is mu P^_t, P^_t the rounded kernel, up to
+    # n u (the products), 2u (scale and add), 2u (P^_t's own rounding) and 2u
+    # (rescale), _step_radius(n) + 4u. At K > 1 corridor's mu passes through
+    # k + ceil(k/K) <= 2k products with the kernels P^_t, each adding _step_radius(n),
+    # and (k + 1) margin covers both; at K = 1 it takes the scan's own step, and
+    # (k + 1) (3 (n + 2) + 4) u covers their 2k ((n + 2) + 4) u for n >= 2.
     margin = 3 * _step_radius(n) + 4 * 2.0**-53
     W = _interpolant(pair)[3]  # mu @ W is [mu P0 | mu P1]
     trace: list[tuple[int, float]] = []

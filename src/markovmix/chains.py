@@ -323,20 +323,11 @@ def _gate(pis: np.ndarray, images: np.ndarray, where) -> np.ndarray:
     return pis
 
 
-def _family(pair: ChainPair, ts, floats: int, block: int = 1):
-    """Yield ``(lo, kernels)``, the P_t of ``ts[lo : lo + len(kernels)]``, per chunk.
-
-    ``ts`` is an array of t values, or a horizon T for the steps t = k / T,
-    k = 1..T, whose t values are made chunk by chunk, so they take no O(T)
-    memory. Chunks hold a whole number of ``block``s, as many as fit
-    ``_chunk(floats)`` kernels and at least one.
-    """
-    steps = isinstance(ts, int)
-    count = ts if steps else len(ts)
-    size = max(1, _chunk(floats) // block) * block
-    for lo in range(0, count, size):
-        hi = min(count, lo + size)
-        yield lo, _interp_stack(pair, np.arange(lo + 1, hi + 1) / count if steps else ts[lo:hi])
+def _family(pair: ChainPair, ts: np.ndarray, floats: int):
+    """Yield ``(lo, kernels)``, the P_t of ``ts[lo : lo + len(kernels)]``, per chunk of ``_chunk(floats)``."""
+    size = _chunk(floats)
+    for lo in range(0, len(ts), size):
+        yield lo, _interp_stack(pair, ts[lo : lo + size])
 
 
 def stationary(P: StochasticMatrix) -> Distribution:

@@ -231,12 +231,12 @@ def sup_mixing_reference(pair, eps: float, grid_points: int = 101, refine_depth:
 
 
 def corridor_reference(pair, T: int):
-    """The per-step corridor: mu advanced by one vector-matrix product per step k.
+    """The per-step corridor: mu advanced by one vector-matrix product with each kernel P_{k/T}.
 
-    The reference for the blocked scan in ``corridor``, which must agree
-    with it within rounding, and bit for bit where its blocks are one step
-    long. The targets are the library's, rows of the pair's interpolant
-    evaluated chunk by chunk as there.
+    The reference for the blocked scan in ``corridor`` (K > 1), which must
+    agree with it within rounding, and for the kernel-free one-step scan
+    (K = 1), which must agree within 1e-12. The targets are the library's,
+    rows of the pair's interpolant evaluated chunk by chunk as there.
     """
     from markovmix import Corridor
     from markovmix.adiabatic import _stationary_at
@@ -245,7 +245,7 @@ def corridor_reference(pair, T: int):
     n = pair.n
     mu = np.array(pair.pi0.mass)
     mus, targets = np.empty((T, n)), np.empty((T, n))
-    for lo, Ps in _family(pair, T, 3 * n * n + 4 * n):
+    for lo, Ps in _family(pair, np.arange(1, T + 1) / T, 3 * n * n + 4 * n):
         targets[lo : lo + len(Ps)] = _stationary_at(pair, np.arange(lo + 1, lo + len(Ps) + 1) / T)
         for k, P in enumerate(Ps, lo):
             mu = mu @ P
@@ -253,6 +253,30 @@ def corridor_reference(pair, T: int):
             if s != 1.0:
                 mu /= s
             mus[k] = mu
+    return Corridor(T=T, mus=mus, targets=targets, gaps=_row_tv(mus, targets))
+
+
+def corridor_step_reference(pair, T: int):
+    """The kernel-free per-step corridor: mu P_t as (1 - t) mu P0 + t mu P1, then rescaled.
+
+    One vector-matrix product with [P0 | P1] a step, the stable scan's step,
+    and no kernel: ``corridor`` must equal it bit for bit wherever its blocks
+    are one step long. The targets are the library's interpolant rows.
+    """
+    from markovmix import Corridor
+    from markovmix.adiabatic import _stationary_at
+    from markovmix.chains import _row_tv
+
+    n = pair.n
+    W01 = np.hstack([pair.p0.entries, pair.p1.entries])
+    mu, mus = np.array(pair.pi0.mass), np.empty((T, n))
+    for k in range(1, T + 1):
+        t = k / T
+        Y = mu @ W01
+        mu = (1 - t) * Y[:n] + t * Y[n:]
+        mu /= mu.sum()
+        mus[k - 1] = mu
+    targets = _stationary_at(pair, np.arange(1, T + 1) / T)
     return Corridor(T=T, mus=mus, targets=targets, gaps=_row_tv(mus, targets))
 
 

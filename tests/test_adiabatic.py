@@ -60,6 +60,7 @@ from oracles import (
     adiabatic_distance_reference,
     corridor_oracle,
     corridor_reference,
+    corridor_step_reference,
     exact_adiabatic_gap,
     exact_corridor_mus,
     exact_line_stationary,
@@ -155,13 +156,17 @@ class TestCorridor:
             corridor(lazy_asym_pair, 0)
 
     def test_streamed_chunks_are_bit_identical(self, suite_pairs, monkeypatch):
-        for name in ("complete5-to-bd5", "dense6-to-dense6", "lazy-to-asym"):
-            pair = suite_pairs[name]
+        names = ("complete5-to-bd5", "dense6-to-dense6", "lazy-to-asym")
+        pairs = {name: suite_pairs[name] for name in names}
+        # one step per block, so no kernel is built
+        pairs["dense24"] = ChainPair(random_dense(24, seed=24), random_dense(24, seed=25))
+        for name, pair in pairs.items():
             n = pair.n
+            step = 8 * n if _block_steps(n, 300) == 1 else 3 * n * n + 4 * n
             monkeypatch.setattr(chains, "_STACK_BUDGET", 2**40)
             whole = corridor(pair, 300)
             # one step per chunk, seven per chunk, and the default budget
-            for budget in (1, 7 * 8 * (3 * n * n + 4 * n), 2**20):
+            for budget in (1, 7 * 8 * step, 2**20):
                 monkeypatch.setattr(chains, "_STACK_BUDGET", budget)
                 part = corridor(pair, 300)
                 for field in ("mus", "targets", "gaps"):
@@ -170,8 +175,9 @@ class TestCorridor:
                     )
 
     def test_memory_streams_as_T_grows(self):
-        # n = 40 scans one step per block, n = 2 blocks of 256 steps; each
-        # horizon spans several full chunks, so that one runs beside the results
+        # n = 40 steps mu by [P0 | P1] and builds no kernel, n = 2 blocks of 64
+        # steps; each horizon spans several full chunks, so that one runs beside
+        # the results
         for n, horizons in ((40, (2000, 8000)), (2, (2 * 10**4, 2 * 10**5))):
             pair = ChainPair(random_dense(n, seed=0), random_dense(n, seed=1))
             pair.pi0  # solve the cached endpoint outside the trace
@@ -183,7 +189,7 @@ class TestCorridor:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                # beyond the (T, n) results, only the chunked kernel stacks
+                # beyond the (T, n) results, only a chunk's rows and kernel stacks
                 excess.append(peak - (cor.mus.nbytes + cor.targets.nbytes + cor.gaps.nbytes))
             assert excess[1] - excess[0] <= 64 * 1024, (n, excess)
 
@@ -196,8 +202,22 @@ corridor_pairs = st.builds(
 )
 
 
+# n = 23 to 32, where every corridor steps mu by [P0 | P1] (K = 1)
+wide_pairs = st.builds(
+    lambda n, s0, s1: ChainPair(random_dense(n, seed=s0), random_dense(n, seed=s1)),
+    st.integers(23, 32),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _assert_bit_for_bit(cor, ref):
+    for field in ("mus", "targets", "gaps"):
+        np.testing.assert_array_equal(getattr(cor, field), getattr(ref, field), err_msg=field)
+
+
 def _assert_near_reference(cor, ref):
-    """The blocked corridor against the per-step loop: same targets, mu and gaps within 1e-12."""
+    """The corridor against the per-step kernel loop: same targets, mu and gaps within 1e-12."""
     np.testing.assert_array_equal(cor.targets, ref.targets)
     assert np.abs(cor.mus - ref.mus).max() <= 1e-12
     assert np.abs(cor.gaps - ref.gaps).max() <= 1e-12
@@ -208,7 +228,7 @@ def _assert_near_reference(cor, ref):
 
 
 class TestBlockedCorridor:
-    """The blocked two-pass scan against the per-step reference loop."""
+    """The blocked two-pass scan and the kernel-free one-step scan against the per-step loops."""
 
     def test_block_steps(self):
         assert [_block_steps(2, T) for T in (1, 3, 4, 10, 10**5, 10**6)] == [1, 1, 2, 3, 64, 64]
@@ -226,14 +246,28 @@ class TestBlockedCorridor:
         pair = suite_pairs[name]
         _assert_near_reference(corridor(pair, 10**5), corridor_reference(pair, 10**5))
 
-    def test_one_step_blocks_are_the_loop_bit_for_bit(self):
-        for n in (32, 40):
-            pair = ChainPair(random_dense(n, seed=n), random_dense(n, seed=n + 1))
-            for T in (1, 7, 300):
-                assert _block_steps(n, T) == 1
-                cor, ref = corridor(pair, T), corridor_reference(pair, T)
-                for field in ("mus", "targets", "gaps"):
-                    np.testing.assert_array_equal(getattr(cor, field), getattr(ref, field))
+    # K = 1 from n = 23 up, and at every n for T <= 3
+    one_step = pytest.mark.parametrize(
+        "n, T", [(32, 1), (32, 7), (32, 300), (40, 300), (2, 1), (5, 2), (8, 3)]
+    )
+
+    @one_step
+    def test_one_step_blocks_are_the_kernel_free_loop_bit_for_bit(self, n, T):
+        pair = ChainPair(random_dense(n, seed=n), random_dense(n, seed=n + 1))
+        assert _block_steps(n, T) == 1
+        _assert_bit_for_bit(corridor(pair, T), corridor_step_reference(pair, T))
+
+    @one_step
+    def test_one_step_blocks_are_near_the_kernel_loop(self, n, T):
+        pair = ChainPair(random_dense(n, seed=n), random_dense(n, seed=n + 1))
+        _assert_near_reference(corridor(pair, T), corridor_reference(pair, T))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pair=wide_pairs, T=st.integers(1, 400))
+    def test_wide_pairs_match_both_loops(self, pair, T):
+        cor = corridor(pair, T)
+        _assert_bit_for_bit(cor, corridor_step_reference(pair, T))
+        _assert_near_reference(cor, corridor_reference(pair, T))
 
 
 class TestHorizonRule:
@@ -435,6 +469,8 @@ def birth_death_and_dense_pairs(n_max: int):
 
 scan_pairs = birth_death_and_dense_pairs(8)
 BD4_TO_DENSE4 = build_suite_pairs()["bd4-to-dense4"]
+# n = 23, where every corridor steps mu by [P0 | P1] as the stable scan does: t_sad 114 at eps 0.2
+BD23 = ChainPair(birth_death(23, 0.38, 0.4), birth_death(23, 0.4, 0.38))
 exact_pairs = birth_death_and_dense_pairs(5)
 
 
@@ -859,9 +895,10 @@ class TestExactCorridor:
     @settings(max_examples=20)
     @given(pair=exact_pairs, T=st.integers(1, 60))
     def test_mus_are_within_the_drop_margin_radii(self, pair, T):
-        # l1 radii: corridor's mu after k + ceil(k/K) float products, each _step_radius(n),
-        # and the scan's mixed step (1 - t) mu P0 + t mu P1 rescaled, _step_radius(n) + 4u a
-        # step; their sum is within the (k + 1) margin the stable scan drops at
+        # l1 radii: the scan's mixed step (1 - t) mu P0 + t mu P1 rescaled, _step_radius(n) + 4u
+        # a step, which corridor's mu takes too at K = 1, and at K > 1 corridor's mu after
+        # k + ceil(k/K) float products, each _step_radius(n); their sum is within the (k + 1)
+        # margin the stable scan drops at
         n, u = pair.n, 2.0**-53
         K = _block_steps(n, T)
         cor, exact = corridor(pair, T), exact_corridor_mus(pair, T)
@@ -872,10 +909,8 @@ class TestExactCorridor:
             Y = mu @ W
             mu = (1 - t) * Y[:, :n] + t * Y[:, n:]
             mu /= mu.sum(axis=1, keepdims=True)
-            for got, radius in (
-                (cor.mus[k - 1], (k + -(-k // K)) * _step_radius(n)),
-                (mu[0], (k + 1) * (_step_radius(n) + 4 * u)),
-            ):
+            mixed, blocked = (k + 1) * (_step_radius(n) + 4 * u), (k + -(-k // K)) * _step_radius(n)
+            for got, radius in ((cor.mus[k - 1], mixed if K == 1 else blocked), (mu[0], mixed)):
                 assert sum(abs(Fraction(float(x)) - y) for x, y in zip(got, exact[k - 1])) <= radius, k
             assert np.abs(mu[0] - cor.mus[k - 1]).sum() <= (k + 1) * (3 * _step_radius(n) + 4 * u), k
 
@@ -1128,6 +1163,13 @@ class TestBatchedStableScan:
             for eps in (0.05, 0.02, 0.01):
                 _assert_same_scan(pair, eps, 300)
 
+    @pytest.mark.parametrize("checks", [64, 4])
+    def test_one_step_reference_corridors_match(self, monkeypatch, checks):
+        # the reference corridors of a wide pair take the scan's own step, which the
+        # drop margin covers as it covers the blocked scan's products
+        monkeypatch.setattr(adiabatic, "_STABLE_CHECKS", checks)
+        assert _assert_same_scan(BD23, 0.2, 200).t_sad == 114
+
     def test_long_horizons_are_checked_at_about_64_steps(self, scan_work):
         pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
         assert stable_adiabatic_time(pair, 0.03).t_sad == 688
@@ -1163,6 +1205,7 @@ class TestBatchedStableScan:
 
     @settings(max_examples=30, deadline=None)
     @given(pair=scan_pairs, eps=st.sampled_from([0.1, 0.05, 0.02]))
+    @example(pair=BD23, eps=0.2)
     def test_every_checked_gap_is_near_the_corridor(self, pair, eps):
         # The scan's mu at step k of horizon T differs from corridor's by at
         # most (k + 1) margin, for every gap it computes, not only the gaps
