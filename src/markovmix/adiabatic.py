@@ -114,11 +114,11 @@ def _stationary_at(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
     node's row, so t = 0 and t = 1 give pair.pi0 and pair.pi1 bit for bit. The sum is one stacked
     vector-matrix product a row, not one matrix product, so that a row's floats are its own t's
     whatever the other rows: a matrix product's rounding can depend on its row count. Every
-    row passes the gate of ``_stationary_stack``, its image pi P_t taken as (1 - t) pi P0 + t pi P1
-    from one product with [P0 | P1].
+    row passes the gate of ``_stationary_stack``, its image pi P_t taken as (1 - t) pi P0 + t pi P1,
+    a column of one product with [P0 | P1]^T: only the gate's residuals depend on the row count.
     """
     nodes, weights, node_pis, W01 = _interpolant(pair)
-    W, t, n = ts[:, None] - nodes, ts[:, None], pair.n
+    W, n = ts[:, None] - nodes, pair.n
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(weights, W, out=W)  # a weight is at most 2^-60, so only t = t_j is not finite
     on, node = np.nonzero(~np.isfinite(W))
@@ -126,10 +126,11 @@ def _stationary_at(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
     W[on, node] = 1.0  # a row on a node takes that node's row alone
     pis = np.matmul(W[:, None, :], node_pis)[:, 0, :]
     pis /= pis.sum(axis=1, keepdims=True)
-    Y = pis @ W01
-    Y[:, :n] *= 1.0 - t
-    Y[:, n:] *= t
-    pis = _gate(pis, Y[:, :n] + Y[:, n:], lambda i: f"stationary interpolant at t={float(ts[i])!r}")
+    Y = W01.T @ pis.T
+    Y[:n] *= 1.0 - ts
+    Y[n:] *= ts
+    residual = np.abs(Y[:n] + Y[n:] - pis.T).sum(axis=0)
+    pis = _gate(pis, residual, lambda i: f"stationary interpolant at t={float(ts[i])!r}")
     pis[on] = node_pis[node]
     return pis
 
@@ -247,6 +248,16 @@ def corridor(pair: ChainPair, T: int) -> Corridor:
         for whole, part in zip(out, rows):
             whole[k - 1 : k - 1 + len(part)] = part
     return Corridor(T, *out)
+
+
+def _corridor_worst(pair: ChainPair, T: int) -> tuple[int, float]:
+    """``corridor(pair, T).worst`` bit for bit, reduced chunk by chunk: memory O(chunk n^2)."""
+    worst = (0, -math.inf)
+    for k, *_, gaps in _corridor_stream(pair, T):
+        i = int(np.argmax(gaps))  # the first NaN, or else the first max, as np.argmax over all gaps
+        if not (worst[1] >= gaps[i] or math.isnan(worst[1])):
+            worst = (k + i, float(gaps[i]))
+    return worst
 
 
 def adiabatic_distance(pair: ChainPair, T: int) -> float:
@@ -406,19 +417,19 @@ def stable_adiabatic_time(
     The definition takes a plain infimum over T (no requirement on larger
     T), and corridor feasibility is not known to be monotone in T, so every
     T is checked in order. Horizons go in blocks, about half as many as
-    already scanned and at least 32, within the stack budget. Every live mu
-    of a block advances one step k at a time by one product with [P0 | P1],
-    as (1 - t) mu P0 + t mu P1 with t = k / T. The scan is a filter: a block
-    of horizons lo..H checks them at the multiples k of max(1, H // 64), from
+    already scanned and at least 32, within the stack budget. A block's live mu
+    are the columns of an (n, L) array M, stepped k by k as Y = [P0 | P1]^T M,
+    (1 - t) mu P0 + t mu P1 with t = k / T. The scan is a filter: a block of
+    horizons lo..H checks them at the multiples k of max(1, H // 64), from
     k = s lo on: s (``_check_from``) is the k / T at which the last block's
     largest dropped horizon T failed, 0 in the first block. The s where a T
     fails narrow as T grows, and no T of the block is below lo. Only there are
     targets evaluated, rows of the pair's interpolant (``_stationary_at``) and
-    the floats of :func:`corridor`, with no kernel built, and a horizon
-    dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u,
+    the floats of :func:`corridor`, with no kernel built, and a horizon (a
+    column) dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u,
     the most that the two mu can round apart. A horizon that survives its
-    checks, even one failing only away from them, is decided by the reference
-    ``corridor(pair, T)``, whose worst step the result reports, so the strict
+    checks, even one failing only away from them, is decided by its reference
+    corridor's worst step, reduced chunk by chunk (``_corridor_worst``), so the strict
     comparison ``gap < eps`` is exact: adding slack would admit gaps equal to eps.
 
     On :class:`CapExceededError` the trace holds, for every T in ascending
@@ -435,10 +446,10 @@ def stable_adiabatic_time(
     # n u (the products), 2u (scale and add), 2u (P^_t's own rounding) and 2u
     # (rescale), _step_radius(n) + 4u. At K > 1 corridor's mu passes through
     # k + ceil(k/K) <= 2k products with the kernels P^_t, each adding _step_radius(n),
-    # and (k + 1) margin covers both; at K = 1 it takes the scan's own step, and
-    # (k + 1) (3 (n + 2) + 4) u covers their 2k ((n + 2) + 4) u for n >= 2.
+    # and (k + 1) margin covers both; at K = 1 it takes the same step formula on rows, other
+    # floats within the same bound, and (k + 1) (3 (n + 2) + 4) u covers their 2k ((n + 2) + 4) u.
     margin = 3 * _step_radius(n) + 4 * 2.0**-53
-    W = _interpolant(pair)[3]  # mu @ W is [mu P0 | mu P1]
+    Wt = _interpolant(pair)[3].T  # Wt @ M stacks the columns mu P0 over mu P1
     trace: list[tuple[int, float]] = []
     lo, drop = 1, (1, 0)  # (T, k) of the last block's largest drop; none yet
     while lo <= cap:
@@ -446,25 +457,27 @@ def stable_adiabatic_time(
         size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
         live = np.arange(lo, lo + size)  # the live horizons, ascending
         stride = max(1, (lo + size - 1) // _STABLE_CHECKS)
-        mus = np.tile(pair.pi0.mass, (size, 1))
+        M = np.tile(pair.pi0.mass[:, None], size)  # column j is the mu of horizon live[j]
         for k in range(1, lo + size):
             ts = k / live
-            t, Y = ts[:, None], mus @ W
-            mus = (1 - t) * Y[:, :n] + t * Y[:, n:]
-            mus /= mus.sum(axis=1, keepdims=True)
+            Y = Wt @ M
+            Y[:n] *= 1 - ts
+            Y[n:] *= ts
+            M = Y[:n] + Y[n:]
+            M /= M.sum(axis=0)
             if k % stride == 0 and k >= gate * lo:
-                gaps = _row_tv(mus, _stationary_at(pair, ts))
+                gaps = _row_tv(M.T, _stationary_at(pair, ts))
                 out = gaps >= eps + (k + 1) * margin
                 gone = live[out].tolist()
                 trace.extend(zip(gone, gaps[out].tolist()))
                 drop = max(drop, (gone[-1], k)) if gone else drop
-                live, mus = live[~out], mus[~out]
+                live, M = live[~out], M[:, ~out]
             if live.size and live[0] == k:
-                k_worst, gap = corridor(pair, k).worst
+                k_worst, gap = _corridor_worst(pair, k)
                 if gap < eps:
                     return StableAdiabaticResult(t_sad=k, eps=eps, worst_k=k_worst, worst_gap=gap)
                 trace.append((k, gap))
-                live, mus = live[1:], mus[1:]
+                live, M = live[1:], M[:, 1:]
             if not live.size:
                 break
         lo += size

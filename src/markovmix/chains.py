@@ -297,17 +297,17 @@ def _stationary_stack(Ps: np.ndarray) -> np.ndarray:
         raise NumericalBreakdownError(
             f"stationary solve, stack row {i}: LU solve raised {exc!r}; numerical breakdown"
         ) from None
-    return _gate(pis, np.einsum("ti,tij->tj", pis, Ps), lambda i: f"stationary solve, stack row {i}")
+    residual = np.abs(np.einsum("ti,tij->tj", pis, Ps) - pis).sum(axis=1)
+    return _gate(pis, residual, lambda i: f"stationary solve, stack row {i}")
 
 
-def _gate(pis: np.ndarray, images: np.ndarray, where) -> np.ndarray:
-    """Check candidate stationary rows against their images ``pi P`` (overwritten), then clip at 0 and renormalize.
+def _gate(pis: np.ndarray, residual: np.ndarray, where) -> np.ndarray:
+    """Check candidate stationary rows and their residuals ``l1(pi P - pi)``, then clip at 0 and renormalize.
 
-    A non-finite entry, an entry below -1e-12 or a residual ``l1(pi P - pi)``
-    above ``STATIONARY_RESIDUAL_TOL`` raises NumericalBreakdownError naming
-    the first such row by ``where(i)``, the failed check and its value.
+    A non-finite entry, an entry below -1e-12 or a residual above
+    ``STATIONARY_RESIDUAL_TOL`` raises NumericalBreakdownError naming the
+    first such row by ``where(i)``, the failed check and its value.
     """
-    residual = np.abs(np.subtract(images, pis, out=images), out=images).sum(axis=1)
     # a NaN or inf in pi makes its residual NaN or inf, which fails the first test
     if not (residual.max() <= STATIONARY_RESIDUAL_TOL and pis.min() >= -1e-12):
         bad = ~np.isfinite(pis).all(axis=1) | (pis < -1e-12).any(axis=1) | ~(residual <= STATIONARY_RESIDUAL_TOL)

@@ -8,6 +8,7 @@ import argparse
 import re
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from .adiabatic import (
@@ -241,8 +242,12 @@ def _run(args) -> int:
     return code
 
 
+# main's parser, built on its first call and kept: parsing leaves a parser unchanged
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except CapExceededError as exc:

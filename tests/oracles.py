@@ -256,12 +256,42 @@ def corridor_reference(pair, T: int):
     return Corridor(T=T, mus=mus, targets=targets, gaps=_row_tv(mus, targets))
 
 
+def stationary_at_row_major(pair, ts: np.ndarray) -> np.ndarray:
+    """``adiabatic._stationary_at`` with its gate's images formed row by row, pi @ [P0 | P1].
+
+    The reference for the library's column-major gate: the targets come from the same stacked
+    per-row product, row normalization, clip and renormalization, so they must equal its rows
+    bit for bit. Only the gate's residuals, which decide a breakdown and nothing else, round apart.
+    """
+    from markovmix.adiabatic import _interpolant
+    from markovmix.chains import _gate
+
+    nodes, weights, node_pis, W01 = _interpolant(pair)
+    W, t, n = ts[:, None] - nodes, ts[:, None], pair.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, W, out=W)
+    on, node = np.nonzero(~np.isfinite(W))
+    W[on] = 0.0
+    W[on, node] = 1.0
+    pis = np.matmul(W[:, None, :], node_pis)[:, 0, :]
+    pis /= pis.sum(axis=1, keepdims=True)
+    Y = pis @ W01
+    Y[:, :n] *= 1.0 - t
+    Y[:, n:] *= t
+    residual = np.abs(Y[:, :n] + Y[:, n:] - pis).sum(axis=1)
+    pis = _gate(pis, residual, lambda i: f"stationary interpolant at t={float(ts[i])!r}")
+    pis[on] = node_pis[node]
+    return pis
+
+
 def corridor_step_reference(pair, T: int):
     """The kernel-free per-step corridor: mu P_t as (1 - t) mu P0 + t mu P1, then rescaled.
 
-    One vector-matrix product with [P0 | P1] a step, the stable scan's step,
-    and no kernel: ``corridor`` must equal it bit for bit wherever its blocks
-    are one step long. The targets are the library's interpolant rows.
+    One vector-matrix product with [P0 | P1] a step and no kernel: ``corridor``
+    must equal it bit for bit wherever its blocks are one step long. The stable
+    scan takes the same step formula on the columns of an (n, L) array, so its
+    mu round apart from these within the same per-step bound. The targets are
+    the library's interpolant rows.
     """
     from markovmix import Corridor
     from markovmix.adiabatic import _stationary_at

@@ -67,6 +67,7 @@ from oracles import (
     exact_stationary,
     mitrophanov_tail_from,
     stable_scan_reference,
+    stationary_at_row_major,
     suffix_gaps_reference,
     suffix_ladder_reference,
     two_state_stationary,
@@ -469,7 +470,7 @@ def birth_death_and_dense_pairs(n_max: int):
 
 scan_pairs = birth_death_and_dense_pairs(8)
 BD4_TO_DENSE4 = build_suite_pairs()["bd4-to-dense4"]
-# n = 23, where every corridor steps mu by [P0 | P1] as the stable scan does: t_sad 114 at eps 0.2
+# n = 23, where every corridor steps mu by [P0 | P1], the stable scan's step formula: t_sad 114 at eps 0.2
 BD23 = ChainPair(birth_death(23, 0.38, 0.4), birth_death(23, 0.4, 0.38))
 exact_pairs = birth_death_and_dense_pairs(5)
 
@@ -548,6 +549,20 @@ class TestStationaryInterpolant:
         got = _exact_tv(_stationary_at(pair, ts)[0], exact)
         direct = _exact_tv(_stationary_stack(_interp_stack(pair, ts))[0], exact)
         assert got <= max(direct, radius) + 1e-15, (got, direct, radius)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=birth_death_and_dense_pairs(40),
+        ts=st.lists(st.floats(0.0, 1.0), max_size=20),
+        rows=st.sampled_from([1, 500]),
+    )
+    def test_equals_the_row_major_oracle_bit_for_bit(self, pair, ts, rows):
+        # free t values, the nodes, subnormals and the steps of a 500-step corridor, in
+        # chunks of 1 or 500 rows: the column-major gate moves no target float
+        ts = np.concatenate([ts, _interpolant(pair)[0], [5e-324, 1e-310], np.arange(1, 501) / 500])
+        for lo in range(0, len(ts), rows):
+            chunk = ts[lo : lo + rows]
+            assert _stationary_at(pair, chunk).tobytes() == stationary_at_row_major(pair, chunk).tobytes()
 
     def test_ends_and_nodes_are_their_solves_bit_for_bit(self, suite_pairs):
         for name, pair in suite_pairs.items():
@@ -641,6 +656,39 @@ class TestCorridorStream:
         assert [k for k, *_ in rows] == list(np.cumsum([first] + [len(g) for *_, g in rows[:-1]]))
         for field, got in zip(("mus", "targets", "gaps"), zip(*(r[1:] for r in rows))):
             assert np.concatenate(got).tobytes() == getattr(cor, field)[first - 1 :].tobytes()
+
+    @settings(max_examples=60)
+    @given(pair=scan_pairs, T=st.integers(1, 400), blocks=st.sampled_from([None, 1, 2, 3]))
+    @example(pair=BD23, T=114, blocks=None)
+    def test_worst_reduced_chunk_by_chunk_is_the_corridors(self, pair, T, blocks):
+        want = corridor(pair, T).worst
+        n, K = pair.n, _block_steps(pair.n, T)
+        with pytest.MonkeyPatch.context() as mp:
+            if blocks:
+                mp.setattr(chains, "_STACK_BUDGET", blocks * K * 8 * (3 * n * n + 4 * n))
+            k, gap = adiabatic._corridor_worst(pair, T)
+        assert (k, gap.hex()) == (want[0], want[1].hex())
+
+    @given(
+        chunks=st.lists(
+            st.lists(st.sampled_from([0.0, 0.1, 0.3, math.nan]) | st.floats(0.0, 1.0), min_size=1, max_size=5),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_worst_takes_the_first_nan_or_else_the_first_max(self, chunks):
+        # gaps with ties and NaN, yielded in chunks as the stream yields them
+        gaps = np.concatenate(chunks)
+        want = Corridor(len(gaps), np.zeros((len(gaps), 2)), np.zeros((len(gaps), 2)), gaps).worst
+
+        def stream(pair, T):
+            for k, part in zip(np.cumsum([1] + [len(c) for c in chunks[:-1]]).tolist(), chunks):
+                yield k, None, None, np.array(part)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adiabatic, "_corridor_stream", stream)
+            k, gap = adiabatic._corridor_worst(None, len(gaps))
+        assert (k, repr(gap)) == (want[0], repr(want[1]))
 
 
 class TestBatchedAdiabaticGaps:
@@ -1049,15 +1097,15 @@ def scan_work(monkeypatch):
     ``rows`` holds the size of every target evaluation the scan makes at its
     check steps, ``nodes`` of every stationary solve (the interpolant's
     nodes) and ``stacks`` of every kernel stack made outside the reference
-    corridor, ``decided`` the T of every reference ``corridor`` call and
-    ``steps`` the number of mu steps the scan took.
+    corridor, ``decided`` the T of every reference corridor (``_corridor_worst``)
+    and ``steps`` the number of mu steps the scan took.
     """
     work = SimpleNamespace(rows=[], nodes=[], stacks=[], decided=[], steps=0)
-    real_at, real_stack, real_interp, real_corridor = (
+    real_at, real_stack, real_interp, real_worst = (
         adiabatic._stationary_at,
         adiabatic._stationary_stack,
         chains._interp_stack,
-        adiabatic.corridor,
+        adiabatic._corridor_worst,
     )
     inside = []
 
@@ -1079,7 +1127,7 @@ def scan_work(monkeypatch):
         work.decided.append(T)
         inside.append(T)
         try:
-            return real_corridor(pair, T)
+            return real_worst(pair, T)
         finally:
             inside.pop()
 
@@ -1096,7 +1144,7 @@ def scan_work(monkeypatch):
     monkeypatch.setattr(adiabatic, "_stationary_at", at)
     monkeypatch.setattr(adiabatic, "_stationary_stack", stack)
     monkeypatch.setattr(chains, "_interp_stack", interp)
-    monkeypatch.setattr(adiabatic, "corridor", reference)
+    monkeypatch.setattr(adiabatic, "_corridor_worst", reference)
     monkeypatch.setattr(adiabatic, "range", scan_range, raising=False)
     return work
 
@@ -1165,8 +1213,9 @@ class TestBatchedStableScan:
 
     @pytest.mark.parametrize("checks", [64, 4])
     def test_one_step_reference_corridors_match(self, monkeypatch, checks):
-        # the reference corridors of a wide pair take the scan's own step, which the
-        # drop margin covers as it covers the blocked scan's products
+        # the reference corridors of a wide pair take the scan's step formula on rows, the
+        # scan on columns; the drop margin covers their rounding as it covers the blocked
+        # scan's products
         monkeypatch.setattr(adiabatic, "_STABLE_CHECKS", checks)
         assert _assert_same_scan(BD23, 0.2, 200).t_sad == 114
 
@@ -1275,13 +1324,13 @@ class TestBatchedStableScan:
         shift = np.zeros(pair.n)
         shift[np.argmax(excess)] -= (pair.n + 2) * 2.0**-53
         shift[np.argmin(excess)] += (pair.n + 2) * 2.0**-53
-        real_at, real_corridor = adiabatic._stationary_at, adiabatic.corridor
+        real_at, real_worst = adiabatic._stationary_at, adiabatic._corridor_worst
         inside = []
 
-        def unshifted_corridor(pair, T):
+        def unshifted_worst(pair, T):
             inside.append(T)
             try:
-                return real_corridor(pair, T)
+                return real_worst(pair, T)
             finally:
                 inside.pop()
 
@@ -1289,7 +1338,7 @@ class TestBatchedStableScan:
             pis = real_at(pair, ts)
             return pis if inside else pis + shift
 
-        monkeypatch.setattr(adiabatic, "corridor", unshifted_corridor)
+        monkeypatch.setattr(adiabatic, "_corridor_worst", unshifted_worst)
         monkeypatch.setattr(adiabatic, "_stationary_at", shifted_at)
         got = stable_adiabatic_time(pair, eps, cap=t)
         assert (got.t_sad, got.worst_k) == (want.t_sad, want.worst_k) == (t, k)

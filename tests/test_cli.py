@@ -242,6 +242,25 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_in_process_calls_share_one_parser_and_no_state(self, capsys, pair_file):
+        # main keeps its parser after the first call; build_parser still makes a new one
+        assert cli.build_parser() is not cli.build_parser()
+        chain = ["--chain", str(pair_file)]
+        code, only_p0 = run_json(capsys, ["stationary", *chain, "--which", "P0", "--s", "0.5"])
+        assert code == EXIT_OK and set(only_p0) == {"chain", "n", "pi0", "s", "pi_s"}
+        code, default = run_json(capsys, ["stationary", *chain])
+        assert code == EXIT_OK and set(default) == {"chain", "n", "pi0", "pi1"}
+        assert default["pi0"] == only_p0["pi0"]
+        code, mixing = run_json(capsys, ["mixing", *chain, "--epsilon", "0.1"])
+        assert code == EXIT_OK and mixing["kernel"] == "P1"
+        assert cli._parser() is cli._parser()
+        # a usage error after a successful call still exits 64
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mixing", *chain])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--epsilon" in capsys.readouterr().err
+        assert run_json(capsys, ["mixing", *chain, "--epsilon", "0.1"]) == (EXIT_OK, mixing)
+
 
 class TestExitCodes:
     def test_validation_failure(self, tmp_path, capsys):
