@@ -19,14 +19,37 @@ DEFAULT_MIXING_CAP = 10**6
 DEFAULT_GRID_POINTS = 101
 DEFAULT_REFINE_DEPTH = 4
 
+# Stacks under this many floats (k n^2) evaluate every step in full: a witness row costs what the gap does
+_WITNESS_FLOATS = 2**14
+
+
+def _no_rise_bound(Ps: np.ndarray, pis: np.ndarray, cap: int) -> float:
+    """delta with g_T <= g_(T-1) + delta for each row's computed gap in a scan of ``Ps`` to ``cap``, else inf.
+
+    gamma = (n + 1) u / (1 - (n + 1) u); sigma, the largest row l1 norm, and r, the largest l1(pi P - pi)
+    plus its product's error gamma sigma, are rounded up by (1 + gamma). A step is fl(x P) = x P + e with
+    l1(e) <= gamma sigma l1(x) (Higham 3.5), l1(x P - pi) <= sigma l1(x - pi) + r, and a gap's rounding
+    is relative, within gamma. So while l1(x) <= 2, as row masses stay while cap ((1 + gamma) sigma - 1)
+    <= 1/2, g <= 1.5 (1 + gamma) and g_T <= (1 + gamma) sigma / (1 - gamma) g_(T-1) + (1 + gamma)(r / 2
+    + gamma sigma); 2u more covers ``prev + PASS_SLACK``'s rounding: delta <= PASS_SLACK rules a rise out.
+    """
+    u, n = 2.0**-53, Ps.shape[-1]
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    sigma = float(np.abs(Ps).sum(axis=2).max()) * (1 + gamma)
+    r = (float(np.abs(np.matmul(pis[:, None], Ps)[:, 0] - pis).sum(axis=1).max()) + gamma * sigma) * (1 + gamma)
+    if not cap * ((1 + gamma) * sigma - 1) <= 0.5:  # a NaN entry bounds nothing
+        return np.inf
+    growth = max(0.0, sigma - 1 + gamma * (sigma + 1)) / (1 - gamma)  # (1 + gamma) sigma / (1 - gamma) - 1
+    return 1.5 * (1 + gamma) * growth + (1 + gamma) * (r / 2 + gamma * sigma) + 2 * u
+
 
 @dataclass(frozen=True)
 class MixingResult:
     """Mixing time of one kernel.
 
     ``worst_state`` is the Dirac start attaining the max gap at ``tmix``;
-    ``final_gap`` is that gap (at most eps, while at tmix - 1 the max gap
-    still exceeded eps).
+    ``final_gap`` is that gap (at most eps + ``PASS_SLACK``, the scan's
+    pass bar, while at tmix - 1 the max gap still exceeded that bar).
     """
 
     tmix: int
@@ -56,27 +79,44 @@ def _mixing_scans(
 ) -> list[list[MixingResult]]:
     """Mixing times of each kernel of a (k, n, n) stack against its target in ``pis``, at each eps.
 
-    Every kernel is powered by repeated multiplication and checked at every
-    T in 1..cap, in lockstep; each keeps its own product sequence, so its
-    result is bit-identical to a scan of it alone at one eps. The results
-    are one (eps x kernel) table, ``results[e][i]`` the first T at which
-    kernel i's max Dirac-start TV gap is within ``eps_values[e]``; a kernel
-    retires once within the smallest eps. The max gap is nonincreasing in T
-    (contraction toward stationarity); a rise beyond ``PASS_SLACK`` raises
+    Every kernel is powered by repeated multiplication for T in 1..cap, in
+    lockstep; each keeps its own product sequence, so its result is
+    bit-identical to a scan of it alone at one eps. The results are one
+    (eps x kernel) table, ``results[e][i]`` the first T at which kernel i's
+    max Dirac-start TV gap is within ``eps_values[e]``; a kernel retires once
+    within the smallest eps. The max gap is nonincreasing in T (contraction
+    toward stationarity); a rise beyond ``PASS_SLACK`` raises
     NumericalBreakdownError naming the kernel by ``label(i)``, i its stack
     position. Its callers: ``mixing_time`` and ``_family_tmix``.
+
+    A step skips the n x n gap if the stack has ``_WITNESS_FLOATS`` floats or more, ``_no_rise_bound``
+    rules out the rise check, and each kernel's forecast g_(T-1)^2 / g_(T-2) and the gap of its witness
+    row (its last full argmax) clear the largest bar: no kernel can then newly be within any eps, and
+    the witness gap stands in for its previous gap.
     """
     bars = np.array(eps_values)[:, None] + PASS_SLACK  # a column: one row per eps
+    top = bars.max()  # a witness gap above clear is a full one above top: each sum order is within gamma_(n-1)
+    clear = top * (1 + 2 * (Ps.shape[-1] + 1) * 2.0**-53)
     results: list = [[None] * len(Ps) for _ in eps_values]
     live, P, pi, M = np.arange(len(Ps)), Ps, pis[:, None, :], Ps.copy()
     # written in place at every step, rather than by chains._row_tv: a fresh
     # n x n array per step would cost more than the arithmetic at large n
     diff, spare = np.empty_like(M), np.empty_like(M)
-    prev = np.inf
+    prev = prev2 = np.full(len(Ps), np.inf)
+    no_rise = None if Ps.size >= _WITNESS_FLOATS else False  # None until the bound is first needed
     for T in range(1, cap + 1):
+        if no_rise is not False and T > 2 and (prev * (prev / prev2) > top).all():
+            if no_rise is None:
+                no_rise = _no_rise_bound(Ps, pis, cap) <= PASS_SLACK
+            if no_rise:  # each kernel's witness row: the argmax of its last full evaluation
+                seen = 0.5 * np.abs(M[np.arange(len(M)), gaps.argmax(axis=1)] - pi[:, 0]).sum(axis=1)
+                if (seen > clear).all():  # a NaN fails, and takes the full evaluation
+                    prev2, prev = prev, seen
+                    M, spare = np.matmul(M, P, out=spare), M
+                    continue
         gaps = 0.5 * np.abs(np.subtract(M, pi, out=diff), out=diff).sum(axis=2)
         worst = gaps.max(axis=1)
-        if (worst > prev + PASS_SLACK).any():
+        if not no_rise and (worst > prev + PASS_SLACK).any():
             i = np.flatnonzero(worst > prev + PASS_SLACK)[0]
             raise NumericalBreakdownError(
                 f"kernel {label(int(live[i]))}: max TV gap increased from "
@@ -92,9 +132,9 @@ def _mixing_scans(
             keep = worst > bars.min()  # within the smallest eps is within every eps
             if not keep.any():
                 return results
-            live, P, pi, M, worst = (a[keep] for a in (live, P, pi, M, worst))
+            live, P, pi, M, worst, prev, gaps = (a[keep] for a in (live, P, pi, M, worst, prev, gaps))
             diff, spare = diff[: len(live)], spare[: len(live)]
-        prev = worst
+        prev2, prev = prev, worst
         M, spare = np.matmul(M, P, out=spare), M
     raise IterationCapError(f"no T <= {cap} reached eps = {min(eps_values)!r}")
 

@@ -18,6 +18,7 @@ from markovmix import (
     NumericalBreakdownError,
     OutOfRangeError,
     interpolate,
+    lazy_cycle,
     mixing_time,
     random_dense,
     stationary,
@@ -27,7 +28,14 @@ from markovmix import (
 )
 
 from markovmix.chains import _stationary_stack
-from markovmix.mixing import DEFAULT_MIXING_CAP, _family_tmix, _mixing_scans, _sup_mixing_times
+from markovmix.mixing import (
+    DEFAULT_MIXING_CAP,
+    PASS_SLACK,
+    _family_tmix,
+    _mixing_scans,
+    _no_rise_bound,
+    _sup_mixing_times,
+)
 
 from oracles import (
     brute_mixing_time,
@@ -209,6 +217,16 @@ class TestBatchedMixingScan:
         with pytest.raises(NumericalBreakdownError, match="at T=2; numerical"):
             mixing_scan_reference(Ps[2], pis[2], 0.01, DEFAULT_MIXING_CAP)
 
+    def test_late_rise_is_a_breakdown(self, lazy):
+        # A kernel grown by 0.1%: its max gap, max(1.001^T - 1, 1.001^T 2^-T) / 2, falls until
+        # T = 7 and rises from T = 8, late enough that a forecast would allow witness steps.
+        Ps, pis = 1.001 * lazy.entries[None], np.full((1, 2), 0.5)
+        with pytest.raises(NumericalBreakdownError, match="at T=8; numerical") as got:
+            _mixing_scans(Ps, pis, [0.001], 1000)
+        with pytest.raises(NumericalBreakdownError) as ref:
+            mixing_scan_reference(Ps[0], pis[0], 0.001, 1000)
+        assert str(got.value) == f"kernel 0: {ref.value}"
+
     def test_sup_breakdown_names_s(self, lazy_asym_pair, monkeypatch):
         interp, solve = chains._interp_stack, mixing._stationary_stack
 
@@ -225,6 +243,116 @@ class TestBatchedMixingScan:
         # the PROP2 sweep's grid, whose fourth s is not the sup grid's 0.3; a Python float's repr
         with pytest.raises(NumericalBreakdownError, match=r"^kernel s=0\.30000000000000004: "):
             _family_tmix(lazy_asym_pair, np.linspace(0.0, 1.0, 11).tolist(), [0.05])
+
+
+class TestWitnessPath(TestBatchedMixingScan):
+    """Every batched-scan test again, with every stack allowed witness steps.
+
+    The full n x n gap is then evaluated only where the forecast or a witness
+    row comes near the largest bar, or ``_no_rise_bound`` does not rule out a
+    rise; the results, errors and messages must not change.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def every_stack_takes_witness_steps(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixing, "_WITNESS_FLOATS", 0)
+            yield
+
+    # hypothesis runs a test function from one class only, so the two property tests are restated
+
+    @settings(max_examples=60)
+    @given(Ps=dense_stacks, eps=st.sampled_from([0.3, 0.1, 0.05, 0.01, 1e-4]))
+    def test_equals_per_kernel_reference(self, Ps, eps):
+        pis = _stationary_stack(Ps)
+        assert _mixing_scans(Ps, pis, [eps], DEFAULT_MIXING_CAP) == [_references(Ps, pis, eps)]
+
+    @settings(max_examples=60)
+    @given(
+        Ps=dense_stacks,
+        eps_values=st.lists(st.sampled_from([0.3, 0.1, 0.05, 0.01, 1e-4]), min_size=1, max_size=4),
+    )
+    def test_several_eps_equal_one_eps_scans(self, Ps, eps_values):
+        pis = _stationary_stack(Ps)
+        assert _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP) == [_references(Ps, pis, e) for e in eps_values]
+
+
+# Stacks of slow, lazy random dense kernels at or above the witness size rule,
+# so that long scans take witness steps with the default constant
+long_stacks = st.integers(40, 64).flatmap(
+    lambda n: st.builds(
+        lambda seeds, lazies: np.stack(
+            [a * np.eye(n) + (1.0 - a) * random_dense(n, seed=seed).entries for seed, a in zip(seeds, lazies)]
+        ),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=-(-mixing._WITNESS_FLOATS // (n * n)), max_size=12),
+        lazies=st.lists(st.floats(0.9, 0.99), min_size=12, max_size=12),
+    )
+)
+
+
+class TestWitnessLongScans:
+    @settings(max_examples=10)
+    @given(
+        Ps=long_stacks,
+        eps_values=st.lists(st.sampled_from([0.25, 0.1, 0.03, 0.01]), min_size=1, max_size=4),
+    )
+    def test_long_scans_equal_the_reference(self, Ps, eps_values):
+        # the witness path runs: the bound is taken, and it rules the rise check out
+        bounds = []
+
+        def recorded(*args):
+            bounds.append(_no_rise_bound(*args))
+            return bounds[-1]
+
+        pis = _stationary_stack(Ps)
+        assert Ps.size >= mixing._WITNESS_FLOATS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixing, "_no_rise_bound", recorded)
+            got = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP)
+        assert len(bounds) == 1 and bounds[0] <= PASS_SLACK
+        assert got == [_references(Ps, pis, eps) for eps in eps_values]
+
+
+class TestNoRiseBound:
+    @pytest.mark.parametrize(
+        "P", [lazy_cycle(200, 0.5), *(random_dense(n, seed=n) for n in (100, 200, 400))], ids=lambda P: f"n{P.n}"
+    )
+    def test_within_slack_on_large_kernels(self, P):
+        assert _no_rise_bound(P.entries[None], stationary(P).mass[None], DEFAULT_MIXING_CAP) <= PASS_SLACK
+
+    def test_within_slack_on_every_suite_family(self, suite_pairs):
+        for name, pair in suite_pairs.items():
+            Ps = chains._interp_stack(pair, np.linspace(0.0, 1.0, 101))
+            assert _no_rise_bound(Ps, _stationary_stack(Ps), DEFAULT_MIXING_CAP) <= PASS_SLACK, name
+
+    def test_above_slack_on_a_grown_kernel_or_a_loose_target(self, lazy):
+        # the stack of test_rising_gap_is_a_breakdown, whose third kernel's rows sum to 1.5
+        grown = np.stack([np.full((2, 2), 0.5), lazy.entries, 1.5 * lazy.entries])
+        assert _no_rise_bound(grown, np.full((3, 2), 0.5), DEFAULT_MIXING_CAP) > PASS_SLACK
+        P = random_dense(20, seed=3).entries
+        pi = stationary(validate_stochastic(P)).mass
+        off = pi + 5e-12 * np.eye(20)[0] - 5e-12 * np.eye(20)[1]
+        assert np.abs(off @ P - off).sum() == pytest.approx(1e-11, rel=0.5)
+        assert _no_rise_bound(P[None], off[None], DEFAULT_MIXING_CAP) > PASS_SLACK
+        # row masses could pass 2 before a cap this long
+        assert _no_rise_bound(P[None], pi[None], 10**18) == math.inf
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        lazy=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    )
+    def test_bounds_every_observed_rise(self, n, seed, lazy):
+        # each row's gap, computed as the scan computes it, over 200 steps
+        P = lazy * np.eye(n) + (1.0 - lazy) * random_dense(n, seed=seed).entries
+        pi = _stationary_stack(P[None])[0]
+        delta = _no_rise_bound(P[None], pi[None], 200)
+        M, rows = P.copy(), []
+        for _ in range(200):
+            rows.append(0.5 * np.abs(M - pi).sum(axis=1))
+            M = M @ P
+        assert np.diff(rows, axis=0).max() <= delta <= PASS_SLACK
 
 
 class TestSupMixingTime:
