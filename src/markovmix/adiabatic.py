@@ -404,9 +404,9 @@ class StableAdiabaticResult:
     worst_gap: float
 
 
-def _check_from(T: int, k: int) -> float:
-    """The s from which the next block checks: k / T, where a block's largest dropped T failed at k."""
-    return k / T
+def _check_from(T: int, k: int, back: int) -> float:
+    """The next gate, (k - back) / T: T the largest drop, at k; back the stride if k was the first check."""
+    return (k - back) / T
 
 
 def stable_adiabatic_time(
@@ -415,22 +415,25 @@ def stable_adiabatic_time(
     """Upward scan for the stable adiabatic time.
 
     The definition takes a plain infimum over T (no requirement on larger
-    T), and corridor feasibility is not known to be monotone in T, so every
-    T is checked in order. Horizons go in blocks, about half as many as
-    already scanned and at least 32, within the stack budget. A block's live mu
-    are the columns of an (n, L) array M, stepped k by k as Y = [P0 | P1]^T M,
-    (1 - t) mu P0 + t mu P1 with t = k / T. The scan is a filter: a block of
-    horizons lo..H checks them at the multiples k of max(1, H // 64), from
-    k = s lo on: s (``_check_from``) is the k / T at which the last block's
-    largest dropped horizon T failed, 0 in the first block. The s where a T
-    fails narrow as T grows, and no T of the block is below lo. Only there are
-    targets evaluated, rows of the pair's interpolant (``_stationary_at``) and
-    the floats of :func:`corridor`, with no kernel built, and a horizon (a
-    column) dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u,
-    the most that the two mu can round apart. A horizon that survives its
-    checks, even one failing only away from them, is decided by its reference
-    corridor's worst step, reduced chunk by chunk (``_corridor_worst``), so the strict
-    comparison ``gap < eps`` is exact: adding slack would admit gaps equal to eps.
+    T), and corridor feasibility is not known to be monotone in T, so every T
+    below the answer is shown to fail. Horizons go in blocks, about half as many as
+    already scanned and at least 32, within the stack budget. A block's live mu are
+    the columns of an (n, L) array M, stepped k by k as Y = [P0 | P1]^T M,
+    (1 - t) mu P0 + t mu P1 with t = k / T. The scan is a filter: a block of horizons
+    lo..H checks them at the multiples k of max(1, H // 64) from k = s lo on. Only
+    there are targets evaluated, rows of the pair's interpolant (``_stationary_at``)
+    and the floats of :func:`corridor`, with no kernel built, and a horizon (a column)
+    dropped at a gap that reaches eps by more than (k + 1) (3 (n + 2) + 4) u, the most
+    that the two mu can round apart. The gate s (``_check_from``) is the k / T of the
+    last block's largest dropped T, 0 in the first block, less one stride if T dropped
+    at its block's first check: it failed wherever checking began, and s would climb a
+    stride a block past the next horizons' failures. A horizon that survives its checks
+    is decided by its reference corridor's worst step, reduced chunk by chunk
+    (``_corridor_worst``), so the strict comparison ``gap < eps`` is exact. It runs at
+    k = T, or early for the smallest live T at a check that drops nothing more than two
+    strides past r T, r the block's largest k / T of a drop: a pass is returned, as
+    every smaller T has failed, and a failure drops T and ends early references in the
+    block. Neither rule decides a horizon, so t_sad, worst_k and worst_gap cannot move.
 
     On :class:`CapExceededError` the trace holds, for every T in ascending
     order, the gap that ruled T out: the gap at the checked step that
@@ -451,9 +454,10 @@ def stable_adiabatic_time(
     margin = 3 * _step_radius(n) + 4 * 2.0**-53
     Wt = _interpolant(pair)[3].T  # Wt @ M stacks the columns mu P0 over mu P1
     trace: list[tuple[int, float]] = []
-    lo, drop = 1, (1, 0)  # (T, k) of the last block's largest drop; none yet
+    lo, drop = 1, (1, 0, 0)  # (T, k, back) of the last block's largest drop; none yet
     while lo <= cap:
-        gate, drop = _check_from(*drop), (1, 0)
+        # reach: the block's largest k / T of a drop, 0 before one, inf after a failed early reference
+        gate, drop, reach, first = _check_from(*drop), (1, 0, 0), 0.0, True
         size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
         live = np.arange(lo, lo + size)  # the live horizons, ascending
         stride = max(1, (lo + size - 1) // _STABLE_CHECKS)
@@ -465,19 +469,24 @@ def stable_adiabatic_time(
             Y[n:] *= ts
             M = Y[:n] + Y[n:]
             M /= M.sum(axis=0)
+            early = False
             if k % stride == 0 and k >= gate * lo:
                 gaps = _row_tv(M.T, _stationary_at(pair, ts))
                 out = gaps >= eps + (k + 1) * margin
                 gone = live[out].tolist()
                 trace.extend(zip(gone, gaps[out].tolist()))
-                drop = max(drop, (gone[-1], k)) if gone else drop
+                if gone:
+                    drop = max(drop, (gone[-1], k, stride if first else 0))
+                    reach = max(reach, k / gone[0])
+                first, early = False, not gone and reach and k > reach * live[0] + 2 * stride
                 live, M = live[~out], M[:, ~out]
-            if live.size and live[0] == k:
-                k_worst, gap = _corridor_worst(pair, k)
+            if live.size and (live[0] == k or early):
+                T = int(live[0])
+                k_worst, gap = _corridor_worst(pair, T)
                 if gap < eps:
-                    return StableAdiabaticResult(t_sad=k, eps=eps, worst_k=k_worst, worst_gap=gap)
-                trace.append((k, gap))
-                live, M = live[1:], M[:, 1:]
+                    return StableAdiabaticResult(t_sad=T, eps=eps, worst_k=k_worst, worst_gap=gap)
+                trace.append((T, gap))
+                live, M, reach = live[1:], M[:, 1:], math.inf if T > k else reach
             if not live.size:
                 break
         lo += size

@@ -1097,10 +1097,11 @@ def scan_work(monkeypatch):
     ``rows`` holds the size of every target evaluation the scan makes at its
     check steps, ``nodes`` of every stationary solve (the interpolant's
     nodes) and ``stacks`` of every kernel stack made outside the reference
-    corridor, ``decided`` the T of every reference corridor (``_corridor_worst``)
-    and ``steps`` the number of mu steps the scan took.
+    corridor, ``decided`` the T of every reference corridor (``_corridor_worst``),
+    ``early`` the block's lo, T and worst gap of every reference taken before
+    step T, and ``steps`` the number of mu steps the scan took.
     """
-    work = SimpleNamespace(rows=[], nodes=[], stacks=[], decided=[], steps=0)
+    work = SimpleNamespace(rows=[], nodes=[], stacks=[], decided=[], early=[], steps=0)
     real_at, real_stack, real_interp, real_worst = (
         adiabatic._stationary_at,
         adiabatic._stationary_stack,
@@ -1124,12 +1125,16 @@ def scan_work(monkeypatch):
         return real_interp(pair, ts)
 
     def reference(pair, T):
+        scan = sys._getframe(1).f_locals
         work.decided.append(T)
         inside.append(T)
         try:
-            return real_worst(pair, T)
+            k_worst, gap = real_worst(pair, T)
         finally:
             inside.pop()
+        if scan["k"] < T:
+            work.early.append((scan["lo"], T, gap))
+        return k_worst, gap
 
     def counted(ks):
         for k in ks:
@@ -1198,11 +1203,17 @@ class TestBatchedStableScan:
         # learned one in every block: at s = 1 a block checks only from its
         # smallest horizon's last step on, and at s = inf at no step, so that
         # every horizon goes to the reference.
+        decided, real = [], adiabatic._corridor_worst
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adiabatic, "_STABLE_CHECKS", checks)
+            mp.setattr(adiabatic, "_corridor_worst", lambda pair, T: decided.append(T) or real(pair, T))
             if gate is not None:
-                mp.setattr(adiabatic, "_check_from", lambda T, k: gate)
-            _assert_same_scan(pair, eps, 60)
+                mp.setattr(adiabatic, "_check_from", lambda T, k, back: gate)
+            got = _assert_same_scan(pair, eps, 60)
+        if gate == math.inf:
+            # a patch that no longer reaches the scan's gate fails here
+            last = 60 if isinstance(got, CapExceededError) else got.t_sad
+            assert decided == list(range(1, last + 1))
 
     @pytest.mark.parametrize("checks", [2, 4, 8])
     def test_suite_pairs_match_reference_on_a_coarse_grid(self, suite_pairs, monkeypatch, checks):
@@ -1225,19 +1236,41 @@ class TestBatchedStableScan:
         # a target for every live horizon at every step took 78,180 rows, and
         # a check every max(1, T // 64) steps for each horizon T took 10,162;
         # one stride per block, from its largest horizon, took 8,715, and
-        # checks from where the last block's largest drop failed take 5,362
-        assert sum(scan_work.rows) <= 5_400
+        # checks from where the last block's largest drop failed took 5,362;
+        # an early reference of T = 688 at step 396 ends the scan at 4,270
+        assert sum(scan_work.rows) <= 4_300
         assert scan_work.decided == [688]
 
     def test_no_kernel_is_built_at_check_steps(self, scan_work):
         pair = ChainPair(birth_death(10, 0.3, 0.4), birth_death(10, 0.4, 0.3))
         assert stable_adiabatic_time(pair, 0.03).t_sad == 688
-        # mu advances through [P0 | P1], and the targets of the 77 check steps
-        # past the gate (104 in all) are rows of the pair's interpolant: its
-        # n = 10 nodes are the only kernels built and the only solves
-        assert scan_work.steps == 847
-        assert len(scan_work.rows) <= 80
+        # mu advances through [P0 | P1], and the targets of the 51 check steps
+        # past the gate are rows of the pair's interpolant: its n = 10 nodes
+        # are the only kernels built and the only solves. Without the early
+        # reference at step 396 the last block stepped on to k = 688, 847 in all.
+        assert scan_work.steps == 555
+        assert len(scan_work.rows) <= 55
         assert scan_work.stacks == scan_work.nodes == [10]
+
+    def test_the_gate_does_not_climb_past_failures(self, scan_work, monkeypatch):
+        # In blocks of 8 horizons, a block's largest drop mostly came at its
+        # first check, and a gate at that k / T rose a stride a block past
+        # where the next horizons fail: 13 of them passed every check and
+        # went to the reference.
+        n = 10
+        monkeypatch.setattr(chains, "_STACK_BUDGET", 8 * 8 * (3 * n * n + 4 * n))
+        pair = ChainPair(birth_death(n, 0.3, 0.4), birth_death(n, 0.4, 0.3))
+        assert stable_adiabatic_time(pair, 0.03).t_sad == 688
+        assert len(scan_work.decided) <= 2
+
+    def test_an_early_reference_fails_at_most_once_a_block(self, suite_pairs, scan_work):
+        # T = 273 passes every check of its block and is sent to its
+        # reference at step 25, which fails; the scan goes on with the rest
+        pair = suite_pairs["bd4-to-dense4"]
+        got = stable_adiabatic_time(pair, 0.01)
+        assert got == stable_scan_reference(pair, 0.01, got.t_sad)
+        failed = [lo for lo, T, gap in scan_work.early if gap >= 0.01]
+        assert failed and len(failed) == len(set(failed))
 
     @pytest.mark.parametrize(
         "name, eps, t_sad, rows, decided",
