@@ -135,6 +135,16 @@ def _stationary_at(pair: ChainPair, ts: np.ndarray) -> np.ndarray:
     return pis
 
 
+def _grid_max_tv(pair: ChainPair, delta: float, points: int) -> float:
+    """Max TV between pi_s and pi_0 over a uniform grid of ``points`` s on [0, delta]."""
+    ss = np.linspace(0.0, delta, points)
+    step = _chunk(10 * pair.n)  # per s: the evaluation's rows, its [P0 | P1] image and pi_s
+    return max(
+        float(_row_tv(_stationary_at(pair, ss[lo : lo + step]), pair.pi0.mass).max())
+        for lo in range(0, len(ss), step)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Corridor:
     """Trajectory of mu_k = pi_0 P_{1/T} ... P_{k/T} against its targets.

@@ -117,13 +117,7 @@ def _sup_mixing(args, pair, name):
 
 
 def _adiabatic(args, pair, name):
-    res = adiabatic_time(pair, args.epsilon, horizon_cap=args.cap)
-    return {
-        "eps": res.eps,
-        "t_ad": res.t_ad,
-        "certified_horizon": res.certified_horizon,
-        "horizons_checked": res.certified_horizon,
-    }
+    return asdict(adiabatic_time(pair, args.epsilon, horizon_cap=args.cap))
 
 
 def _stable(args, pair, name):

@@ -16,16 +16,16 @@ import numpy as np
 from .adiabatic import (
     DEFAULT_CORRIDOR_CAP,
     DEFAULT_HORIZON_CAP,
-    _corridor_stream,
+    _corridor_worst,
+    _grid_max_tv,
     _horizon_text,
-    _stationary_at,
     adiabatic_time,
     prop3_check,
     theorem2_check,
     theorem3_horizon,
 )
 from .chainfile import _json_text
-from .chains import ChainPair, _chunk, _row_tv, interpolate
+from .chains import ChainPair, interpolate
 from .errors import (
     EpsTooLargeError, HorizonCapError, NonPositiveEpsError, _check_eps, _check_horizon
 )
@@ -75,17 +75,10 @@ class BoundReport:
         return not self.failures()
 
     def to_json(self) -> str:
-        payload = {
-            "chain_name": self.chain_name,
-            "eps_list": list(self.eps_list),
-            "grid_resolution": self.grid_resolution,
-            "caps_hit": list(self.caps_hit),
-            "entries": [
-                {"pass" if k == "passed" else k: v for k, v in vars(e).items()}
-                for e in self.entries
-            ],
-        }
-        return _json_text(payload)
+        entries = [
+            {"pass" if k == "passed" else k: v for k, v in vars(e).items()} for e in self.entries
+        ]
+        return _json_text({**vars(self), "entries": entries})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -106,16 +99,6 @@ class BoundReport:
                 ]
             )
         return buf.getvalue()
-
-
-def _grid_max_tv(pair: ChainPair, delta: float) -> float:
-    """Max TV between pi_s and pi_0 over a uniform s-grid on [0, delta]."""
-    ss = np.linspace(0.0, delta, GRID_CHECK_POINTS)
-    step = _chunk(10 * pair.n)  # per s: the evaluation's rows, its [P0 | P1] image and pi_s
-    return max(
-        float(_row_tv(_stationary_at(pair, ss[lo : lo + step]), pair.pi0.mass).max())
-        for lo in range(0, len(ss), step)
-    )
 
 
 class _Skip(Exception):
@@ -169,7 +152,7 @@ def _prop3(c: _Inputs, T: int, gaps: np.ndarray, bounds: np.ndarray):
 def _prop4(c: _Inputs):
     """Stationary continuity within the sigma-based radius, from P0's sigma in the sweep."""
     delta = continuity_delta(c.pair.n, c.eps, c.sweep[0][1])
-    max_tv = _grid_max_tv(c.pair, delta)
+    max_tv = _grid_max_tv(c.pair, delta, GRID_CHECK_POINTS)
     return max_tv, c.eps, max_tv <= c.eps + GRID_SLACK, f"delta={delta!r} grid={GRID_CHECK_POINTS}"
 
 
@@ -177,7 +160,7 @@ def _cor1(c: _Inputs):
     """Continuity within the mixing-time-based radius, target eps/2."""
     if c.cor1 is None:
         raise _Skip(f"SKIPPED: eps >= 1/sqrt({c.pair.n})")
-    max_tv = _grid_max_tv(c.pair, c.cor1)
+    max_tv = _grid_max_tv(c.pair, c.cor1, GRID_CHECK_POINTS)
     detail = f"delta={c.cor1!r} sup_tmix={c.m} grid={GRID_CHECK_POINTS}"
     return max_tv, c.eps / 2.0, max_tv <= c.eps / 2.0 + GRID_SLACK, detail
 
@@ -209,7 +192,7 @@ def _thm3(c: _Inputs):
             f"PRECONDITION_UNMET: derived radius {derived!r} exceeds "
             f"continuity radius at T={_horizon_text(horizon)}"
         )
-    max_gap = float(np.max([gaps.max() for *_, gaps in _corridor_stream(c.pair, horizon)]))
+    max_gap = _corridor_worst(c.pair, horizon)[1]
     return max_gap, c.eps, max_gap <= c.eps + GRID_SLACK, f"T={horizon} sup_tmix={c.m}"
 
 

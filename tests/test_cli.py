@@ -3,6 +3,7 @@
 import argparse
 import inspect
 import json
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +12,15 @@ import pytest
 import markovmix.adiabatic as adiabatic
 import markovmix.cli as cli
 from markovmix import (
+    AdiabaticResult,
     BadParamsError,
     CapExceededError,
     ChainPair,
     HorizonCapError,
     IterationCapError,
+    MixingResult,
+    StableAdiabaticResult,
+    SupMixingResult,
     adiabatic_time,
     complete_graph,
     load_pair,
@@ -171,9 +176,23 @@ class TestSubcommands:
         )
         assert code == EXIT_OK
         assert payload["t_ad"] >= 1
-        assert sorted(payload) == [
-            "certified_horizon", "chain", "eps", "horizons_checked", "t_ad"
-        ]
+
+    @pytest.mark.parametrize(
+        "command, record, added, renamed",
+        [
+            ("mixing", MixingResult, {"kernel"}, {}),
+            ("sup-mixing", SupMixingResult, set(), {"per_s_samples": "samples"}),
+            ("adiabatic", AdiabaticResult, set(), {}),
+            ("stable", StableAdiabaticResult, set(), {}),
+        ],
+    )
+    def test_record_payload_is_its_fields(self, capsys, pair_file, command, record, added, renamed):
+        # a record-printing subcommand prints its record's fields and the chain, with
+        # only mixing's kernel label added and sup-mixing's samples renamed
+        code, payload = run_json(capsys, [command, "--chain", str(pair_file), "--epsilon", "0.1"])
+        assert code == EXIT_OK
+        names = {renamed.get(f.name, f.name) for f in fields(record)}
+        assert set(payload) == names | added | {"chain"}
 
     def test_stable(self, capsys, pair_file):
         code, payload = run_json(

@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ class TestVerifyAll:
         pair.pi0  # solve the cached endpoint outside the trace
         tracemalloc.start()
         try:
-            verify._grid_max_tv(pair, 0.01)
+            adiabatic._grid_max_tv(pair, 0.01, verify.GRID_CHECK_POINTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -308,6 +309,7 @@ class TestReportSerialization:
 
     def test_json_schema(self, forward_report):
         payload = json.loads(forward_report.to_json())
+        assert set(payload) == {f.name for f in fields(BoundReport)}
         assert payload["chain_name"] == "lazy-to-asym"
         assert payload["eps_list"] == [0.2, 0.1]
         assert isinstance(payload["grid_resolution"], float)
@@ -353,16 +355,15 @@ class TestVerifyOnSuite:
         # The goldens come from the blocked corridor. With the per-step
         # reference in its place, every flag, int and cap must be the same
         # and every float, in the details too, within 1e-12.
-        # THM3 reduces the corridor stream, so it reads the reference as one chunk.
+        # THM3 reads the corridor's worst step, so it reads the reference's.
         horizons = []
 
-        def reference_stream(pair, T):
+        def reference_worst(pair, T):
             horizons.append(T)
-            ref = corridor_reference(pair, T)
-            yield 1, ref.mus, ref.targets, ref.gaps
+            return corridor_reference(pair, T).worst
 
         monkeypatch.setattr(adiabatic, "corridor", corridor_reference)
-        monkeypatch.setattr(verify, "_corridor_stream", reference_stream)
+        monkeypatch.setattr(verify, "_corridor_worst", reference_worst)
         runs = [
             (f"{name}{tag}", name, name, {"eps_list": eps_list})
             for tag, eps_list in GOLDEN_EPS_SETS.items()
