@@ -179,10 +179,11 @@ def _over(num: float, den: float) -> float:
 def _block_steps(n: int, T: int) -> int:
     """Steps per corridor block, from n and T alone so that no float depends on the chunk.
 
-    A block product costs 2 n^3 flops a step, more than the Python step it
-    saves once n^2 > 512, where K = 1 and the corridor builds no kernel at all
-    (see ``_corridor_stream``); isqrt(T) keeps many blocks a chunk, and 64 caps
-    K near sqrt(C / 2), where a chunk's C / K carries balance its 2K steps.
+    A block's prefix products cost 2 n^3 flops a step, more than the Python
+    step they save once n^2 > 512, where K = 1 and the corridor builds no
+    kernel at all (see ``_corridor_stream``); isqrt(T) keeps many blocks a
+    chunk, and 64 caps K near sqrt(C), where a chunk's C / K carries balance
+    its K - 1 prefix matmuls.
     """
     return max(1, min(1024 // (n * n), 64, math.isqrt(T)))
 
@@ -193,59 +194,56 @@ def _corridor_stream(pair: ChainPair, T: int, first: int = 1):
     At K = 1 mu takes the stable scan's step, written out in both loops (a
     shared function cost 10% of a step): one product with [P0 | P1] mixed as
     (1 - t) mu P0 + t mu P1 and rescaled, and no kernel is built. A chunk
-    holds as many steps as fit about 8n floats each. At K > 1 it is a blocked
-    two-pass scan (Blelloch, CMU-CS-90-190) over blocks of K steps aligned to
-    multiples of K. Per chunk of whole blocks it forms each block's product
-    P_{bK+1} ... P_{bK+K} in K - 1 batched matmuls, carries mu across the
-    block ends one block at a time, and advances the interior steps of all
-    blocks in K - 1 batched steps. A block's floats come from its own rows,
-    so no result depends on the chunking. mu crosses every block end from
-    step 1, but the targets (rows of ``_stationary_at``), the interior steps
-    and the gaps start at step ``first`` (its block, for the steps), so
-    chunks wholly before it yield nothing. Kernels and t values go chunk by
-    chunk: memory is O(chunk n^2) whatever the horizon.
+    holds as many steps as fit about 8n floats each. At K > 1 the steps form
+    blocks of K aligned to multiples of K, and a chunk of whole blocks takes
+    one pass. It overwrites its kernels with each block's prefix products
+    P_{bK+1} ... P_{bK+j} in K - 1 batched matmuls, carries mu across each
+    full block's end by its last prefix, one block at a time, and makes every
+    other row its block's start times its prefix in one batched row product,
+    rescaled. A block's floats come from its own start and kernels, so no
+    result depends on the chunking. mu crosses every block end from step 1,
+    but the targets (rows of ``_stationary_at``), the other rows and the
+    gaps start at step ``first``, so chunks wholly before it yield nothing.
+    Kernels and t values go chunk by chunk: memory is O(chunk n^2) whatever
+    the horizon.
     """
     n = pair.n
     K = _block_steps(n, T)
     mu, W01 = np.array(pair.pi0.mass), _interpolant(pair)[3]
     # per step: at K = 1 mu, target, the target's evaluation rows and its 2n image; at K > 1
-    # the kernel, two n x n of room that the block products use at most, then mu, target and
-    # t, and the target's evaluation rows
+    # the kernel, room to spare for the prefix matmul's result (n^2 / K a step), then mu, its
+    # block's start and t, and the target's evaluation rows
     size = _chunk(8 * n) if K == 1 else max(1, _chunk(3 * n * n + 4 * n) // K) * K
     for lo in range(0, T, size):
         ks = np.arange(lo + 1, min(T, lo + size) + 1)
-        mus, skip = np.empty((len(ks), n)), max(0, first - 1 - lo)
+        skip = max(0, first - 1 - lo)
         if K == 1:
+            mus = np.empty((len(ks), n))
             for i, t in enumerate((ks / T).tolist()):
                 Y = mu @ W01  # [mu P0 | mu P1]
                 mu = (1 - t) * Y[:n] + t * Y[n:]
                 mu /= mu.sum()
                 mus[i] = mu
+            mus = mus[skip:]
         else:
-            # each full block's product, then mu carried across the block ends
             Ps = _interp_stack(pair, ks / T)
-            full = len(Ps) // K
-            Q = Ps[: full * K : K]
+            # each block's prefixes in place; the slice ends at -1 for a partial last block
             for j in range(1, K):
-                Q = np.matmul(Q, Ps[j : full * K : K])
-            start = mu
-            for b in range(full):
-                mu = mu @ Q[b]
+                Ps[j::K] = np.matmul(Ps[j - 1 : -1 : K], Ps[j::K])
+            starts = np.empty((len(Ps) // K + 1, n))  # row b: mu at block b's start
+            starts[0] = mu
+            for b in range(1, len(starts)):
+                mu = mu @ Ps[b * K - 1]
                 mu /= mu.sum()
-                mus[b * K + K - 1] = mu
+                starts[b] = mu
+            # the rows from first on; block ends keep the carried floats the next blocks start from
+            mus = np.matmul(starts[np.arange(skip, len(ks)) // K, None, :], Ps[skip:])[:, 0, :]
+            mus /= mus.sum(axis=1, keepdims=True)
+            mus[(K - 1 - skip) % K :: K] = starts[skip // K + 1 :]
         if skip >= len(ks):
             continue
-        # every block's interior steps at once, each from its block's start, from first's block on
-        if K > 1:
-            b0 = skip // K
-            cur = np.vstack([start, mus[K - 1 : -1 : K]])[b0:]
-            for j in range(1, K):
-                Pj = Ps[b0 * K + j - 1 :: K]
-                cur = np.matmul(cur[: len(Pj), None, :], Pj)[:, 0, :]
-                cur /= cur.sum(axis=1, keepdims=True)
-                mus[b0 * K + j - 1 :: K] = cur
         pis = _stationary_at(pair, ks[skip:] / T)
-        yield lo + skip + 1, mus[skip:], pis, _row_tv(mus[skip:], pis)
+        yield lo + skip + 1, mus, pis, _row_tv(mus, pis)
 
 
 def corridor(pair: ChainPair, T: int) -> Corridor:
@@ -457,9 +455,10 @@ def stable_adiabatic_time(
     # surely >= eps too. Both use the same targets; only mu rounds apart.
     # A scan step (1 - t) mu P0 + t mu P1 is mu P^_t, P^_t the rounded kernel, up to
     # n u (the products), 2u (scale and add), 2u (P^_t's own rounding) and 2u
-    # (rescale), _step_radius(n) + 4u. At K > 1 corridor's mu passes through
-    # k + ceil(k/K) <= 2k products with the kernels P^_t, each adding _step_radius(n),
-    # and (k + 1) margin covers both; at K = 1 it takes the same step formula on rows, other
+    # (rescale), _step_radius(n) + 4u. At K > 1 corridor's mu_k is k products with the
+    # kernels P^_t (its block carries' and its own prefix's), each adding _step_radius(n),
+    # and ceil(k/K) <= k rescales of 2u, within 2k _step_radius(n) in all, and
+    # (k + 1) margin covers both; at K = 1 it takes the same step formula on rows, other
     # floats within the same bound, and (k + 1) (3 (n + 2) + 4) u covers their 2k ((n + 2) + 4) u.
     margin = 3 * _step_radius(n) + 4 * 2.0**-53
     Wt = _interpolant(pair)[3].T  # Wt @ M stacks the columns mu P0 over mu P1

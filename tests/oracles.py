@@ -256,6 +256,28 @@ def corridor_reference(pair, T: int):
     return Corridor(T=T, mus=mus, targets=targets, gaps=_row_tv(mus, targets))
 
 
+def corridor_block_ends_reference(pair, T: int, K: int) -> np.ndarray:
+    """mu at the end of every full block of K steps, one block product at a time, left to right.
+
+    Each kernel is (1 - t) P0 + t P1 at t = k / T, each block's product is
+    P_{bK+1} ... P_{bK+K} formed by K - 1 matrix products from the left, and
+    mu crosses the block by one vector-matrix product with it, then is
+    rescaled. ``corridor``'s block-end rows must equal these bit for bit.
+    """
+    P0, P1 = pair.p0.entries, pair.p1.entries
+    mu, ends = np.array(pair.pi0.mass), []
+    for b in range(T // K):
+        Q = None
+        for k in range(b * K + 1, b * K + K + 1):
+            t = k / T
+            P = (1.0 - t) * P0 + t * P1
+            Q = P if Q is None else Q @ P
+        mu = mu @ Q
+        mu /= mu.sum()
+        ends.append(mu)
+    return np.array(ends).reshape(-1, pair.n)
+
+
 def stationary_at_row_major(pair, ts: np.ndarray) -> np.ndarray:
     """``adiabatic._stationary_at`` with its gate's images formed row by row, pi @ [P0 | P1].
 

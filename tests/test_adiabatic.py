@@ -58,6 +58,7 @@ from conftest import build_suite_pairs
 from oracles import (
     adiabatic_distance_oracle,
     adiabatic_distance_reference,
+    corridor_block_ends_reference,
     corridor_oracle,
     corridor_reference,
     corridor_step_reference,
@@ -229,7 +230,7 @@ def _assert_near_reference(cor, ref):
 
 
 class TestBlockedCorridor:
-    """The blocked two-pass scan and the kernel-free one-step scan against the per-step loops."""
+    """The one-pass blocked scan and the kernel-free one-step scan against the per-step loops."""
 
     def test_block_steps(self):
         assert [_block_steps(2, T) for T in (1, 3, 4, 10, 10**5, 10**6)] == [1, 1, 2, 3, 64, 64]
@@ -241,6 +242,14 @@ class TestBlockedCorridor:
     @given(pair=corridor_pairs, T=st.integers(1, 3000))
     def test_matches_reference(self, pair, T):
         _assert_near_reference(corridor(pair, T), corridor_reference(pair, T))
+
+    @settings(max_examples=30)
+    @given(pair=corridor_pairs, T=st.integers(4, 3000))
+    def test_block_ends_are_the_left_to_right_carry_bit_for_bit(self, pair, T):
+        # from T = 4 up K > 1: each full block's end is mu carried by its block product
+        K = _block_steps(pair.n, T)
+        ends = corridor(pair, T).mus[K - 1 :: K]
+        assert ends.tobytes() == corridor_block_ends_reference(pair, T, K).tobytes()
 
     @pytest.mark.parametrize("name", ["lazy-to-asym", "dense6-to-dense6"])
     def test_long_horizon_matches_reference(self, suite_pairs, name):
@@ -472,6 +481,7 @@ scan_pairs = birth_death_and_dense_pairs(8)
 BD4_TO_DENSE4 = build_suite_pairs()["bd4-to-dense4"]
 # n = 23, where every corridor steps mu by [P0 | P1], the stable scan's step formula: t_sad 114 at eps 0.2
 BD23 = ChainPair(birth_death(23, 0.38, 0.4), birth_death(23, 0.4, 0.38))
+BD5 = ChainPair(birth_death(5, 0.3, 0.4), birth_death(5, 0.4, 0.3))
 exact_pairs = birth_death_and_dense_pairs(5)
 
 
@@ -643,9 +653,14 @@ class TestCorridorStream:
         where=st.sampled_from([1, 2, -4, -2, -1]),
         blocks=st.sampled_from([None, 1, 2, 3]),
     )
+    # K = 11 and a last block of 9 steps: first mid-block, and in the partial block
+    @example(pair=BD5, T=130, where=65, blocks=None)
+    @example(pair=BD5, T=130, where=65, blocks=2)
+    @example(pair=BD5, T=130, where=125, blocks=None)
+    @example(pair=BD5, T=130, where=125, blocks=1)
     def test_tail_is_the_corridor_suffix_bit_for_bit(self, pair, T, where, blocks):
-        # first step 1, 2 (at most T), ceil(T / 4), ceil(T / 2) or T; a chunk of 1-3
-        # blocks, or the budget's
+        # first step where (at most T) for where > 0, else ceil(T / 4), ceil(T / 2) or T;
+        # a chunk of 1-3 blocks, or the budget's
         first = min(T, where) if where > 0 else -(T // where)
         cor = corridor(pair, T)
         n, K = pair.n, _block_steps(pair.n, T)
@@ -944,9 +959,11 @@ class TestExactCorridor:
     @given(pair=exact_pairs, T=st.integers(1, 60))
     def test_mus_are_within_the_drop_margin_radii(self, pair, T):
         # l1 radii: the scan's mixed step (1 - t) mu P0 + t mu P1 rescaled, _step_radius(n) + 4u
-        # a step, which corridor's mu takes too at K = 1, and at K > 1 corridor's mu after
-        # k + ceil(k/K) float products, each _step_radius(n); their sum is within the (k + 1)
-        # margin the stable scan drops at
+        # a step, which corridor's mu takes too at K = 1. At K > 1 corridor's mu_k is k float
+        # products with the rounded kernels, the block carries' and its own prefix's, each
+        # within _step_radius(n), and ceil(k/K) rescales (one per carry, and one more for a
+        # row inside a block), each within 2u: (k + ceil(k/K)) _step_radius(n) bounds it.
+        # Their sum is within the (k + 1) margin the stable scan drops at
         n, u = pair.n, 2.0**-53
         K = _block_steps(n, T)
         cor, exact = corridor(pair, T), exact_corridor_mus(pair, T)
