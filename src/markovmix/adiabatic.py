@@ -467,6 +467,7 @@ def stable_adiabatic_time(
     while lo <= cap:
         # reach: the block's largest k / T of a drop, 0 before one, inf after a failed early reference
         gate, drop, reach, first = _check_from(*drop), (1, 0, 0), 0.0, True
+        # a kernel's floats per horizon, not the ~9n a horizon holds: wider blocks sent bd30 to 10 references
         size = min(max(32, (lo - 1) // 2), _chunk(3 * n * n + 4 * n), cap - lo + 1)
         live = np.arange(lo, lo + size)  # the live horizons, ascending
         stride = max(1, (lo + size - 1) // _STABLE_CHECKS)

@@ -90,30 +90,27 @@ def _mixing_scans(
     position. Its callers: ``mixing_time`` and ``_family_tmix``.
 
     A step skips the n x n gap if the stack has ``_WITNESS_FLOATS`` floats or more, ``_no_rise_bound``
-    rules out the rise check, and each kernel's forecast g_(T-1)^2 / g_(T-2) and the gap of its witness
-    row (its last full argmax) clear the largest bar: no kernel can then newly be within any eps, and
-    the witness gap stands in for its previous gap.
+    rules out the rise check, and each kernel's witness row gap clears its own next bar, the largest it
+    is not yet within: no kernel can then newly be within any eps, and its witness gap is its previous one.
     """
     bars = np.array(eps_values)[:, None] + PASS_SLACK  # a column: one row per eps
-    top = bars.max()  # a witness gap above clear is a full one above top: each sum order is within gamma_(n-1)
-    clear = top * (1 + 2 * (Ps.shape[-1] + 1) * 2.0**-53)
+    margin = 1 + 2 * (Ps.shape[-1] + 1) * 2.0**-53  # two sum orders of one gap agree within gamma_(n-1)
+    clear = np.full(len(Ps), bars.max() * margin)  # a witness gap above clear is a full one above its next bar
     results: list = [[None] * len(Ps) for _ in eps_values]
     live, P, pi, M = np.arange(len(Ps)), Ps, pis[:, None, :], Ps.copy()
     # written in place at every step, rather than by chains._row_tv: a fresh
     # n x n array per step would cost more than the arithmetic at large n
     diff, spare = np.empty_like(M), np.empty_like(M)
-    prev = prev2 = np.full(len(Ps), np.inf)
-    no_rise = None if Ps.size >= _WITNESS_FLOATS else False  # None until the bound is first needed
+    prev, no_rise = np.full(len(Ps), np.inf), None if Ps.size >= _WITNESS_FLOATS else False
     for T in range(1, cap + 1):
-        if no_rise is not False and T > 2 and (prev * (prev / prev2) > top).all():
-            if no_rise is None:
-                no_rise = _no_rise_bound(Ps, pis, cap) <= PASS_SLACK
-            if no_rise:  # each kernel's witness row: the argmax of its last full evaluation
-                seen = 0.5 * np.abs(M[np.arange(len(M)), gaps.argmax(axis=1)] - pi[:, 0]).sum(axis=1)
-                if (seen > clear).all():  # a NaN fails, and takes the full evaluation
-                    prev2, prev = prev, seen
-                    M, spare = np.matmul(M, P, out=spare), M
-                    continue
+        if T == 3 and no_rise is None:  # a scan that retires by T = 2 never pays for the bound
+            no_rise = _no_rise_bound(Ps, pis, cap) <= PASS_SLACK
+        if no_rise:  # each kernel's witness row: the argmax of its last full evaluation
+            seen = 0.5 * np.abs(M[np.arange(len(M)), gaps.argmax(axis=1)] - pi[:, 0]).sum(axis=1)
+            if (seen > clear).all():  # a NaN fails, and takes the full evaluation
+                prev = seen
+                M, spare = np.matmul(M, P, out=spare), M
+                continue
         gaps = 0.5 * np.abs(np.subtract(M, pi, out=diff), out=diff).sum(axis=2)
         worst = gaps.max(axis=1)
         if not no_rise and (worst > prev + PASS_SLACK).any():
@@ -133,8 +130,10 @@ def _mixing_scans(
             if not keep.any():
                 return results
             live, P, pi, M, worst, prev, gaps = (a[keep] for a in (live, P, pi, M, worst, prev, gaps))
+            if no_rise is not False:  # each kernel's next bar (bars are positive); only witness steps read it
+                clear = np.where(worst > bars, bars, 0.0).max(axis=0) * margin
             diff, spare = diff[: len(live)], spare[: len(live)]
-        prev2, prev = prev, worst
+        prev = worst
         M, spare = np.matmul(M, P, out=spare), M
     raise IterationCapError(f"no T <= {cap} reached eps = {min(eps_values)!r}")
 

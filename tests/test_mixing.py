@@ -219,7 +219,7 @@ class TestBatchedMixingScan:
 
     def test_late_rise_is_a_breakdown(self, lazy):
         # A kernel grown by 0.1%: its max gap, max(1.001^T - 1, 1.001^T 2^-T) / 2, falls until
-        # T = 7 and rises from T = 8, late enough that a forecast would allow witness steps.
+        # T = 7 and rises from T = 8, late enough for witness steps were the rise check ruled out.
         Ps, pis = 1.001 * lazy.entries[None], np.full((1, 2), 0.5)
         with pytest.raises(NumericalBreakdownError, match="at T=8; numerical") as got:
             _mixing_scans(Ps, pis, [0.001], 1000)
@@ -248,9 +248,9 @@ class TestBatchedMixingScan:
 class TestWitnessPath(TestBatchedMixingScan):
     """Every batched-scan test again, with every stack allowed witness steps.
 
-    The full n x n gap is then evaluated only where the forecast or a witness
-    row comes near the largest bar, or ``_no_rise_bound`` does not rule out a
-    rise; the results, errors and messages must not change.
+    The full n x n gap is then evaluated only where a witness row comes near
+    its kernel's next bar, or ``_no_rise_bound`` does not rule out a rise; the
+    results, errors and messages must not change.
     """
 
     @pytest.fixture(autouse=True, scope="class")
@@ -290,13 +290,19 @@ long_stacks = st.integers(40, 64).flatmap(
 )
 
 
+# One slow, lazy random dense kernel large enough to take witness steps alone:
+# the case where each kernel's own next eps bar differs from the largest bar
+lone_kernels = st.builds(
+    lambda n, seed, a: (a * np.eye(n) + (1.0 - a) * random_dense(n, seed=seed).entries)[None],
+    n=st.integers(128, 144),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.9, 0.99),
+)
+
+
 class TestWitnessLongScans:
-    @settings(max_examples=10)
-    @given(
-        Ps=long_stacks,
-        eps_values=st.lists(st.sampled_from([0.25, 0.1, 0.03, 0.01]), min_size=1, max_size=4),
-    )
-    def test_long_scans_equal_the_reference(self, Ps, eps_values):
+    @staticmethod
+    def _equals_the_reference(Ps, eps_values):
         # the witness path runs: the bound is taken, and it rules the rise check out
         bounds = []
 
@@ -311,6 +317,44 @@ class TestWitnessLongScans:
             got = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP)
         assert len(bounds) == 1 and bounds[0] <= PASS_SLACK
         assert got == [_references(Ps, pis, eps) for eps in eps_values]
+
+    @settings(max_examples=10)
+    @given(
+        Ps=long_stacks,
+        eps_values=st.lists(st.sampled_from([0.25, 0.1, 0.03, 0.01]), min_size=1, max_size=4),
+    )
+    def test_long_scans_equal_the_reference(self, Ps, eps_values):
+        self._equals_the_reference(Ps, eps_values)
+
+    @settings(max_examples=10)
+    @given(
+        Ps=lone_kernels,
+        eps_values=st.lists(st.sampled_from([0.25, 0.1, 0.03, 0.01]), min_size=2, max_size=4, unique=True),
+    )
+    def test_one_kernel_at_several_eps_equals_the_reference(self, Ps, eps_values):
+        self._equals_the_reference(Ps, eps_values)
+
+    def test_multi_eps_stacks_keep_their_skips(self, monkeypatch):
+        # each kernel's witness is held to its own next bar, so a kernel already within 0.1 still
+        # skips the full gap until it nears 0.01 or 1e-3
+        P = validate_stochastic(0.95 * np.eye(200) + 0.05 * random_dense(200, seed=3).entries)
+        Ps, pis = P.entries[None], stationary(P).mass[None]
+        full, subtract = [], np.subtract
+
+        def counted(*args, **kwargs):  # the full n x n gap's only subtraction
+            full.append(args[0].shape)
+            return subtract(*args, **kwargs)
+
+        tmix = {0.1: 58, 0.01: 113, 1e-3: 164}
+        for eps_values, most in (([0.1, 1e-3], 6), ([0.1, 0.01, 1e-3], 6), ([1e-3], 4)):
+            full.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "subtract", counted)
+                got = _mixing_scans(Ps, pis, eps_values, DEFAULT_MIXING_CAP)
+            assert [r.tmix for r, in got] == [tmix[eps] for eps in eps_values]
+            assert full == [Ps.shape] * len(full) and len(full) <= most
+        assert len(full) == 4
+        assert got == [_references(Ps, pis, 1e-3)]
 
 
 class TestNoRiseBound:
